@@ -19,13 +19,16 @@ from .bigraph import (
     EdgeColoring,
     GraphError,
     IndexOutOfRange,
+    _largest_double_star_in_class,
     coloring_from_triples,
+    column_planes,
     degree_profile,
     graph_components,
+    json_int,
     largest_mono_component,
     mono_components,
+    plane_counts,
     rat_str,
-    uncolored_largest_double_star,
 )
 
 
@@ -220,6 +223,13 @@ def _at_most_cuberoot(d, bound: Fraction, scale: int) -> bool:
     return d**3 <= bound * scale**3
 
 
+def _exceptional(degs: list[int], avg: Fraction, bound: Fraction, scale: int) -> list[int]:
+    """Indices v with avg - degs[v] > bound^(1/3) * scale, exactly; the test
+    runs once per distinct degree."""
+    above = {d: _above_cuberoot(avg - d, bound, scale) for d in set(degs)}
+    return [v for v, d in enumerate(degs) if above[d]]
+
+
 def density_deficiency(g: BipartiteGraph, r: int) -> Fraction:
     """The delta with e(G) = (1 - delta) mn / r, clamped at zero for classes
     denser than mn/r."""
@@ -299,19 +309,15 @@ def stability_report(
     avg_xy = Fraction(g.edge_count, m)
     avg_yx = Fraction(g.edge_count, n)
 
-    exc_x = []
-    for x in range(m):
-        if _above_cuberoot(avg_xy - g.degree(x), alpha, n):
-            exc_x.append(x)
-    exc_y = []
-    ydegs = g.y_degrees()
-    for y in range(n):
-        if _above_cuberoot(avg_yx - ydegs[y], beta, m):
-            exc_y.append(y)
+    planes = column_planes(g.rows)
+    xdegs = [row.bit_count() for row in g.rows]
+    ydegs = plane_counts(planes, n)
+    exc_x = _exceptional(xdegs, avg_xy, alpha, n)
+    exc_y = _exceptional(ydegs, avg_yx, beta, m)
 
-    defect_x = sum(g.degree(x) for x in exc_x) - len(exc_x) * avg_xy
+    defect_x = sum(xdegs[x] for x in exc_x) - len(exc_x) * avg_xy
     defect_y = sum(ydegs[y] for y in exc_y) - len(exc_y) * avg_yx
-    star = uncolored_largest_double_star(g).order
+    star = _largest_double_star_in_class(g, 0, planes).order
     case_i = star * r >= m + n
     case_ii = _at_most_cuberoot(len(exc_x), alpha, m) and _at_most_cuberoot(
         len(exc_y), beta, n
@@ -500,10 +506,15 @@ def general_from_edge_list(n: int, r: int, triples) -> GeneralGraph:
 
 
 def parse_general_json(data: dict) -> GeneralGraph:
+    """Inverse of :meth:`GeneralGraph.to_json_dict`; ``n``, ``r`` and every
+    edge field must be JSON integers."""
     try:
-        n = int(data["n"])
-        r = int(data["r"])
-        triples = [(int(a), int(b), int(c)) for a, b, c in data["edges"]]
+        n = json_int(data["n"], "n")
+        r = json_int(data["r"], "r")
+        triples = [
+            tuple(json_int(v, "edge field") for v in (a, b, c))
+            for a, b, c in data["edges"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed general graph JSON: {exc}") from exc
     return general_from_edge_list(n, r, triples)

@@ -102,13 +102,12 @@ class BipartiteGraph:
         return out
 
     def y_degrees(self) -> list[int]:
-        degs = [0] * self.n
-        for row in self.rows:
-            while row:
-                low = row & -row
-                degs[low.bit_length() - 1] += 1
-                row ^= low
-        return degs
+        """Degree of every Y-vertex, indexed by y.
+
+        The rows are summed into :func:`column_planes`, where bit y of plane
+        j is bit j of deg(y); the degrees are then read with one pass over
+        the set bits of each plane."""
+        return plane_counts(column_planes(self.rows), self.n)
 
     def transpose(self) -> "BipartiteGraph":
         """Swap the roles of X and Y."""
@@ -126,6 +125,56 @@ class BipartiteGraph:
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "edges": [[x, y] for x, y in self.edges()]}
+
+
+def column_planes(rows) -> list[int]:
+    """Column counts of bitmask rows, stored as bit planes.
+
+    Bit y of ``planes[j]`` is bit j of the number of rows that hold bit y,
+    so there are as many planes as the largest count has bits, and a
+    column with count 0 is clear in every plane.  Each row is added with a
+    ripple carry through the planes: the carry-save population count of
+    Mula, Kurz and Lemire (arXiv:1611.07612) on Python big-int words, which
+    costs a few word operations per row instead of one step per set bit.
+    """
+    planes: list[int] = []
+    for carry in rows:
+        j = 0
+        while carry:
+            if j == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j += 1
+    return planes
+
+
+def plane_counts(planes: list[int], n: int) -> list[int]:
+    """The n column counts held by :func:`column_planes` output."""
+    counts = [0] * n
+    for j, plane in enumerate(planes):
+        weight = 1 << j
+        bits = bin(plane)[:1:-1]  # bits[y] is bit y of the plane
+        y = bits.find("1")
+        while y != -1:
+            counts[y] += weight
+            y = bits.find("1", y + 1)
+    return counts
+
+
+def _plane_max(planes: list[int], mask: int) -> tuple[int, int]:
+    """The largest count among the columns in a non-empty ``mask``, and the
+    mask of the columns that reach it.  Descends from the top plane, keeping
+    the columns that have the current bit set whenever any of them do."""
+    value = 0
+    for j in range(len(planes) - 1, -1, -1):
+        hit = mask & planes[j]
+        if hit:
+            mask = hit
+            value |= 1 << j
+    return value, mask
 
 
 def from_rows(m: int, n: int, rows) -> BipartiteGraph:
@@ -411,21 +460,31 @@ def largest_mono_component(host: BipartiteGraph, col: EdgeColoring) -> Component
     return best
 
 
-def _largest_double_star_in_class(g: BipartiteGraph, color: int) -> DoubleStar | None:
+def _largest_double_star_in_class(
+    g: BipartiteGraph, color: int, planes: list[int]
+) -> DoubleStar | None:
+    """The edge (x, y) of ``g`` maximizing deg(x) + deg(y), or None.
+
+    ``planes`` is :func:`column_planes` of ``g.rows``.  For each row the
+    best partner is found by :func:`_plane_max` over the row's neighbours,
+    and the lowest such y is kept.  Rows go in ascending x and only a
+    strictly larger order replaces the best, so ties go to the
+    lexicographically first (x, y).  A row is skipped when its degree plus
+    the largest column degree cannot beat the best so far.
+    """
     if g.edge_count == 0:
         return None
-    ydeg = g.y_degrees()
-    best = None
+    top, _ = _plane_max(planes, (1 << g.n) - 1)
+    best_order, best_x, best_y = 0, 0, 0
     for x, row in enumerate(g.rows):
         dx = row.bit_count()
-        while row:
-            low = row & -row
-            y = low.bit_length() - 1
-            row ^= low
-            order = dx + ydeg[y]
-            if best is None or order > best.order:
-                best = DoubleStar(color=color, center_x=x, center_y=y, order=order)
-    return best
+        if not row or dx + top <= best_order:
+            continue
+        dy, centers = _plane_max(planes, row)
+        if dx + dy > best_order:
+            best_order, best_x = dx + dy, x
+            best_y = (centers & -centers).bit_length() - 1
+    return DoubleStar(color=color, center_x=best_x, center_y=best_y, order=best_order)
 
 
 def largest_double_star(host: BipartiteGraph, col: EdgeColoring) -> DoubleStar:
@@ -435,7 +494,7 @@ def largest_double_star(host: BipartiteGraph, col: EdgeColoring) -> DoubleStar:
         raise EmptyGraph("host has no edges")
     best = None
     for c, cls in enumerate(col.classes):
-        cand = _largest_double_star_in_class(cls, c)
+        cand = _largest_double_star_in_class(cls, c, column_planes(cls.rows))
         if cand is not None and (best is None or cand.order > best.order):
             best = cand
     return best
@@ -443,7 +502,7 @@ def largest_double_star(host: BipartiteGraph, col: EdgeColoring) -> DoubleStar:
 
 def uncolored_largest_double_star(g: BipartiteGraph) -> DoubleStar:
     """Largest double star of a single graph (one implicit color)."""
-    star = _largest_double_star_in_class(g, 0)
+    star = _largest_double_star_in_class(g, 0, column_planes(g.rows))
     if star is None:
         raise EmptyGraph("graph has no edges")
     return star
@@ -476,26 +535,39 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer; booleans, floats, strings and
+    anything else raise GraphError instead of being coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _json_edges(raw, width: int, shape: str) -> list[tuple[int, ...]]:
+    if not isinstance(raw, (list, tuple)):
+        raise GraphError("malformed graph JSON: edges must be a list")
+    out = []
+    for item in raw:
+        if not isinstance(item, (list, tuple)) or len(item) != width:
+            raise GraphError(shape)
+        out.append(tuple(json_int(v, "edge field") for v in item))
+    return out
+
+
 def parse_graph_json(data: dict) -> tuple[BipartiteGraph, EdgeColoring | None]:
-    """Inverse of :func:`graph_json`. Returns (host, coloring-or-None)."""
+    """Inverse of :func:`graph_json`. Returns (host, coloring-or-None).
+
+    ``m``, ``n``, ``r`` and every edge field must be JSON integers."""
     try:
-        m = int(data["m"])
-        n = int(data["n"])
+        m = json_int(data["m"], "m")
+        n = json_int(data["n"], "n")
         raw = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
     if "r" in data:
-        r = int(data["r"])
-        triples = []
-        for item in raw:
-            if len(item) != 3:
-                raise GraphError("colored graph needs [x, y, c] triples")
-            triples.append((int(item[0]), int(item[1]), int(item[2])))
+        r = json_int(data["r"], "r")
+        triples = _json_edges(raw, 3, "colored graph needs [x, y, c] triples")
         col = coloring_from_triples(m, n, r, triples)
         return col.union_host(), col
-    pairs = []
-    for item in raw:
-        if len(item) != 2:
-            raise GraphError("uncolored graph needs [x, y] pairs")
-        pairs.append((int(item[0]), int(item[1])))
+    pairs = _json_edges(raw, 2, "uncolored graph needs [x, y] pairs")
     return from_edge_list(m, n, pairs), None

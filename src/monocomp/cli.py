@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .analysis import (
@@ -216,7 +217,7 @@ def cmd_search(args) -> tuple[dict, int, str, dict]:
         split_depth=args.split_depth,
         budget=args.budget,
     )
-    target = args.target
+    target = None if args.target is None else _parse_rational(args.target, "--target")
     if args.mode == "minmax":
         out = min_max_mono_component(host, args.r, cfg, workers=args.workers)
     elif args.mode == "below":
@@ -246,15 +247,17 @@ def cmd_search(args) -> tuple[dict, int, str, dict]:
     return doc, _outcome_exit(out.kind), _digest(text), summary
 
 
-def _parse_alphas(text: str):
-    from fractions import Fraction
+def _parse_rational(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{flag} {text!r} is not a rational number") from exc
 
-    out = []
-    for item in text.split(","):
-        item = item.strip()
-        if item:
-            out.append(Fraction(item))
-    return out
+
+def _parse_alphas(text: str):
+    return [
+        _parse_rational(item, "--alphas") for item in text.split(",") if item.strip()
+    ]
 
 
 def _run_frontier(args) -> tuple[dict, int, str, dict]:

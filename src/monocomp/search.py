@@ -684,8 +684,11 @@ def alpha_frontier(
     monochromatic component of order n/2 (exhaustively when the host is tiny,
     by seeded sampling otherwise).  The output is labeled exploratory
     evidence: a clean row is not a proof and a counterexample row only speaks
-    for its family members.
+    for its family members.  Only ``r = 2`` is searched; any other ``r``
+    raises ValueError.
     """
+    if r != 2:
+        raise ValueError(f"the frontier scan searches 2-colorings only, not r={r}")
     cfg = cfg or SearchConfig()
     rows = []
     for alpha in alphas:

@@ -73,3 +73,76 @@ def brute_double_star_order(m, n, edges):
         dy = sum(1 for _, b in edges if b == y)
         best = max(best, dx + dy)
     return best
+
+
+def column_degrees(n, edges):
+    """deg(y) for y in 0..n-1, one count per edge."""
+    degs = [0] * n
+    for _, y in edges:
+        degs[y] += 1
+    return degs
+
+
+def double_star(m, n, edges):
+    """(order, center_x, center_y) maximizing deg(x) + deg(y) over the edges,
+    or None without edges.  Edges are scanned in (x, y) order and only a
+    strictly larger order replaces the best, so ties go to the first edge."""
+    xdeg = [0] * m
+    for x, _ in edges:
+        xdeg[x] += 1
+    ydeg = column_degrees(n, edges)
+    best = None
+    for x, y in sorted(edges):
+        order = xdeg[x] + ydeg[y]
+        if best is None or order > best[0]:
+            best = (order, x, y)
+    return best
+
+
+def stability_json(m, n, edges, r, delta=None):
+    """The stability report's JSON, recomputed vertex by vertex from the
+    definitions: e = (1 - delta) mn / r, alpha = (m+n) delta / (r^2 n),
+    beta = (m+n) delta / (r^2 m); a vertex is exceptional when its degree
+    falls short of the average by more than alpha^(1/3) n (beta^(1/3) m),
+    compared by cubing."""
+
+    def rat(q):
+        q = Fraction(q)
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    e = len(edges)
+    if delta is None:
+        delta = max(Fraction(0), 1 - Fraction(r * e, m * n))
+    alpha = Fraction(m + n, r * r * n) * delta
+    beta = Fraction(m + n, r * r * m) * delta
+    xdeg = [0] * m
+    for x, _ in edges:
+        xdeg[x] += 1
+    ydeg = column_degrees(n, edges)
+
+    def short(deg, avg, bound, scale):
+        gap = avg - deg
+        return gap > 0 and gap**3 > bound * scale**3
+
+    exc_x = [x for x in range(m) if short(xdeg[x], Fraction(e, m), alpha, n)]
+    exc_y = [y for y in range(n) if short(ydeg[y], Fraction(e, n), beta, m)]
+    star = double_star(m, n, edges)[0]
+    case_i = star * r >= m + n
+    case_ii = (len(exc_x) == 0 or len(exc_x) ** 3 <= alpha * m**3) and (
+        len(exc_y) == 0 or len(exc_y) ** 3 <= beta * n**3
+    )
+    return {
+        "delta": rat(delta),
+        "alpha": rat(alpha),
+        "beta": rat(beta),
+        "exceptional_x": exc_x,
+        "exceptional_y": exc_y,
+        "k_x": len(exc_x),
+        "k_y": len(exc_y),
+        "defect_x": rat(sum(xdeg[x] for x in exc_x) - len(exc_x) * Fraction(e, m)),
+        "defect_y": rat(sum(ydeg[y] for y in exc_y) - len(exc_y) * Fraction(e, n)),
+        "double_star_order": star,
+        "case_i": case_i,
+        "case_ii": case_ii,
+        "dichotomy": case_i or case_ii,
+    }

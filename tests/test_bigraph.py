@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,20 +10,24 @@ from monocomp import (
     ColoringMismatch,
     DuplicateEdge,
     EmptyGraph,
+    GraphError,
     IndexOutOfRange,
     coloring_from_triples,
     complete,
     degree_profile,
     dumps_canonical,
     from_edge_list,
+    from_rows,
     graph_json,
     largest_double_star,
     largest_mono_component,
     meets_conjecture_degrees,
     mono_components,
     parse_graph_json,
+    stability_report,
     uncolored_largest_double_star,
 )
+from monocomp.analysis import parse_general_json
 from monocomp.bigraph import to_edge_list
 from monocomp.constructions import (
     complete_minus_circulant,
@@ -276,6 +281,107 @@ class TestDoubleStars:
             assert star.order * 9 >= g.edge_count * 6
 
 
+@st.composite
+def wide_graphs(draw, max_side=200):
+    """Sides up to max_side, so column degrees need several planes and rows
+    span several 30-bit digits; some rows are left empty."""
+    m = draw(st.integers(1, max_side))
+    n = draw(st.integers(1, max_side))
+    density = draw(st.sampled_from([0.01, 0.05, 0.3, 0.7, 1.0]))
+    blank = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = [
+        0 if rng.random() < blank
+        else sum(1 << y for y in range(n) if rng.random() < density)
+        for _ in range(m)
+    ]
+    return from_rows(m, n, rows)
+
+
+def two_block(k):
+    """The acceptance criterion-9 instance: two disjoint K_{k,k} plus one
+    isolated vertex per side."""
+    rows = [(1 << k) - 1] * k + [((1 << k) - 1) << k] * k + [0]
+    return from_rows(2 * k + 1, 2 * k + 1, rows)
+
+
+def star_triple(star):
+    return (star.order, star.center_x, star.center_y)
+
+
+class TestColumnKernels:
+    """The bit-plane column counter against per-edge references."""
+
+    @given(wide_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_y_degrees(self, g):
+        assert g.y_degrees() == oracles.column_degrees(g.n, g.edges())
+
+    def test_y_degrees_degenerate_sides(self):
+        assert from_rows(3, 0, [0, 0, 0]).y_degrees() == []
+        assert from_rows(0, 4, []).y_degrees() == [0, 0, 0, 0]
+        assert from_rows(2, 70, [0, 0]).y_degrees() == [0] * 70
+
+    @given(wide_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_degree_profile(self, g):
+        prof = degree_profile(g)
+        assert prof.delta_xy == min(g.degree(x) for x in range(g.m))
+        assert prof.delta_yx == min(oracles.column_degrees(g.n, g.edges()))
+
+    @given(wide_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_uncolored_double_star(self, g):
+        expected = oracles.double_star(g.m, g.n, g.edges())
+        if expected is None:
+            with pytest.raises(EmptyGraph):
+                uncolored_largest_double_star(g)
+            return
+        assert star_triple(uncolored_largest_double_star(g)) == expected
+
+    @given(wide_graphs(max_side=120), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_colored_double_star(self, g, r, seed):
+        if g.edge_count == 0:
+            return
+        rng = random.Random(seed)
+        triples = [(x, y, rng.randrange(r)) for x, y in g.edges()]
+        col = coloring_from_triples(g.m, g.n, r, triples)
+        best = None
+        for c in range(r):
+            cand = oracles.double_star(g.m, g.n, [(x, y) for x, y, cc in triples if cc == c])
+            if cand is not None and (best is None or cand[0] > best[1][0]):
+                best = (c, cand)
+        star = largest_double_star(g, col)
+        assert (star.color, star_triple(star)) == best
+
+    @given(wide_graphs(), st.integers(2, 3), st.sampled_from([None, Fraction(1, 3), 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_stability_report(self, g, r, extra):
+        if g.m > g.n:
+            g = g.transpose()
+        if g.edge_count == 0:
+            return
+        edges = g.edges()
+        delta = None
+        if extra is not None:
+            delta = max(Fraction(0), 1 - Fraction(r * g.edge_count, g.m * g.n)) + extra
+        assert stability_report(g, r, delta=delta).to_json_dict() == (
+            oracles.stability_json(g.m, g.n, edges, r, delta)
+        )
+
+    def test_two_block_k64(self):
+        g = two_block(64)
+        edges = g.edges()
+        assert g.y_degrees() == oracles.column_degrees(g.n, edges)
+        assert star_triple(uncolored_largest_double_star(g)) == (128, 0, 0)
+        assert oracles.double_star(g.m, g.n, edges) == (128, 0, 0)
+        for r in (2, 3):
+            assert stability_report(g, r).to_json_dict() == (
+                oracles.stability_json(g.m, g.n, edges, r)
+            )
+
+
 class TestConjectureDegrees:
     def test_k33_r2(self):
         assert meets_conjecture_degrees(complete(3, 3), 2)
@@ -313,6 +419,44 @@ class TestJson:
         host, col = host_col
         host2, col2 = parse_graph_json(graph_json(host, col))
         assert (host2, col2) == (host, col)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": 2, "n": 2, "edges": [[0, True], [0.9, 1]]},
+            {"m": True, "n": 2, "edges": []},
+            {"m": 2, "n": 2.0, "edges": []},
+            {"m": "2", "n": 2, "edges": []},
+            {"m": 2, "n": 2, "edges": [[0, 1.0]]},
+            {"m": 2, "n": 2, "r": 2.5, "edges": [[0, 1, 0]]},
+            {"m": 2, "n": 2, "r": 2, "edges": [[0, 1, True]]},
+            {"m": 2, "n": 2, "r": 2, "edges": [[0, None, 0]]},
+            {"m": 2, "n": 2, "edges": [5]},
+            {"m": 2, "n": 2, "edges": 5},
+        ],
+    )
+    def test_rejects_non_integers(self, doc):
+        with pytest.raises(GraphError):
+            parse_graph_json(doc)
+
+    def test_message_names_the_field(self):
+        with pytest.raises(GraphError, match="edge field must be an integer, got True"):
+            parse_graph_json({"m": 2, "n": 2, "edges": [[0, True], [0.9, 1]]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": True, "r": 3, "edges": []},
+            {"n": 4, "r": 3.0, "edges": []},
+            {"n": 4, "r": 3, "edges": [[0, 1, True]]},
+            {"n": 4, "r": 3, "edges": [[0.5, 1, 0]]},
+        ],
+    )
+    def test_general_rejects_non_integers(self, doc):
+        with pytest.raises(GraphError):
+            parse_general_json(doc)
 
 
 class TestColoringPartition:

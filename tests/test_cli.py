@@ -166,6 +166,53 @@ class TestSearch:
         assert a.returncode == 0 and a.stdout == b.stdout
 
 
+class TestBadInput:
+    """Each bad input exits 2 with one 'error:' line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["search", "--mode", "below", "--host", "gen:complete:m=3,n=3", "--target", "1/0"],
+            ["search", "--mode", "verify", "--host", "gen:complete:m=3,n=3", "--target", "1/0"],
+            ["scan", "--total-n", 16, "--alphas", "1/8,1/0"],
+            ["scan", "--total-n", 16, "--alphas", "1/8", "--r", 3, "--budget", 100],
+            [
+                "search", "--mode", "frontier", "--total-n", 16, "--alphas", "1/8",
+                "--r", 3, "--budget", 100,
+            ],
+        ],
+    )
+    def test_exit_2_one_line(self, tmp_path, args):
+        res = run_cli(args, tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"m": 2, "n": 2, "edges": [[0, True], [0.9, 1]]},
+            {"m": 2.0, "n": 2, "edges": [[0, 1]]},
+            {"m": 2, "n": 2, "r": True, "edges": [[0, 1, 0]]},
+            {"m": 2, "n": 2, "r": 2, "edges": [[0, 1, "1"]]},
+        ],
+    )
+    def test_non_integer_graph_json(self, tmp_path, doc):
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(doc))
+        res = run_cli(["analyze", f, "--check", "stability"], tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "given twice" not in res.stderr
+
+    def test_non_integer_general_json(self, tmp_path):
+        f = tmp_path / "gg.json"
+        f.write_text(json.dumps({"n": 6, "r": 3, "edges": [[0, 1, False]]}))
+        res = run_cli(["analyze", f, "--check", "corollary"], tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
 class TestWorkersEnv:
     def test_mono_workers_env_default(self, tmp_path):
         import os

@@ -353,3 +353,8 @@ class TestAlphaFrontier:
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             alpha_frontier(16, [Fraction(3, 2)])
+
+    @pytest.mark.parametrize("r", [1, 3, 4])
+    def test_only_two_colors(self, r):
+        with pytest.raises(ValueError, match="2-colorings"):
+            alpha_frontier(16, [Fraction(1, 8)], r=r)
