@@ -63,13 +63,13 @@ from .analysis import (
     stability_report,
 )
 from .search import (
+    THEOREMS,
     AdditiveChecker,
     ComponentTargetChecker,
-    ConjectureChecker,
     PreconditionViolated,
     SearchConfig,
     SearchOutcome,
-    TwoColorChecker,
+    Theorem,
     alpha_frontier,
     exhaustive_verify,
     exists_coloring_below,

@@ -4,6 +4,12 @@ Each checker returns a Verdict (applicability, conclusion, witness, margin)
 or a structured report, always computed in exact arithmetic.  Cube-root
 thresholds such as alpha^(1/3) n are irrational, so they are compared by
 cubing both sides as Fractions; no floats appear anywhere.
+
+The r2, conjecture and additive checks take their rule on r, degree
+hypothesis and target from the theorem registry ``search.THEOREMS``, so
+``analyze`` and ``search`` decide applicability with the same code.  The
+conjecture check's ``refined=True`` relaxation is analysis-only and
+record-only.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .bigraph import (
     plane_counts,
     rat_str,
 )
+from .search import THEOREMS, Theorem
 
 
 @dataclass(frozen=True)
@@ -69,24 +76,46 @@ def _largest_component_or_none(host, col):
     return largest_mono_component(host, col)
 
 
-def check_theorem_two_colors(host: BipartiteGraph, col: EdgeColoring) -> Verdict:
-    """Two colors: strict 2/3 minimum degrees force a component of order
-    at least (m + n)/2."""
-    if col.r != 2:
-        raise ColoringMismatch("this check needs exactly 2 colors")
+def _validate_coloring(host: BipartiteGraph, col: EdgeColoring, r: int) -> None:
+    if col.r != r:
+        raise ColoringMismatch(f"coloring has {col.r} colors, expected {r}")
     col.validate_against(host)
-    prof = degree_profile(host)
-    applicable = prof.delta_xy * 3 > 2 * host.n and prof.delta_yx * 3 > 2 * host.m
-    target = Fraction(host.m + host.n, 2)
+
+
+def _registry_theorem(
+    name: str, host: BipartiteGraph, col: EdgeColoring, r: int
+) -> Theorem:
+    """The registry theorem ``name``, once ``col`` is a valid r-coloring of
+    ``host`` and the theorem speaks about r colors."""
+    thm = THEOREMS[name]
+    err = thm.r_error(r)
+    if err:
+        raise ColoringMismatch(err)
+    _validate_coloring(host, col, r)
+    return thm
+
+
+def _largest_verdict(check, host, col, applicable, target, detail=None) -> Verdict:
+    """Verdict whose conclusion is "the largest component reaches target"."""
     witness = _largest_component_or_none(host, col)
     achieved = witness.order if witness is not None else 0
     return Verdict(
-        check="r2",
+        check=check,
         applicable=applicable,
         holds=achieved >= target,
         target=target,
         witness=witness,
         margin=achieved - target,
+        detail=detail,
+    )
+
+
+def check_theorem_two_colors(host: BipartiteGraph, col: EdgeColoring) -> Verdict:
+    """Two colors: strict 2/3 minimum degrees (the conjecture's at r = 2)
+    force a component of order at least (m + n)/2."""
+    thm = _registry_theorem("r2", host, col, col.r)
+    return _largest_verdict(
+        "r2", host, col, thm.hypothesis(host, 2) is None, thm.target(host.m, host.n, 2)
     )
 
 
@@ -100,34 +129,21 @@ def check_conjecture_instance(
     as equality does not hold on both sides.  No theorem backs that mode; it
     records, never certifies.
     """
-    if r < 2:
-        raise ColoringMismatch("need r >= 2")
-    if col.r != r:
-        raise ColoringMismatch(f"coloring has {col.r} colors, expected {r}")
-    col.validate_against(host)
+    thm = _registry_theorem("conjecture", host, col, r)
+    target = thm.target(host.m, host.n, r)
+    if not refined:
+        applicable = thm.hypothesis(host, r) is None
+        return _largest_verdict("conjecture", host, col, applicable, target)
     prof = degree_profile(host)
     lhs_x = prof.delta_xy * (r + 1)
     lhs_y = prof.delta_yx * (r + 1)
-    if refined:
-        applicable = (
-            lhs_x >= r * host.n
-            and lhs_y >= r * host.m
-            and not (lhs_x == r * host.n and lhs_y == r * host.m)
-        )
-    else:
-        applicable = lhs_x > r * host.n and lhs_y > r * host.m
-    target = Fraction(host.m + host.n, r)
-    witness = _largest_component_or_none(host, col)
-    achieved = witness.order if witness is not None else 0
-    detail = {"recorded_only": True} if refined else None
-    return Verdict(
-        check="conjecture-refined" if refined else "conjecture",
-        applicable=applicable,
-        holds=achieved >= target,
-        target=target,
-        witness=witness,
-        margin=achieved - target,
-        detail=detail,
+    applicable = (
+        lhs_x >= r * host.n
+        and lhs_y >= r * host.m
+        and not (lhs_x == r * host.n and lhs_y == r * host.m)
+    )
+    return _largest_verdict(
+        "conjecture-refined", host, col, applicable, target, {"recorded_only": True}
     )
 
 
@@ -136,12 +152,8 @@ def check_tetel_instance(host: BipartiteGraph, col: EdgeColoring, r: int) -> Ver
     component of order (m + n)/r.  Sides are swapped internally if m > n."""
     if r < 2:
         raise ColoringMismatch("need r >= 2")
-    if col.r != r:
-        raise ColoringMismatch(f"coloring has {col.r} colors, expected {r}")
-    col.validate_against(host)
-    work_host, work_col = host, col
-    if host.m > host.n:
-        work_host, work_col = host.transpose(), col.transpose()
+    _validate_coloring(host, col, r)
+    work_host = host.transpose() if host.m > host.n else host
     m, n = work_host.m, work_host.n
     gamma = Fraction(m**3, 128 * r**5 * n**3)
     prof = degree_profile(work_host)
@@ -149,17 +161,8 @@ def check_tetel_instance(host: BipartiteGraph, col: EdgeColoring, r: int) -> Ver
         Fraction(prof.delta_xy) > (1 - gamma) * n
         and Fraction(prof.delta_yx) > (1 - gamma) * m
     )
-    target = Fraction(m + n, r)
-    witness = _largest_component_or_none(host, col)
-    achieved = witness.order if witness is not None else 0
-    return Verdict(
-        check="tetel",
-        applicable=applicable,
-        holds=achieved >= target,
-        target=target,
-        witness=witness,
-        margin=achieved - target,
-        detail={"gamma": rat_str(gamma)},
+    return _largest_verdict(
+        "tetel", host, col, applicable, Fraction(m + n, r), {"gamma": rat_str(gamma)}
     )
 
 
@@ -176,30 +179,16 @@ def check_additive_theorem(host: BipartiteGraph, col: EdgeColoring) -> Verdict:
     """Two colors, additive degrees: with N = m + n total vertices,
     |Y| >= |X| > N/4, delta(X,Y) >= |Y| - N/8 and delta(Y,X) >= |X| - N/8
     force a component holding half of each side."""
-    if col.r != 2:
-        raise ColoringMismatch("this check needs exactly 2 colors")
-    col.validate_against(host)
-    total = host.m + host.n
-    prof = degree_profile(host)
-    applicable = (
-        host.n >= host.m
-        and 4 * host.m > total
-        and Fraction(prof.delta_xy) >= host.n - Fraction(total, 8)
-        and Fraction(prof.delta_yx) >= host.m - Fraction(total, 8)
-    )
-    target = Fraction(total, 2)
+    thm = _registry_theorem("additive", host, col, col.r)
+    applicable = thm.hypothesis(host, 2) is None
+    target = thm.target(host.m, host.n, 2)
     witness = _additive_qualifying(host, col)
-    if witness is not None:
-        achieved = witness.order
-        holds = True
-    else:
-        largest = _largest_component_or_none(host, col)
-        achieved = largest.order if largest is not None else 0
-        holds = False
+    best = witness if witness is not None else _largest_component_or_none(host, col)
+    achieved = best.order if best is not None else 0
     return Verdict(
         check="additive",
         applicable=applicable,
-        holds=holds,
+        holds=witness is not None,
         target=target,
         witness=witness,
         margin=achieved - target,

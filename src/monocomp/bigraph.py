@@ -85,9 +85,6 @@ class BipartiteGraph:
     def degree(self, x: int) -> int:
         return self.rows[x].bit_count()
 
-    def neighbors(self, x: int) -> list[int]:
-        return bit_indices(self.rows[x])
-
     def has_edge(self, x: int, y: int) -> bool:
         return 0 <= x < self.m and (self.rows[x] >> y) & 1 == 1
 
@@ -196,10 +193,6 @@ def from_edge_list(m: int, n: int, edges) -> BipartiteGraph:
         rows[x] |= bit
         count += 1
     return BipartiteGraph(m, n, tuple(rows), count)
-
-
-def to_edge_list(g: BipartiteGraph) -> list[tuple[int, int]]:
-    return g.edges()
 
 
 def complete(m: int, n: int) -> BipartiteGraph:

@@ -42,7 +42,9 @@ from .constructions import (
     construction_certificate,
 )
 from .search import (
-    CHECKERS,
+    _UNBOUNDED,
+    DEFAULT_SPLIT_DEPTH,
+    THEOREMS,
     PreconditionViolated,
     SearchConfig,
     alpha_frontier,
@@ -145,21 +147,6 @@ def _single_class(args):
 
 
 def cmd_analyze(args) -> tuple[dict, int, str, dict]:
-    if args.check == "corollary":
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and "m" in data:
-            raise GraphError(
-                "corollary expects a general graph file {n, r, edges}, "
-                "not a bipartite one"
-            )
-        gg = parse_general_json(data)
-        text = dumps_canonical(data)
-        verdict = check_corollary(gg, args.r or gg.r, variant=args.variant)
-        doc = verdict.to_json_dict()
-        code = _EXIT_OK if (not verdict.applicable or verdict.holds) else _EXIT_COUNTEREXAMPLE
-        return doc, code, _digest(text), {"check": args.check, "holds": verdict.holds}
-
     if args.check in ("stability", "mainlemma"):
         g, r, text = _single_class(args)
         if args.check == "stability":
@@ -176,21 +163,31 @@ def cmd_analyze(args) -> tuple[dict, int, str, dict]:
         code = _EXIT_COUNTEREXAMPLE if violated else _EXIT_OK
         return doc, code, _digest(text), {"check": args.check, "violated": violated}
 
-    host, col, text = _load_host(args.file)
-    if col is None:
-        raise GraphError(f"--check {args.check} needs a colored graph")
-    if args.check == "r2":
-        verdict = check_theorem_two_colors(host, col)
-    elif args.check == "conjecture":
-        verdict = check_conjecture_instance(
-            host, col, args.r or col.r, refined=args.refined
-        )
-    elif args.check == "tetel":
-        verdict = check_tetel_instance(host, col, args.r or col.r)
-    elif args.check == "additive":
-        verdict = check_additive_theorem(host, col)
+    if args.check == "corollary":
+        with open(args.file, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if isinstance(data, dict) and "m" in data:
+            raise GraphError(
+                "corollary expects a general graph file {n, r, edges}, "
+                "not a bipartite one"
+            )
+        gg = parse_general_json(data)
+        text = dumps_canonical(data)
+        verdict = check_corollary(gg, args.r or gg.r, variant=args.variant)
     else:
-        raise GraphError(f"unknown check {args.check!r}")
+        host, col, text = _load_host(args.file)
+        if col is None:
+            raise GraphError(f"--check {args.check} needs a colored graph")
+        if args.check == "r2":
+            verdict = check_theorem_two_colors(host, col)
+        elif args.check == "conjecture":
+            verdict = check_conjecture_instance(
+                host, col, args.r or col.r, refined=args.refined
+            )
+        elif args.check == "tetel":
+            verdict = check_tetel_instance(host, col, args.r or col.r)
+        else:
+            verdict = check_additive_theorem(host, col)
     doc = verdict.to_json_dict()
     code = _EXIT_OK if (not verdict.applicable or verdict.holds) else _EXIT_COUNTEREXAMPLE
     return doc, code, _digest(text), {"check": args.check, "holds": verdict.holds}
@@ -205,43 +202,28 @@ def _outcome_exit(kind: str) -> int:
 
 
 def cmd_search(args) -> tuple[dict, int, str, dict]:
-    if args.mode == "frontier":
-        return _run_frontier(args)
     if not args.host:
         raise GraphError(f"--mode {args.mode} needs --host")
     host, _col, text = _load_host(args.host)
     cfg = SearchConfig(
-        mode="random" if args.mode == "random" else "exhaustive",
         seed=args.seed,
         canonicalize_colors=not args.no_canonicalize,
         split_depth=args.split_depth,
         budget=args.budget,
     )
     target = None if args.target is None else _parse_rational(args.target, "--target")
+    thm = THEOREMS[args.check]
     if args.mode == "minmax":
         out = min_max_mono_component(host, args.r, cfg, workers=args.workers)
     elif args.mode == "below":
         if target is None:
             raise GraphError("--mode below needs --target")
         out = exists_coloring_below(host, args.r, target, cfg, workers=args.workers)
-    elif args.mode in ("verify", "random"):
-        checker_cls = CHECKERS.get(args.check)
-        if checker_cls is None:
-            raise GraphError(f"unknown checker {args.check!r}")
-        checker = checker_cls()
-        if args.mode == "verify":
-            out = exhaustive_verify(
-                host, args.r, target, checker, cfg, workers=args.workers
-            )
-        else:
-            err = checker.precondition_error(host, args.r)
-            if err:
-                raise PreconditionViolated(err)
-            out = random_search(
-                host, args.r, target, checker, cfg, workers=args.workers
-            )
+    elif args.mode == "verify":
+        out = exhaustive_verify(host, args.r, target, thm, cfg, workers=args.workers)
     else:
-        raise GraphError(f"unknown search mode {args.mode!r}")
+        thm.require(host, args.r)
+        out = random_search(host, args.r, target, thm, cfg, workers=args.workers)
     doc = out.to_json_dict()
     summary = {"mode": args.mode, "kind": out.kind, "examined": out.examined}
     return doc, _outcome_exit(out.kind), _digest(text), summary
@@ -260,7 +242,7 @@ def _parse_alphas(text: str):
     ]
 
 
-def _run_frontier(args) -> tuple[dict, int, str, dict]:
+def cmd_scan(args) -> tuple[dict, int, str, dict]:
     if args.total_n is None:
         raise GraphError("frontier scan needs --total-n")
     alphas = _parse_alphas(args.alphas or "")
@@ -271,24 +253,20 @@ def _run_frontier(args) -> tuple[dict, int, str, dict]:
     return table, _EXIT_OK, digest, {"rows": len(table["rows"])}
 
 
-def _add_search_options(sub, with_host: bool = True):
-    if with_host:
-        sub.add_argument("--host", help="graph file or gen:<spec>")
+def _add_run_options(sub):
+    """Options read by both search and scan."""
     sub.add_argument("--r", type=int, default=2, help="number of colors")
-    sub.add_argument("--target", help="rational target like 4 or 7/2")
-    sub.add_argument("--check", default="gy1", choices=sorted(CHECKERS))
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--split-depth", type=int, default=4, dest="split_depth")
-    sub.add_argument("--budget", type=int, default=1 << 62)
+    sub.add_argument(
+        "--split-depth", type=int, default=DEFAULT_SPLIT_DEPTH, dest="split_depth"
+    )
+    sub.add_argument("--budget", type=int, default=_UNBOUNDED)
     sub.add_argument(
         "--workers",
         type=int,
         default=int(os.environ.get("MONO_WORKERS", "1")),
         help="parallel workers (default env MONO_WORKERS or 1)",
     )
-    sub.add_argument("--no-canonicalize", action="store_true")
-    sub.add_argument("--total-n", type=int, default=None, dest="total_n")
-    sub.add_argument("--alphas", default="", help="comma-separated rationals")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,13 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add_sub(name, **kwargs):
+    def add_sub(name, run, **kwargs):
         sub = subs.add_parser(name, **kwargs)
+        sub.set_defaults(run=run)
         # accepted after the subcommand too; only overrides when given
         sub.add_argument("--manifest", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         return sub
 
-    gen = add_sub("gen", help="emit a construction with its certificate")
+    gen = add_sub("gen", cmd_gen, help="emit a construction with its certificate")
     gen.add_argument(
         "variant",
         choices=["cyclic", "lower-bound", "double-star-gap", "circulant", "complete"],
@@ -324,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int, default=1)
     gen.add_argument("--out", help="also write the bare graph JSON here")
 
-    ana = add_sub("analyze", help="run one theorem check on a graph file")
+    ana = add_sub("analyze", cmd_analyze, help="run one theorem check on a graph file")
     ana.add_argument("file")
     ana.add_argument(
         "--check",
@@ -338,16 +317,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ana.add_argument("--refined", action="store_true", help="record-only refined degrees")
 
-    sea = add_sub("search", help="adversarial search over colorings")
+    sea = add_sub("search", cmd_search, help="adversarial search over colorings")
     sea.add_argument(
-        "--mode",
-        required=True,
-        choices=["minmax", "below", "verify", "random", "frontier"],
+        "--mode", required=True, choices=["minmax", "below", "verify", "random"]
     )
-    _add_search_options(sea)
+    sea.add_argument("--host", help="graph file or gen:<spec>")
+    sea.add_argument("--target", help="rational target like 4 or 7/2")
+    sea.add_argument("--check", default="gy1", choices=sorted(THEOREMS))
+    sea.add_argument("--no-canonicalize", action="store_true")
+    _add_run_options(sea)
 
-    scan = add_sub("scan", help="degree-slack frontier scan")
-    _add_search_options(scan, with_host=False)
+    scan = add_sub("scan", cmd_scan, help="degree-slack frontier scan")
+    scan.add_argument("--total-n", type=int, default=None, dest="total_n")
+    scan.add_argument("--alphas", default="", help="comma-separated rationals")
+    _add_run_options(scan)
 
     return parser
 
@@ -358,30 +341,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.command == "gen":
-            doc, code, digest, summary = cmd_gen(args)
-            seed = None
-        elif args.command == "analyze":
-            doc, code, digest, summary = cmd_analyze(args)
-            seed = None
-        elif args.command == "search":
-            doc, code, digest, summary = cmd_search(args)
-            seed = args.seed
-        elif args.command == "scan":
-            doc, code, digest, summary = _run_frontier(args)
-            seed = args.seed
-        else:  # pragma: no cover - argparse enforces choices
-            raise GraphError(f"unknown command {args.command!r}")
-    except (GraphError, InvalidSpec, PreconditionViolated, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except (OSError, json.JSONDecodeError) as exc:
+        doc, code, digest, summary = args.run(args)
+    except (GraphError, InvalidSpec, PreconditionViolated, ValueError, OSError) as exc:
+        # ValueError covers json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     sys.stdout.write(dumps_canonical(doc))
     sys.stdout.write("\n")
     elapsed = time.perf_counter() - started
     summary = {**summary, "exit_code": code}
+    seed = getattr(args, "seed", None)  # gen and analyze take no seed
     try:
         _write_manifest(args.manifest, argv, digest, seed, summary, elapsed)
     except OSError as exc:

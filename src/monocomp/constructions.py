@@ -230,9 +230,6 @@ def complete_minus_circulant(m: int, n: int, d: int) -> BipartiteGraph:
     return host
 
 
-VARIANTS = ("cyclic", "lower-bound", "double-star-gap", "circulant")
-
-
 @dataclass(frozen=True)
 class ConstructionSpec:
     """Parameters naming one generator invocation (CLI and file use)."""

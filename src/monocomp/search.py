@@ -1,4 +1,12 @@
-"""Adversarial search over r-colorings of a host graph.
+"""Adversarial search over r-colorings of a host graph, and the theorem
+registry that ``analyze`` shares.
+
+``THEOREMS`` holds one :class:`Theorem` per per-instance theorem (gy1, r2,
+conjecture, additive): its rule on r, its exact degree hypothesis, its
+target order and the sampling kernel that decides its conclusion on a flat
+color assignment.  ``analysis`` and the CLI read applicability and targets
+from here, so each hypothesis is written once (the conjecture's inequality,
+which r2 shares at r = 2, is ``bigraph.meets_conjecture_degrees``).
 
 Exhaustive enumeration walks the edges in sorted (x, y) order, keeps one
 union-find per color with an undo trail so backtracking never recomputes
@@ -11,7 +19,8 @@ Parallel runs split the enumeration tree at a fixed edge-prefix depth into
 independent tasks and merge results by prefix rank, so the outcome (decision,
 canonical lexicographically-least witness, examined count) is identical for
 every worker count.  Random sampling is blocked the same way: block i always
-draws the same colorings from its derived seed, whoever executes it.
+draws the same colorings from its derived seed, whoever executes it, and
+blocks are generated lazily, so the default unbounded budget costs no memory.
 """
 
 from __future__ import annotations
@@ -19,9 +28,12 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 
 from .bigraph import (
     BipartiteGraph,
@@ -29,9 +41,7 @@ from .bigraph import (
     EmptyGraph,
     coloring_from_assignment,
     degree_profile,
-    largest_mono_component,
     meets_conjecture_degrees,
-    mono_components,
     rat_str,
 )
 from .constructions import complete_minus_circulant
@@ -49,12 +59,10 @@ class PreconditionViolated(Exception):
 class SearchConfig:
     """Knobs shared by the search operations."""
 
-    mode: str = "exhaustive"
     seed: int = 0
     canonicalize_colors: bool = True
     split_depth: int = DEFAULT_SPLIT_DEPTH
     budget: int = _UNBOUNDED
-    target: Fraction | None = None
 
     def __post_init__(self):
         if self.budget < 1:
@@ -202,6 +210,26 @@ def _enum_prefixes(
     return prefixes, nodes
 
 
+def _in_rank_order(task, args, workers: int):
+    """Yield ``task(a)`` for each ``a`` of the iterable ``args``, in order.
+
+    With several workers at most 2 * workers tasks are in flight; once the
+    consumer stops, no task is submitted and those not yet started are
+    cancelled."""
+    if workers <= 1:
+        yield from map(task, args)
+        return
+    args = iter(args)
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        pending = deque(pool.submit(task, a) for a in islice(args, 2 * workers))
+        while pending:
+            yield pending.popleft().result()
+            pending.extend(pool.submit(task, a) for a in islice(args, 1))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _merge_below_tasks(results) -> tuple[tuple[int, ...] | None, int, bool]:
     """Fold task results in prefix rank order.
 
@@ -246,20 +274,13 @@ def exists_coloring_below(
     prefixes, pre_nodes = _enum_prefixes(
         host.m, host.n, edges, r, t_int, cfg.canonicalize_colors, depth
     )
-    tasks = [
+    tasks = (
         (host.m, host.n, edges, r, t_int, cfg.canonicalize_colors, cfg.budget, p)
         for p in prefixes
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_below_task, tasks))
-        witness_colors, examined, exhausted = _merge_below_tasks(results)
-    else:
-        def run_serial():
-            for t in tasks:
-                yield _below_task(t)
-
-        witness_colors, examined, exhausted = _merge_below_tasks(run_serial())
+    )
+    results = _in_rank_order(_below_task, tasks, workers if len(prefixes) > 1 else 1)
+    witness_colors, examined, exhausted = _merge_below_tasks(results)
+    results.close()
     examined += pre_nodes
     elapsed = time.perf_counter() - start
     if witness_colors is not None:
@@ -297,152 +318,53 @@ def min_max_mono_component(
         mid = (lo + hi) // 2
         out = below(mid)
         if out.kind == "BudgetExhausted":
-            return SearchOutcome(
-                "BudgetExhausted", lo - 1, None, examined, time.perf_counter() - start
-            )
+            break
         if out.kind == "Counterexample":
             hi = mid
         else:
             lo = mid + 1
-    final = below(lo)
-    if final.kind == "BudgetExhausted":
+    else:
+        out = below(lo)
+    if out.kind == "BudgetExhausted":
         return SearchOutcome(
             "BudgetExhausted", lo - 1, None, examined, time.perf_counter() - start
         )
     return SearchOutcome(
-        "MinMaxValue", lo - 1, final.witness, examined, time.perf_counter() - start
+        "MinMaxValue", lo - 1, out.witness, examined, time.perf_counter() - start
     )
 
 
-# --- coloring checkers ------------------------------------------------------
+# --- the theorem registry ---------------------------------------------------
 
 @dataclass(frozen=True)
-class ComponentTargetChecker:
-    """Largest monochromatic component reaches ``target`` (default (m+n)/r).
-
-    ``require_complete`` pins the complete-host hypothesis of the classical
-    bound; host families with degree conditions switch it off.
+class Theorem:
+    """One per-instance theorem.  ``hypothesis(host, r)`` is why the host
+    misses the degree hypothesis, or None; ``target(m, n, r)`` is exact;
+    ``holds(m, n, edges, colors, p, q)``, one of the two sampling kernels
+    below, decides the conclusion on a flat color assignment, target p/q.
     """
 
-    target: Fraction | None = None
-    require_complete: bool = True
-    name: str = "gy1"
+    name: str
+    min_r: int
+    max_r: int | None
+    hypothesis: Callable[[BipartiteGraph, int], str | None]
+    target: Callable[[int, int, int], Fraction]
+    holds: Callable[..., bool]
 
-    def bound_target(self, host: BipartiteGraph, r: int) -> Fraction:
-        if self.target is not None:
-            return Fraction(self.target)
-        return Fraction(host.m + host.n, r)
-
-    def precondition_error(self, host: BipartiteGraph, r: int) -> str | None:
-        if self.require_complete and not host.is_complete():
-            return "host is not a complete bipartite graph"
+    def r_error(self, r: int) -> str | None:
+        """Why the theorem says nothing about ``r`` colors, or None."""
+        if self.max_r is not None and r != self.max_r:
+            return f"this check is for exactly {self.max_r} colors"
+        if r < self.min_r:
+            return f"need r >= {self.min_r}"
         return None
 
-    def component_threshold(self, host, r) -> Fraction:
-        return self.bound_target(host, r)
-
-    def satisfied(self, host: BipartiteGraph, col: EdgeColoring, r: int) -> bool:
-        return largest_mono_component(host, col).order >= self.bound_target(host, r)
-
-    def make_context(self, host: BipartiteGraph, r: int):
-        t = self.bound_target(host, r)
-        return (host.m, host.n, tuple(host.edges()), t.numerator, t.denominator)
-
-    def satisfied_colors(self, ctx, colors) -> bool:
-        m, n, edges, p, q = ctx
-        return _max_component_reaches(m, n, edges, colors, p, q)
-
-
-@dataclass(frozen=True)
-class TwoColorChecker:
-    """Two colors with strict 2/3 degrees: a component of order (m+n)/2."""
-
-    name: str = "r2"
-
-    def bound_target(self, host, r) -> Fraction:
-        return Fraction(host.m + host.n, 2)
-
-    def precondition_error(self, host, r) -> str | None:
-        if r != 2:
-            return "this check is for exactly 2 colors"
-        prof = degree_profile(host)
-        if not (prof.delta_xy * 3 > 2 * host.n and prof.delta_yx * 3 > 2 * host.m):
-            return "minimum degrees are not strictly above two thirds"
-        return None
-
-    component_threshold = ComponentTargetChecker.component_threshold
-    satisfied = ComponentTargetChecker.satisfied
-    make_context = ComponentTargetChecker.make_context
-    satisfied_colors = ComponentTargetChecker.satisfied_colors
-
-
-@dataclass(frozen=True)
-class ConjectureChecker:
-    """Strict (1 - 1/(r+1)) degrees: a component of order (m+n)/r."""
-
-    name: str = "conjecture"
-
-    def bound_target(self, host, r) -> Fraction:
-        return Fraction(host.m + host.n, r)
-
-    def precondition_error(self, host, r) -> str | None:
-        if r < 2:
-            return "need r >= 2"
-        if not meets_conjecture_degrees(host, r):
-            return "minimum degrees do not strictly clear (1 - 1/(r+1))"
-        return None
-
-    component_threshold = ComponentTargetChecker.component_threshold
-    satisfied = ComponentTargetChecker.satisfied
-    make_context = ComponentTargetChecker.make_context
-    satisfied_colors = ComponentTargetChecker.satisfied_colors
-
-
-@dataclass(frozen=True)
-class AdditiveChecker:
-    """Two colors with additive degree slack: some component holds half of
-    X and half of Y."""
-
-    name: str = "additive"
-
-    def precondition_error(self, host, r) -> str | None:
-        if r != 2:
-            return "this check is for exactly 2 colors"
-        total = host.m + host.n
-        prof = degree_profile(host)
-        if host.n < host.m:
-            return "expected |Y| >= |X|"
-        if 4 * host.m <= total:
-            return "|X| must exceed a quarter of the vertices"
-        if 8 * prof.delta_xy < 8 * host.n - total:
-            return "delta(X,Y) below |Y| - (m+n)/8"
-        if 8 * prof.delta_yx < 8 * host.m - total:
-            return "delta(Y,X) below |X| - (m+n)/8"
-        return None
-
-    def component_threshold(self, host, r):
-        return None
-
-    def satisfied(self, host: BipartiteGraph, col: EdgeColoring, r: int) -> bool:
-        for comp in mono_components(host, col):
-            if 2 * len(comp.xs) >= host.m and 2 * len(comp.ys) >= host.n:
-                return True
-        return False
-
-    def make_context(self, host, r):
-        return (host.m, host.n, tuple(host.edges()))
-
-    def satisfied_colors(self, ctx, colors) -> bool:
-        m, n, edges = ctx
-        return _has_half_half_component(m, n, edges, colors)
-
-
-CHECKERS = {
-    "gy1": ComponentTargetChecker,
-    "r2": TwoColorChecker,
-    "conjecture": ConjectureChecker,
-    "additive": AdditiveChecker,
-}
+    def require(self, host: BipartiteGraph, r: int, hypothesis: bool = True) -> None:
+        """Raise PreconditionViolated unless the theorem speaks about r
+        colors and, with ``hypothesis``, the host meets its hypothesis."""
+        err = self.r_error(r) or (self.hypothesis(host, r) if hypothesis else None)
+        if err:
+            raise PreconditionViolated(err)
 
 
 def _max_component_reaches(m, n, edges, colors, p, q) -> bool:
@@ -473,9 +395,9 @@ def _max_component_reaches(m, n, edges, colors, p, q) -> bool:
     return False
 
 
-def _has_half_half_component(m, n, edges, colors) -> bool:
+def _has_half_half_component(m, n, edges, colors, p, q) -> bool:
     """True iff some monochromatic component has >= m/2 X-vertices and
-    >= n/2 Y-vertices."""
+    >= n/2 Y-vertices (the target p/q plays no part)."""
     total = m + n
     parents = {}
     xs = {}
@@ -505,6 +427,76 @@ def _has_half_half_component(m, n, edges, colors) -> bool:
     return False
 
 
+def _no_hypothesis(host, r) -> None:
+    return None
+
+
+def _complete_host(host, r) -> str | None:
+    if host.is_complete():
+        return None
+    return "host is not a complete bipartite graph"
+
+
+def _conjecture_degrees(host, r) -> str | None:
+    if meets_conjecture_degrees(host, r):
+        return None
+    return f"minimum degrees do not strictly clear (1 - 1/{r + 1})"
+
+
+def _additive_degrees(host, r) -> str | None:
+    total = host.m + host.n
+    prof = degree_profile(host)
+    if host.n < host.m:
+        return "expected |Y| >= |X|"
+    if 4 * host.m <= total:
+        return "|X| must exceed a quarter of the vertices"
+    if 8 * prof.delta_xy < 8 * host.n - total:
+        return "delta(X,Y) below |Y| - (m+n)/8"
+    if 8 * prof.delta_yx < 8 * host.m - total:
+        return "delta(Y,X) below |X| - (m+n)/8"
+    return None
+
+
+def _per_color(m, n, r) -> Fraction:
+    return Fraction(m + n, r)
+
+
+# r2 is the conjecture at r = 2: strict 2/3 degrees, target (m+n)/2
+THEOREMS = {
+    thm.name: thm
+    for thm in (
+        Theorem("gy1", 1, None, _complete_host, _per_color, _max_component_reaches),
+        Theorem("r2", 2, 2, _conjecture_degrees, _per_color, _max_component_reaches),
+        Theorem(
+            "conjecture", 2, None, _conjecture_degrees, _per_color, _max_component_reaches
+        ),
+        Theorem("additive", 2, 2, _additive_degrees, _per_color, _has_half_half_component),
+    )
+}
+
+
+def ComponentTargetChecker(target=None, require_complete: bool = True) -> Theorem:
+    """The gy1 theorem, optionally with a fixed target and without its
+    complete-host hypothesis."""
+    thm = _theorem(None, target)
+    return thm if require_complete else replace(thm, hypothesis=_no_hypothesis)
+
+
+def AdditiveChecker() -> Theorem:
+    """The additive theorem."""
+    return THEOREMS["additive"]
+
+
+def _theorem(checker: Theorem | None, target) -> Theorem:
+    """The theorem a search runs: gy1 unless given; ``target`` overrides
+    gy1's target only."""
+    thm = THEOREMS["gy1"] if checker is None else checker
+    if target is None or thm.name != "gy1":
+        return thm
+    fixed = Fraction(target)
+    return replace(thm, target=lambda m, n, r: fixed)
+
+
 def _enum_assignments(edges, r, canonicalize):
     """All (canonical) complete color assignments, lexicographically."""
     num_edges = len(edges)
@@ -526,37 +518,32 @@ def exhaustive_verify(
     host: BipartiteGraph,
     r: int,
     target=None,
-    checker=None,
+    checker: Theorem | None = None,
     cfg: SearchConfig | None = None,
     workers: int = 1,
 ) -> SearchOutcome:
-    """Run a checker over every (canonical) r-coloring of the host.
+    """Run a theorem (gy1 by default) over every (canonical) r-coloring of
+    the host, after checking its rule on r and its hypothesis.
 
-    Checkers whose predicate is "largest component reaches t" go through the
-    pruned branch-and-bound search for the complement; the decision and the
-    lex-least counterexample are the same as plain enumeration's.  Other
-    checkers are evaluated on each enumerated coloring.
+    A theorem whose conclusion is "largest component reaches the target"
+    goes through the pruned branch-and-bound search for the complement; the
+    decision and the lex-least counterexample are the same as plain
+    enumeration's.  The half-half conclusion is evaluated on each
+    enumerated coloring.
     """
     cfg = cfg or SearchConfig()
-    if checker is None:
-        checker = ComponentTargetChecker(
-            Fraction(target) if target is not None else None
-        )
-    elif target is not None and isinstance(checker, ComponentTargetChecker):
-        checker = replace(checker, target=Fraction(target))
-    err = checker.precondition_error(host, r)
-    if err:
-        raise PreconditionViolated(err)
+    thm = _theorem(checker, target)
+    thm.require(host, r)
     if host.edge_count == 0:
         raise EmptyGraph("host has no edges")
-    threshold = checker.component_threshold(host, r)
     start = time.perf_counter()
-    if threshold is not None:
-        out = exists_coloring_below(host, r, threshold, cfg, workers)
+    t = thm.target(host.m, host.n, r)
+    if thm.holds is _max_component_reaches:
+        out = exists_coloring_below(host, r, t, cfg, workers)
         out.elapsed = time.perf_counter() - start
         return out
-    edges = tuple(host.edges())
-    ctx = checker.make_context(host, r)
+    m, n, edges, holds = host.m, host.n, tuple(host.edges()), thm.holds
+    p, q = t.numerator, t.denominator
     examined = 0
     for colors in _enum_assignments(edges, r, cfg.canonicalize_colors):
         examined += 1
@@ -564,7 +551,7 @@ def exhaustive_verify(
             return SearchOutcome(
                 "BudgetExhausted", None, None, examined - 1, time.perf_counter() - start
             )
-        if not checker.satisfied_colors(ctx, colors):
+        if not holds(m, n, edges, colors, p, q):
             witness = coloring_from_assignment(host, r, colors)
             return SearchOutcome(
                 "Counterexample", None, witness, examined, time.perf_counter() - start
@@ -580,89 +567,58 @@ def _child_seed(seed: int, block: int) -> int:
 def _random_task(args):
     """Check one block of samples.  Returns (offset-of-first-violation or
     None, colors-of-that-violation or None)."""
-    m, n, edges, r, checker, seed, block_index, count = args
+    m, n, edges, holds, p, q, r, seed, block_index, count = args
     rng = random.Random(_child_seed(seed, block_index))
-    ctx = checker.make_context(_HostView(m, n, edges), r)
     num_edges = len(edges)
     for i in range(count):
         colors = [rng.randrange(r) for _ in range(num_edges)]
-        if not checker.satisfied_colors(ctx, colors):
+        if not holds(m, n, edges, colors, p, q):
             return i, tuple(colors)
     return None, None
-
-
-class _HostView:
-    """Just enough of a BipartiteGraph for Checker.make_context."""
-
-    __slots__ = ("m", "n", "_edges")
-
-    def __init__(self, m, n, edges):
-        self.m = m
-        self.n = n
-        self._edges = edges
-
-    def edges(self):
-        return self._edges
-
-    def is_complete(self):
-        return len(self._edges) == self.m * self.n
 
 
 def random_search(
     host: BipartiteGraph,
     r: int,
     target=None,
-    checker=None,
+    checker: Theorem | None = None,
     cfg: SearchConfig | None = None,
     workers: int = 1,
 ) -> SearchOutcome:
     """Sample ``cfg.budget`` colorings (each edge independently uniform over
-    the r colors) and report the first violation of the checker.
+    the r colors) and report the first violation of the theorem's
+    conclusion (gy1 by default).
 
     Sampling is blocked so the stream is a pure function of the seed: block i
-    always holds the same colorings, whichever worker runs it.  No host
-    precondition is enforced here; callers decide applicability.
+    always holds the same colorings, whichever worker runs it.  Blocks are
+    generated lazily and merged in block order.  Only the theorem's rule on r
+    is enforced here; callers decide whether its hypothesis applies.
     """
     cfg = cfg or SearchConfig()
-    if checker is None:
-        checker = ComponentTargetChecker(
-            Fraction(target) if target is not None else None, require_complete=False
-        )
-    elif target is not None and isinstance(checker, ComponentTargetChecker):
-        checker = replace(checker, target=Fraction(target))
+    thm = _theorem(checker, target)
+    thm.require(host, r, hypothesis=False)
     if host.edge_count == 0:
         raise EmptyGraph("host has no edges")
     start = time.perf_counter()
+    t = thm.target(host.m, host.n, r)
     edges = tuple(host.edges())
     budget = cfg.budget
-    blocks = []
-    offset = 0
-    index = 0
-    while offset < budget:
-        count = min(_RANDOM_BLOCK, budget - offset)
-        blocks.append((host.m, host.n, edges, r, checker, cfg.seed, index, count))
-        offset += count
-        index += 1
-
-    hit = None  # (global sample index, colors)
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block_index, (local, colors) in enumerate(pool.map(_random_task, blocks)):
-                if local is not None:
-                    hit = (block_index * _RANDOM_BLOCK + local, colors)
-                    break
-    else:
-        for block_index, block in enumerate(blocks):
-            local, colors = _random_task(block)
-            if local is not None:
-                hit = (block_index * _RANDOM_BLOCK + local, colors)
-                break
-    elapsed = time.perf_counter() - start
-    if hit is not None:
-        g_index, colors = hit
-        witness = coloring_from_assignment(host, r, colors)
-        return SearchOutcome("Counterexample", None, witness, g_index + 1, elapsed)
-    return SearchOutcome("AllSatisfy", None, None, budget, elapsed)
+    num_blocks = -(-budget // _RANDOM_BLOCK)
+    blocks = (
+        (host.m, host.n, edges, thm.holds, t.numerator, t.denominator, r, cfg.seed,
+         index, min(_RANDOM_BLOCK, budget - index * _RANDOM_BLOCK))
+        for index in range(num_blocks)
+    )
+    results = _in_rank_order(_random_task, blocks, workers if num_blocks > 1 else 1)
+    for index, (local, colors) in enumerate(results):
+        if local is not None:
+            results.close()
+            witness = coloring_from_assignment(host, r, colors)
+            examined = index * _RANDOM_BLOCK + local + 1
+            return SearchOutcome(
+                "Counterexample", None, witness, examined, time.perf_counter() - start
+            )
+    return SearchOutcome("AllSatisfy", None, None, budget, time.perf_counter() - start)
 
 
 # --- degree-slack frontier ---------------------------------------------------
@@ -716,13 +672,7 @@ def alpha_frontier(
                 out = exists_coloring_below(host, 2, target, cfg, workers)
                 mode = "exhaustive"
             else:
-                out = random_search(
-                    host,
-                    2,
-                    checker=ComponentTargetChecker(target, require_complete=False),
-                    cfg=cfg,
-                    workers=workers,
-                )
+                out = random_search(host, 2, target, cfg=cfg, workers=workers)
                 mode = "random"
             hosts.append(
                 {

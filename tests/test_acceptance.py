@@ -12,9 +12,8 @@ import time
 from fractions import Fraction
 
 from monocomp import (
-    AdditiveChecker,
+    THEOREMS,
     SearchConfig,
-    TwoColorChecker,
     bipartition_avoiding_color,
     complete,
     complete_minus_circulant,
@@ -65,7 +64,7 @@ def test_criterion_02_exhaustive_r2_k44_minus_matching():
     host = complete_minus_circulant(4, 4, 1)
     prof = degree_profile(host)
     assert prof.delta_xy * 3 > 2 * host.n and prof.delta_yx * 3 > 2 * host.m
-    out = exhaustive_verify(host, 2, checker=TwoColorChecker())
+    out = exhaustive_verify(host, 2, checker=THEOREMS["r2"])
     assert out.kind == "AllSatisfy"
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -137,7 +136,7 @@ def test_criterion_07_additive_sampling():
     assert Fraction(prof.delta_xy) == host.n - Fraction(total, 8) == 6
     assert host.m == 8 > total // 4
     out = random_search(
-        host, 2, checker=AdditiveChecker(), cfg=SearchConfig(seed=42, budget=100_000)
+        host, 2, checker=THEOREMS["additive"], cfg=SearchConfig(seed=42, budget=100_000)
     )
     assert out.kind == "AllSatisfy" and out.examined == 100_000
     elapsed = time.perf_counter() - started

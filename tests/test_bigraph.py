@@ -28,7 +28,6 @@ from monocomp import (
     uncolored_largest_double_star,
 )
 from monocomp.analysis import parse_general_json
-from monocomp.bigraph import to_edge_list
 from monocomp.constructions import (
     complete_minus_circulant,
     cyclic_one_factorization,
@@ -98,7 +97,7 @@ class TestConstruction:
 
     @given(bipartite_graphs())
     def test_round_trip_edge_list(self, g):
-        assert from_edge_list(g.m, g.n, to_edge_list(g)) == g
+        assert from_edge_list(g.m, g.n, g.edges()) == g
 
 
 class TestDegreeProfile:

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from monocomp import complete_minus_circulant, coloring_from_triples, dumps_canonical, graph_json
+from monocomp.cli import main
 
 
 def run_cli(args, tmp_path, check=False):
@@ -176,10 +178,8 @@ class TestBadInput:
             ["search", "--mode", "verify", "--host", "gen:complete:m=3,n=3", "--target", "1/0"],
             ["scan", "--total-n", 16, "--alphas", "1/8,1/0"],
             ["scan", "--total-n", 16, "--alphas", "1/8", "--r", 3, "--budget", 100],
-            [
-                "search", "--mode", "frontier", "--total-n", 16, "--alphas", "1/8",
-                "--r", 3, "--budget", 100,
-            ],
+            ["search", "--mode", "verify", "--host", "gen:complete:m=2,n=2", "--r", 0],
+            ["search", "--mode", "random", "--host", "gen:complete:m=2,n=2", "--r", 0],
         ],
     )
     def test_exit_2_one_line(self, tmp_path, args):
@@ -213,6 +213,27 @@ class TestBadInput:
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
+class TestSubcommandFlags:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["scan", "--total-n", "16", "--alphas", "1/8", "--check", "additive"],
+            ["scan", "--total-n", "16", "--alphas", "1/8", "--target", "99"],
+            ["scan", "--total-n", "16", "--alphas", "1/8", "--no-canonicalize"],
+            ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--total-n", "16"],
+            ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--alphas", "1/8"],
+            ["search", "--mode", "frontier", "--total-n", "16", "--alphas", "1/8"],
+        ],
+    )
+    def test_unread_flag_rejected(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--manifest", os.devnull, *args])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestWorkersEnv:
     def test_mono_workers_env_default(self, tmp_path):
         import os
@@ -231,17 +252,6 @@ class TestWorkersEnv:
 
 
 class TestScan:
-    def test_search_mode_frontier(self, tmp_path):
-        res = run_cli(
-            [
-                "search", "--mode", "frontier", "--total-n", 12,
-                "--alphas", "1/8", "--budget", 500, "--seed", 2,
-            ],
-            tmp_path,
-        )
-        assert res.returncode == 0
-        assert json.loads(res.stdout)["exploratory"] is True
-
     def test_missing_host_exit_2(self, tmp_path):
         res = run_cli(["search", "--mode", "minmax", "--r", 2], tmp_path)
         assert res.returncode == 2

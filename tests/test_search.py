@@ -1,17 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from monocomp import (
+    THEOREMS,
     AdditiveChecker,
     ComponentTargetChecker,
-    ConjectureChecker,
     EmptyGraph,
     PreconditionViolated,
     SearchConfig,
-    TwoColorChecker,
     alpha_frontier,
+    check_additive_theorem,
+    check_theorem_two_colors,
     coloring_from_triples,
     complete,
     complete_minus_circulant,
@@ -178,15 +182,15 @@ class TestParallelDeterminism:
     def test_random_worker_invariance(self):
         host = complete_minus_circulant(6, 6, 2)
         cfg = SearchConfig(seed=9, budget=6000)
-        a = random_search(host, 2, checker=AdditiveChecker(), cfg=cfg, workers=1)
-        b = random_search(host, 2, checker=AdditiveChecker(), cfg=cfg, workers=4)
+        a = random_search(host, 2, checker=THEOREMS["additive"], cfg=cfg, workers=1)
+        b = random_search(host, 2, checker=THEOREMS["additive"], cfg=cfg, workers=4)
         assert dumps_canonical(a.to_json_dict()) == dumps_canonical(b.to_json_dict())
 
 
 class TestExhaustiveVerify:
     def test_r2_on_k44_minus_matching(self):
         host = complete_minus_circulant(4, 4, 1)
-        out = exhaustive_verify(host, 2, checker=TwoColorChecker())
+        out = exhaustive_verify(host, 2, checker=THEOREMS["r2"])
         assert out.kind == "AllSatisfy"
 
     def test_gy1_on_k33(self):
@@ -196,12 +200,12 @@ class TestExhaustiveVerify:
     def test_precondition_violated(self):
         host, _ = lower_bound_construction(2, 1, 1)
         with pytest.raises(PreconditionViolated):
-            exhaustive_verify(host, 2, checker=TwoColorChecker())
+            exhaustive_verify(host, 2, checker=THEOREMS["r2"])
 
     def test_conjecture_checker_precondition(self):
         host, _ = lower_bound_construction(2, 1, 1)
         with pytest.raises(PreconditionViolated):
-            exhaustive_verify(host, 2, checker=ConjectureChecker())
+            exhaustive_verify(host, 2, checker=THEOREMS["conjecture"])
 
     def test_gy1_needs_complete_host(self):
         host = complete_minus_circulant(4, 4, 1)
@@ -209,9 +213,9 @@ class TestExhaustiveVerify:
             exhaustive_verify(host, 2, checker=ComponentTargetChecker(Fraction(4)))
 
     def test_generic_path_additive_k22(self):
-        # AdditiveChecker has no component threshold: full enumeration
+        # the half-half conclusion has no component threshold: full enumeration
         host = complete(2, 2)
-        out = exhaustive_verify(host, 2, checker=AdditiveChecker())
+        out = exhaustive_verify(host, 2, checker=THEOREMS["additive"])
         assert out.kind == "AllSatisfy"
         assert out.examined == 8  # 2^4 colorings, canonicalized
 
@@ -236,6 +240,43 @@ class TestExhaustiveVerify:
 
 
 class TestRandomSearch:
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_hit_after_first_block_worker_invariant(self, seed):
+        # the first violation lies past block 0 (2048 samples), so the
+        # lazy block stream and the rank-order merge both come into play
+        host = complete_minus_circulant(7, 7, 4)
+        cfg = SearchConfig(seed=seed, budget=20_000)
+        a = random_search(host, 2, target=5, cfg=cfg, workers=1)
+        b = random_search(host, 2, target=5, cfg=cfg, workers=2)
+        assert a.kind == "Counterexample" and 2048 < a.examined < 20_000
+        assert largest_mono_component(host, a.witness).order < 5
+        assert dumps_canonical(a.to_json_dict()) == dumps_canonical(b.to_json_dict())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_budget_stops_at_first_hit(self, workers):
+        # the default budget is 1 << 62 samples; the blocks must be drawn
+        # lazily for this to return at sample 3 in bounded memory
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from fractions import Fraction\n"
+            "from monocomp import SearchConfig, complete, random_search\n"
+            "out = random_search(complete(2, 2), 2, target=Fraction(4),\n"
+            f"                    cfg=SearchConfig(seed=0), workers={workers})\n"
+            "print(out.kind, out.examined)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["Counterexample", "3"]
+
+    @pytest.mark.parametrize("search", [exhaustive_verify, random_search])
+    def test_zero_colors_rejected(self, search):
+        with pytest.raises(PreconditionViolated, match="r >= 1"):
+            search(complete(2, 2), 0)
+
     def test_budget_one(self):
         host = complete(3, 3)
         out = random_search(host, 2, target=Fraction(2), cfg=SearchConfig(budget=1))
@@ -244,8 +285,8 @@ class TestRandomSearch:
     def test_same_seed_identical(self):
         host = complete_minus_circulant(6, 6, 2)
         cfg = SearchConfig(seed=5, budget=500)
-        a = random_search(host, 2, checker=AdditiveChecker(), cfg=cfg)
-        b = random_search(host, 2, checker=AdditiveChecker(), cfg=cfg)
+        a = random_search(host, 2, checker=THEOREMS["additive"], cfg=cfg)
+        b = random_search(host, 2, checker=THEOREMS["additive"], cfg=cfg)
         assert dumps_canonical(a.to_json_dict()) == dumps_canonical(b.to_json_dict())
 
     def test_counterexample_is_sound_and_indexed(self):
@@ -270,24 +311,51 @@ class TestRandomSearch:
 
 class TestCheckersAgree:
     def test_fast_paths_match_reference(self):
+        # each theorem's sampling kernel against the analysis verdicts,
+        # which decide the same conclusion on the bitmask component sweep
         rng = random.Random(61)
         host = complete_minus_circulant(4, 4, 1)
         edges = host.edges()
-        checkers = [
-            ComponentTargetChecker(Fraction(4), require_complete=False),
-            TwoColorChecker(),
-            AdditiveChecker(),
+        cases = [
+            (
+                ComponentTargetChecker(Fraction(4), require_complete=False),
+                lambda col: largest_mono_component(host, col).order >= 4,
+            ),
+            (THEOREMS["r2"], lambda col: check_theorem_two_colors(host, col).holds),
+            (THEOREMS["additive"], lambda col: check_additive_theorem(host, col).holds),
         ]
-        for checker in checkers:
-            ctx = checker.make_context(host, 2)
+        for thm, reference in cases:
+            t = thm.target(4, 4, 2)
             for _ in range(120):
                 colors = [rng.randrange(2) for _ in edges]
                 col = coloring_from_triples(
                     4, 4, 2, [(x, y, c) for (x, y), c in zip(edges, colors)]
                 )
-                assert checker.satisfied_colors(ctx, colors) == checker.satisfied(
-                    host, col, 2
+                assert thm.holds(4, 4, edges, colors, t.numerator, t.denominator) == (
+                    reference(col)
                 )
+
+
+class TestTheoremRegistry:
+    def test_rules_on_r(self):
+        assert [THEOREMS[name].r_error(2) for name in THEOREMS] == [None] * 4
+        assert THEOREMS["gy1"].r_error(0) == "need r >= 1"
+        assert THEOREMS["conjecture"].r_error(1) == "need r >= 2"
+        assert THEOREMS["r2"].r_error(3) == THEOREMS["additive"].r_error(3)
+        assert THEOREMS["gy1"].r_error(5) is None and THEOREMS["r2"].r_error(5)
+
+    def test_checker_constructors(self):
+        # the constructors by checker name build registry entries
+        assert AdditiveChecker() == THEOREMS["additive"]
+        assert ComponentTargetChecker() == THEOREMS["gy1"]
+        relaxed = ComponentTargetChecker(Fraction(8), require_complete=False)
+        host = complete_minus_circulant(8, 8, 2)
+        assert relaxed.target(8, 8, 2) == 8 and relaxed.hypothesis(host, 2) is None
+        assert THEOREMS["gy1"].hypothesis(host, 2) is not None
+        cfg = SearchConfig(seed=4, budget=300)
+        assert random_search(host, 2, checker=relaxed, cfg=cfg).to_json_dict() == (
+            random_search(host, 2, target=8, cfg=cfg).to_json_dict()
+        )
 
 
 class TestTheoremSweeps:
@@ -310,7 +378,7 @@ class TestTheoremSweeps:
         )
         hosts += [k44_minus_edge, k44_minus_two]
         for host in hosts:
-            out = exhaustive_verify(host, 2, checker=TwoColorChecker())
+            out = exhaustive_verify(host, 2, checker=THEOREMS["r2"])
             assert out.kind == "AllSatisfy", (host.m, host.n, host.edge_count)
 
     def test_classical_bound_on_complete_hosts(self):
