@@ -346,6 +346,10 @@ def main(argv=None) -> int:
         # ValueError covers json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
+    except RecursionError:
+        # the below/minmax search recurses once per edge
+        print("error: host has too many edges for the recursive search", file=sys.stderr)
+        return _EXIT_INPUT
     sys.stdout.write(dumps_canonical(doc))
     sys.stdout.write("\n")
     elapsed = time.perf_counter() - started

@@ -8,12 +8,17 @@ color assignment.  ``analysis`` and the CLI read applicability and targets
 from here, so each hypothesis is written once (the conjecture's inequality,
 which r2 shares at r = 2, is ``bigraph.meets_conjecture_degrees``).
 
-Exhaustive enumeration walks the edges in sorted (x, y) order, keeps one
-union-find per color with an undo trail so backtracking never recomputes
-components, and prunes a branch the moment any partial color class reaches
-the component-order target (orders only grow as edges are added).  Color
-canonicalization forces new colors to appear in increasing order along the
-edge sequence, cutting the tree by up to r! without changing any decision.
+Exhaustive search walks the edges in sorted (x, y) order and keeps one
+union-find per color with an undo trail, so backtracking never recomputes
+components.  Components only grow as edges are added, so both conclusions
+prune.  The search for a coloring below a component-order target cuts a
+branch the moment a partial color class reaches the target.  The search
+for a coloring without a half-half component (the additive theorem) stops
+descending once a prefix has one, and counts the colorings under it in
+closed form, so ``examined`` is what coloring-by-coloring enumeration
+would report.  Color canonicalization forces new colors to appear in
+increasing order along the edge sequence, cutting the tree by up to r!
+without changing any decision.
 
 Parallel runs split the enumeration tree at a fixed edge-prefix depth into
 independent tasks and merge results by prefix rank, so the outcome (decision,
@@ -131,6 +136,41 @@ class _RollbackDSU:
             ra = self.parent[rb]
             self.parent[rb] = rb
             self.size[ra] -= self.size[rb]
+
+
+class _SidedDSU(_RollbackDSU):
+    """A rollback union-find that also keeps each root's count of
+    X-vertices (ids below ``m``); its Y-count is size minus that."""
+
+    __slots__ = ("xs",)
+
+    def __init__(self, m: int, n: int):
+        super().__init__(m + n)
+        self.xs = [1] * m + [0] * n
+
+    def union(self, a: int, b: int) -> tuple[int, int]:
+        """Merge and return the resulting component's (X-count, size)."""
+        ra = self.find(a)
+        rb = self.find(b)
+        size, xs = self.size, self.xs
+        if ra == rb:
+            self.trail.append(-1)
+            return xs[ra], size[ra]
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        size[ra] += size[rb]
+        xs[ra] += xs[rb]
+        self.trail.append(rb)
+        return xs[ra], size[ra]
+
+    def undo(self) -> None:
+        rb = self.trail.pop()
+        if rb >= 0:
+            ra = self.parent[rb]
+            self.parent[rb] = rb
+            self.size[ra] -= self.size[rb]
+            self.xs[ra] -= self.xs[rb]
 
 
 def _ceil_frac(value) -> int:
@@ -497,21 +537,68 @@ def _theorem(checker: Theorem | None, target) -> Theorem:
     return replace(thm, target=lambda m, n, r: fixed)
 
 
-def _enum_assignments(edges, r, canonicalize):
-    """All (canonical) complete color assignments, lexicographically."""
+def _completion_counts(num_edges: int, r: int, canonicalize: bool) -> list[list[int]]:
+    """``counts[k][u]``: the colorings of k more edges once u colors are in
+    use, f(k, u) = u f(k-1, u) + [u < r] f(k-1, u+1) with f(0, u) = 1 under
+    canonicalization, r^k without it."""
+    counts = [[1] * (r + 1)]
+    for _ in range(num_edges):
+        prev = counts[-1]
+        if canonicalize:
+            counts.append([u * prev[u] + (prev[u + 1] if u < r else 0) for u in range(r + 1)])
+        else:
+            counts.append([r * prev[0]] * (r + 1))
+    return counts
+
+
+def _first_without_half_half(
+    m: int, n: int, edges, r: int, canonicalize: bool, budget: int
+) -> tuple[tuple[int, ...] | None, int, bool]:
+    """The lex-least (canonical) coloring of ``edges`` with no
+    monochromatic component holding >= m/2 X-vertices and >= n/2
+    Y-vertices, found without visiting each coloring.
+
+    An iterative depth-first search colors the edges in order on one
+    rollback union-find per color.  Components only grow, so once a prefix
+    has a half-half component every completion has one: the subtree's
+    colorings are counted from ``_completion_counts`` and skipped.  Returns
+    (lex-least such coloring or None, colorings covered in lex order, budget
+    exhausted); the count and the stop at ``budget`` are those of
+    enumerating one coloring at a time.
+    """
     num_edges = len(edges)
-    assign = [0] * num_edges
-
-    def rec(idx, used):
+    counts = _completion_counts(num_edges, r, canonicalize)
+    dsus = [_SidedDSU(m, n) for _ in range(r)]
+    assign = [-1] * num_edges  # the color tried at each depth, -1 for none yet
+    used = [0] * (num_edges + 1)  # colors in use before each edge
+    examined = 0
+    idx = 0
+    while idx >= 0:
         if idx == num_edges:
-            yield tuple(assign)
-            return
-        hi = min(r - 1, used) if canonicalize else r - 1
-        for c in range(hi + 1):
-            assign[idx] = c
-            yield from rec(idx + 1, used if c < used else c + 1)
-
-    yield from rec(0, 0)
+            if examined == budget:
+                return None, budget, True
+            return tuple(assign), examined + 1, False
+        c = assign[idx]
+        if c >= 0:
+            dsus[c].undo()
+        c += 1
+        if c > (min(r - 1, used[idx]) if canonicalize else r - 1):
+            assign[idx] = -1
+            idx -= 1
+            continue
+        assign[idx] = c
+        x, y = edges[idx]
+        xs, size = dsus[c].union(x, m + y)
+        now_used = used[idx] if c < used[idx] else c + 1
+        if 2 * xs >= m and 2 * (size - xs) >= n:
+            skipped = counts[num_edges - idx - 1][now_used]
+            if examined + skipped > budget:
+                return None, budget, True
+            examined += skipped
+        else:
+            idx += 1
+            used[idx] = now_used
+    return None, examined, False
 
 
 def exhaustive_verify(
@@ -525,11 +612,14 @@ def exhaustive_verify(
     """Run a theorem (gy1 by default) over every (canonical) r-coloring of
     the host, after checking its rule on r and its hypothesis.
 
-    A theorem whose conclusion is "largest component reaches the target"
-    goes through the pruned branch-and-bound search for the complement; the
-    decision and the lex-least counterexample are the same as plain
-    enumeration's.  The half-half conclusion is evaluated on each
-    enumerated coloring.
+    Both conclusions are decided by a pruned search whose decision and
+    lex-least counterexample are those of plain enumeration.  "Largest
+    component reaches the target" goes through the branch-and-bound search
+    for the complement, and ``examined`` counts its nodes.  The half-half
+    conclusion goes through ``_first_without_half_half``, which skips
+    every subtree whose prefix already has a half-half component; there
+    ``examined`` counts the colorings covered, one per coloring as plain
+    enumeration would, and ``workers`` plays no part.
     """
     cfg = cfg or SearchConfig()
     thm = _theorem(checker, target)
@@ -537,26 +627,20 @@ def exhaustive_verify(
     if host.edge_count == 0:
         raise EmptyGraph("host has no edges")
     start = time.perf_counter()
-    t = thm.target(host.m, host.n, r)
     if thm.holds is _max_component_reaches:
-        out = exists_coloring_below(host, r, t, cfg, workers)
+        out = exists_coloring_below(host, r, thm.target(host.m, host.n, r), cfg, workers)
         out.elapsed = time.perf_counter() - start
         return out
-    m, n, edges, holds = host.m, host.n, tuple(host.edges()), thm.holds
-    p, q = t.numerator, t.denominator
-    examined = 0
-    for colors in _enum_assignments(edges, r, cfg.canonicalize_colors):
-        examined += 1
-        if examined > cfg.budget:
-            return SearchOutcome(
-                "BudgetExhausted", None, None, examined - 1, time.perf_counter() - start
-            )
-        if not holds(m, n, edges, colors, p, q):
-            witness = coloring_from_assignment(host, r, colors)
-            return SearchOutcome(
-                "Counterexample", None, witness, examined, time.perf_counter() - start
-            )
-    return SearchOutcome("AllSatisfy", None, None, examined, time.perf_counter() - start)
+    if thm.holds is not _has_half_half_component:
+        raise ValueError(f"no exhaustive search for the conclusion of {thm.name!r}")
+    colors, examined, exhausted = _first_without_half_half(
+        host.m, host.n, tuple(host.edges()), r, cfg.canonicalize_colors, cfg.budget
+    )
+    if colors is not None:
+        kind, witness = "Counterexample", coloring_from_assignment(host, r, colors)
+    else:
+        kind, witness = ("BudgetExhausted" if exhausted else "AllSatisfy"), None
+    return SearchOutcome(kind, None, witness, examined, time.perf_counter() - start)
 
 
 def _child_seed(seed: int, block: int) -> int:
@@ -645,6 +729,8 @@ def alpha_frontier(
     """
     if r != 2:
         raise ValueError(f"the frontier scan searches 2-colorings only, not r={r}")
+    if total_n < 2:
+        raise ValueError(f"the frontier scan needs total_n >= 2, not {total_n}")
     cfg = cfg or SearchConfig()
     rows = []
     for alpha in alphas:

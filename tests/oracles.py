@@ -65,6 +65,59 @@ def brute_minmax(host, r):
     )
 
 
+def enum_assignments(edges, r, canonicalize):
+    """All complete color assignments in lex order; with ``canonicalize``
+    only those whose colors first appear in increasing order."""
+    num_edges = len(edges)
+    assign = [0] * num_edges
+
+    def rec(idx, used):
+        if idx == num_edges:
+            yield tuple(assign)
+            return
+        hi = min(r - 1, used) if canonicalize else r - 1
+        for c in range(hi + 1):
+            assign[idx] = c
+            yield from rec(idx + 1, used if c < used else c + 1)
+
+    yield from rec(0, 0)
+
+
+def has_half_half(m, n, edges, colors, r):
+    """Does some monochromatic component hold >= m/2 X- and >= n/2
+    Y-vertices?"""
+    for c in range(r):
+        class_edges = [e for e, col in zip(edges, colors) if col == c]
+        for xs, ys in bfs_components(m, n, class_edges):
+            if 2 * len(xs) >= m and 2 * len(ys) >= n:
+                return True
+    return False
+
+
+def half_half_prefix(m, n, edges, colors, r):
+    """Length of the shortest prefix of ``colors`` with a half-half
+    component, or None."""
+    for k in range(1, len(edges) + 1):
+        if has_half_half(m, n, edges[:k], colors[:k], r):
+            return k
+    return None
+
+
+def brute_half_half_verify(host, r, canonicalize=True, budget=None):
+    """Enumerate colorings one by one for the first without a half-half
+    component: (kind, examined, colors or None), with ``examined`` and the
+    budget stop counted per coloring."""
+    edges = host.edges()
+    examined = 0
+    for colors in enum_assignments(edges, r, canonicalize):
+        if budget is not None and examined == budget:
+            return "BudgetExhausted", examined, None
+        examined += 1
+        if not has_half_half(host.m, host.n, edges, colors, r):
+            return "Counterexample", examined, colors
+    return "AllSatisfy", examined, None
+
+
 def brute_double_star_order(m, n, edges):
     """Max over edges of deg(x) + deg(y), degrees recounted from the list."""
     best = 0

@@ -180,6 +180,7 @@ class TestBadInput:
             ["scan", "--total-n", 16, "--alphas", "1/8", "--r", 3, "--budget", 100],
             ["search", "--mode", "verify", "--host", "gen:complete:m=2,n=2", "--r", 0],
             ["search", "--mode", "random", "--host", "gen:complete:m=2,n=2", "--r", 0],
+            ["scan", "--total-n", 0, "--alphas", "1/8"],
         ],
     )
     def test_exit_2_one_line(self, tmp_path, args):
@@ -210,6 +211,30 @@ class TestBadInput:
         f.write_text(json.dumps({"n": 6, "r": 3, "edges": [[0, 1, False]]}))
         res = run_cli(["analyze", f, "--check", "corollary"], tmp_path)
         assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+class TestDeepHosts:
+    """Hosts with more edges than Python's recursion limit."""
+
+    def test_verify_additive_runs_to_budget(self, tmp_path):
+        res = run_cli(
+            ["search", "--mode", "verify", "--check", "additive",
+             "--host", "gen:complete:m=40,n=40", "--budget", 1000],
+            tmp_path,
+        )
+        assert "Traceback" not in res.stderr
+        assert res.returncode == 3
+        assert json.loads(res.stdout)["examined"] == 1000
+
+    def test_recursive_below_exits_2(self, tmp_path):
+        res = run_cli(
+            ["search", "--mode", "below", "--host", "gen:complete:m=30,n=40",
+             "--target", 60, "--budget", 100000],
+            tmp_path,
+        )
+        assert "Traceback" not in res.stderr
+        assert res.returncode == 2 and res.stdout == ""
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -213,7 +214,8 @@ class TestExhaustiveVerify:
             exhaustive_verify(host, 2, checker=ComponentTargetChecker(Fraction(4)))
 
     def test_generic_path_additive_k22(self):
-        # the half-half conclusion has no component threshold: full enumeration
+        # the half-half conclusion has no component threshold; the pruned
+        # search still counts every canonical coloring it skips
         host = complete(2, 2)
         out = exhaustive_verify(host, 2, checker=THEOREMS["additive"])
         assert out.kind == "AllSatisfy"
@@ -223,12 +225,10 @@ class TestExhaustiveVerify:
         host = complete(3, 3)
         target = Fraction(5)
         pruned = exhaustive_verify(host, 2, target=target)
-        # generic enumeration through the additive-style slow path
-        from monocomp.search import _enum_assignments
-
+        # plain canonical enumeration, one coloring at a time
         edges = host.edges()
         generic_witness = None
-        for colors in _enum_assignments(edges, 2, True):
+        for colors in oracles.enum_assignments(edges, 2, True):
             col = coloring_from_triples(
                 3, 3, 2, [(x, y, c) for (x, y), c in zip(edges, colors)]
             )
@@ -237,6 +237,64 @@ class TestExhaustiveVerify:
                 break
         assert pruned.kind == "Counterexample"
         assert pruned.witness == generic_witness
+
+
+def _ends_in_skipped_subtree(host, r, canonicalize, stop):
+    """A budget b, stop // 2 < b < stop, after which coloring b + 1 lies in
+    the same satisfied subtree as coloring b, or None."""
+    m, n, edges = host.m, host.n, host.edges()
+    prev = None
+    for index, colors in enumerate(oracles.enum_assignments(edges, r, canonicalize)):
+        if index >= stop:
+            return None
+        if index > stop // 2:
+            k = oracles.half_half_prefix(m, n, edges, prev, r)
+            if k is not None and prev[:k] == colors[:k]:
+                return index
+        prev = colors
+    return None
+
+
+class TestHalfHalfSearch:
+    def test_matches_plain_enumeration(self):
+        # the additive conclusion for any r and host: without the hypothesis
+        # counterexamples are reachable
+        thm = replace(
+            THEOREMS["additive"], min_r=1, max_r=None, hypothesis=lambda host, r: None
+        )
+        rng = random.Random(97)
+        kinds = set()
+        checked = 0
+        while checked < 60:
+            host = random_host(rng)
+            r = rng.randint(1, 3)
+            if host is None or host.edge_count > 12 or r**host.edge_count > 4096:
+                continue
+            canonicalize = rng.random() < 0.5
+            kind, total, _ = oracles.brute_half_half_verify(host, r, canonicalize)
+            # stop: the colorings before the first hit, or all of them
+            stop = total - 1 if kind == "Counterexample" else total
+            inside = _ends_in_skipped_subtree(host, r, canonicalize, stop)
+            budgets = {b for b in (1, stop - 1, stop, inside, 1 << 62) if b and b >= 1}
+            for budget in budgets:
+                cfg = SearchConfig(canonicalize_colors=canonicalize, budget=budget)
+                fast = exhaustive_verify(host, r, checker=thm, cfg=cfg)
+                want = oracles.brute_half_half_verify(host, r, canonicalize, budget)
+                colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
+                assert (fast.kind, fast.examined, colors) == want, (
+                    host.edges(), r, canonicalize, budget
+                )
+                kinds.add(fast.kind)
+            checked += 1
+        assert kinds == {"Counterexample", "AllSatisfy", "BudgetExhausted"}
+
+    def test_deep_host_is_not_recursive(self):
+        # 1,600 edges: one stack frame per edge would overflow the stack
+        host = complete(40, 40)
+        out = exhaustive_verify(
+            host, 2, checker=THEOREMS["additive"], cfg=SearchConfig(budget=1000)
+        )
+        assert (out.kind, out.examined) == ("BudgetExhausted", 1000)
 
 
 class TestRandomSearch:
@@ -417,6 +475,11 @@ class TestAlphaFrontier:
         )
         (row,) = table["rows"]
         assert row["verdict"] == "counterexample"
+
+    @pytest.mark.parametrize("total_n", [0, 1, -4])
+    def test_infeasible_total_rejected(self, total_n):
+        with pytest.raises(ValueError, match="total_n >= 2"):
+            alpha_frontier(total_n, [Fraction(1, 8)])
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
