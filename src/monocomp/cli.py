@@ -264,9 +264,21 @@ def _add_run_options(sub):
     sub.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("MONO_WORKERS", "1")),
         help="parallel workers (default env MONO_WORKERS or 1)",
     )
+
+
+def _resolve_workers(args) -> None:
+    """Default ``--workers`` to MONO_WORKERS, else 1; both must be integers
+    >= 1.  MONO_WORKERS is checked whatever the command."""
+    env = os.environ.get("MONO_WORKERS", "1")
+    if not (env.strip().isdecimal() and int(env) >= 1):
+        raise ValueError(f"MONO_WORKERS must be an integer >= 1, not {env!r}")
+    if "workers" in args:
+        if args.workers is None:
+            args.workers = int(env)
+        elif args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, not {args.workers}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,14 +353,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        _resolve_workers(args)
         doc, code, digest, summary = args.run(args)
     except (GraphError, InvalidSpec, PreconditionViolated, ValueError, OSError) as exc:
         # ValueError covers json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except RecursionError:
-        # the below/minmax search recurses once per edge
-        print("error: host has too many edges for the recursive search", file=sys.stderr)
         return _EXIT_INPUT
     sys.stdout.write(dumps_canonical(doc))
     sys.stdout.write("\n")

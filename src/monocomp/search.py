@@ -10,15 +10,17 @@ which r2 shares at r = 2, is ``bigraph.meets_conjecture_degrees``).
 
 Exhaustive search walks the edges in sorted (x, y) order and keeps one
 union-find per color with an undo trail, so backtracking never recomputes
-components.  Components only grow as edges are added, so both conclusions
-prune.  The search for a coloring below a component-order target cuts a
-branch the moment a partial color class reaches the target.  The search
-for a coloring without a half-half component (the additive theorem) stops
-descending once a prefix has one, and counts the colorings under it in
-closed form, so ``examined`` is what coloring-by-coloring enumeration
-would report.  Color canonicalization forces new colors to appear in
-increasing order along the edge sequence, cutting the tree by up to r!
-without changing any decision.
+components.  Both searches are iterative, so any edge count works.
+Components only grow as edges are added, so both conclusions prune.  The
+search for a coloring below a component-order target is one walk,
+``_walk_below``, which cuts a branch the moment a partial color class
+reaches the target; it both enumerates the split prefixes and runs the
+task under each.  The search for a coloring without a half-half component
+(the additive theorem) stops descending once a prefix has one, and counts
+the colorings under it in closed form, so ``examined`` is what
+coloring-by-coloring enumeration would report.  Color canonicalization
+forces new colors to appear in increasing order along the edge sequence,
+cutting the tree by up to r! without changing any decision.
 
 Parallel runs split the enumeration tree at a fixed edge-prefix depth into
 independent tasks and merge results by prefix rank, so the outcome (decision,
@@ -31,6 +33,7 @@ blocks are generated lazily, so the default unbounded budget costs no memory.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from collections import deque
@@ -178,84 +181,70 @@ def _ceil_frac(value) -> int:
     return -((-f.numerator) // f.denominator)
 
 
-def _below_task(args) -> tuple[tuple[int, ...] | None, int, bool]:
-    """Search the subtree under one color prefix for a coloring whose
-    monochromatic components all have order < t_int.
-
-    Returns (lex-least witness or None, nodes visited, budget exhausted).
-    """
-    m, n, edges, r, t_int, canonicalize, budget, prefix = args
-    total = m + n
-    num_edges = len(edges)
-    dsus = [_RollbackDSU(total) for _ in range(r)]
-    for i, c in enumerate(prefix):
-        x, y = edges[i]
-        dsus[c].union(x, m + y)
-    assign = list(prefix) + [0] * (num_edges - len(prefix))
-    used = (max(prefix) + 1) if prefix else 0
-    state = {"nodes": 0, "exhausted": False}
-
-    def rec(idx: int, used: int) -> bool:
-        if idx == num_edges:
-            return True
-        x, y = edges[idx]
-        hi = min(r - 1, used) if canonicalize else r - 1
-        for c in range(hi + 1):
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                state["exhausted"] = True
-                return False
-            dsu = dsus[c]
-            if dsu.union(x, m + y) < t_int:
-                assign[idx] = c
-                if rec(idx + 1, used if c < used else c + 1):
-                    dsu.undo()
-                    return True
-            dsu.undo()
-            if state["exhausted"]:
-                return False
-        return False
-
-    found = rec(len(prefix), used)
-    witness = tuple(assign) if found else None
-    return witness, state["nodes"], state["exhausted"]
-
-
-def _enum_prefixes(
-    m: int, n: int, edges, r: int, t_int: int, canonicalize: bool, depth: int
-) -> tuple[list[tuple[int, ...]], int]:
-    """All surviving color prefixes of the first ``depth`` edges, in lex
-    order, plus the node count spent finding them."""
+def _walk_below(m, n, edges, r, t_int, canonicalize, prefix, stop, budget):
+    """Yield ``(colors, nodes)`` for each coloring of ``edges[:stop]`` that
+    extends ``prefix`` and keeps every monochromatic component below
+    ``t_int``, in lex order, then ``(None, nodes)`` once the subtree is done
+    or a node goes over ``budget``.  ``nodes`` counts the colors tried, so it
+    reads ``budget + 1`` after a budget stop.  The search is an iterative
+    depth-first walk on one rollback union-find per color."""
     dsus = [_RollbackDSU(m + n) for _ in range(r)]
-    prefixes: list[tuple[int, ...]] = []
-    assign = [0] * depth
+    unions = [dsu.union for dsu in dsus]
+    undos = [dsu.undo for dsu in dsus]
+    for (x, y), c in zip(edges, prefix):
+        unions[c](x, m + y)
+    start = len(prefix)
+    assign = list(prefix) + [-1] * (stop - start)  # -1 before a depth's first color
+    # the last color to try at each depth: r - 1, or under canonicalization
+    # the first unused one, so choosing the top color raises the next top
+    top = [r - 1] * (stop + 1)
+    if canonicalize:
+        top[start] = min(r - 1, max(prefix, default=-1) + 1)
     nodes = 0
-
-    def rec(idx: int, used: int) -> None:
-        nonlocal nodes
-        if idx == depth:
-            prefixes.append(tuple(assign))
-            return
+    idx = start
+    while idx >= start:
+        if idx == stop:
+            yield tuple(assign), nodes
+            idx -= 1
+            continue
+        c = assign[idx]
+        if c >= 0:
+            undos[c]()
+            if c == top[idx]:
+                assign[idx] = -1
+                idx -= 1
+                continue
+        c += 1
+        nodes += 1
+        if nodes > budget:
+            break
+        assign[idx] = c
         x, y = edges[idx]
-        hi = min(r - 1, used) if canonicalize else r - 1
-        for c in range(hi + 1):
-            nodes += 1
-            dsu = dsus[c]
-            if dsu.union(x, m + y) < t_int:
-                assign[idx] = c
-                rec(idx + 1, used if c < used else c + 1)
-            dsu.undo()
+        if unions[c](x, m + y) < t_int:
+            idx += 1
+            top[idx] = top[idx - 1] if c < top[idx - 1] else min(r - 1, c + 1)
+    yield None, nodes
 
-    rec(0, 0)
-    return prefixes, nodes
+
+def _below_task(args) -> tuple[tuple[int, ...] | None, int, bool]:
+    """The lex-least coloring under one color prefix whose monochromatic
+    components all have order < t_int: (colors or None, nodes, budget
+    exhausted)."""
+    m, n, edges, r, t_int, canonicalize, budget, prefix = args
+    colors, nodes = next(
+        _walk_below(m, n, edges, r, t_int, canonicalize, prefix, len(edges), budget)
+    )
+    return colors, nodes, nodes > budget
 
 
 def _in_rank_order(task, args, workers: int):
     """Yield ``task(a)`` for each ``a`` of the iterable ``args``, in order.
 
-    With several workers at most 2 * workers tasks are in flight; once the
+    The pool has at most one process per CPU (the fork start method launches
+    them all at once) and at most two tasks in flight per process; once the
     consumer stops, no task is submitted and those not yet started are
     cancelled."""
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         yield from map(task, args)
         return
@@ -311,12 +300,12 @@ def exists_coloring_below(
     start = time.perf_counter()
     edges = tuple(host.edges())
     depth = min(cfg.split_depth, len(edges))
-    prefixes, pre_nodes = _enum_prefixes(
-        host.m, host.n, edges, r, t_int, cfg.canonicalize_colors, depth
+    *prefixes, (_, pre_nodes) = _walk_below(
+        host.m, host.n, edges, r, t_int, cfg.canonicalize_colors, (), depth, _UNBOUNDED
     )
     tasks = (
         (host.m, host.n, edges, r, t_int, cfg.canonicalize_colors, cfg.budget, p)
-        for p in prefixes
+        for p, _ in prefixes
     )
     results = _in_rank_order(_below_task, tasks, workers if len(prefixes) > 1 else 1)
     witness_colors, examined, exhausted = _merge_below_tasks(results)

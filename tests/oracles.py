@@ -5,6 +5,7 @@ product enumeration, sharing no code with the bitmask or union-find
 implementations under test.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -63,6 +64,50 @@ def brute_minmax(host, r):
         max_mono_order(host.m, host.n, edges, colors, r)
         for colors in itertools.product(range(r), repeat=len(edges))
     )
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _below(m, n, edges, colors, r, t):
+    """Does every component of the colored prefix, found by BFS, stay
+    below ``t``?"""
+    return max_mono_order(m, n, edges[: len(colors)], colors, r) < t
+
+
+def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop):
+    """The below-``t`` search tree under ``prefix`` in lex order: None for
+    each color tried, then the colors of ``edges[:stop]`` at each leaf
+    whose components all stay below ``t``."""
+    if len(prefix) == stop:
+        yield prefix
+        return
+    hi = min(r - 1, max(prefix, default=-1) + 1) if canonicalize else r - 1
+    for c in range(hi + 1):
+        yield None
+        colors = prefix + (c,)
+        if _below(m, n, edges, colors, r, t):
+            yield from _below_tree(m, n, edges, r, t, canonicalize, colors, stop)
+
+
+def brute_below_search(host, r, t, canonicalize=True, split_depth=4, budget=1 << 62):
+    """The split search for a coloring keeping every component below ``t``,
+    replayed step by step: enumerate all prefixes of ``split_depth`` edges,
+    then search under each in order with its own budget of nodes and stop at
+    the first decided one.  Returns (kind, examined, colors or None)."""
+    m, n, edges = host.m, host.n, tuple(host.edges())
+    t = Fraction(t)
+    depth = min(split_depth, len(edges))
+    tree = list(_below_tree(m, n, edges, r, t, canonicalize, (), depth))
+    examined = tree.count(None)
+    for prefix in [leaf for leaf in tree if leaf is not None]:
+        nodes = 0
+        for leaf in _below_tree(m, n, edges, r, t, canonicalize, prefix, len(edges)):
+            if leaf is not None:
+                return "Counterexample", examined + nodes, leaf
+            nodes += 1
+            if nodes > budget:
+                return "BudgetExhausted", examined + nodes, None
+        examined += nodes
+    return "AllSatisfy", examined, None
 
 
 def enum_assignments(edges, r, canonicalize):

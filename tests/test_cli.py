@@ -8,11 +8,13 @@ import pytest
 from monocomp import complete_minus_circulant, coloring_from_triples, dumps_canonical, graph_json
 from monocomp.cli import main
 
+import oracles
 
-def run_cli(args, tmp_path, check=False):
+
+def run_cli(args, tmp_path, check=False, env=None):
     cmd = [sys.executable, "-m", "monocomp", "--manifest", str(tmp_path / "manifest.json")]
     cmd += [str(a) for a in args]
-    return subprocess.run(cmd, capture_output=True, text=True, check=check)
+    return subprocess.run(cmd, capture_output=True, text=True, check=check, env=env)
 
 
 def write_block_colored_k44mm(path):
@@ -181,10 +183,18 @@ class TestBadInput:
             ["search", "--mode", "verify", "--host", "gen:complete:m=2,n=2", "--r", 0],
             ["search", "--mode", "random", "--host", "gen:complete:m=2,n=2", "--r", 0],
             ["scan", "--total-n", 0, "--alphas", "1/8"],
+            ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--workers", -3],
         ],
     )
     def test_exit_2_one_line(self, tmp_path, args):
         res = run_cli(args, tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+    def test_bad_mono_workers_env(self, tmp_path):
+        env = {**os.environ, "MONO_WORKERS": "abc"}
+        res = run_cli(["gen", "complete"], tmp_path, env=env)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
@@ -227,15 +237,18 @@ class TestDeepHosts:
         assert res.returncode == 3
         assert json.loads(res.stdout)["examined"] == 1000
 
-    def test_recursive_below_exits_2(self, tmp_path):
+    def test_below_finds_witness(self, tmp_path):
         res = run_cli(
             ["search", "--mode", "below", "--host", "gen:complete:m=30,n=40",
              "--target", 60, "--budget", 100000],
             tmp_path,
         )
         assert "Traceback" not in res.stderr
-        assert res.returncode == 2 and res.stdout == ""
-        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert res.returncode == 1
+        witness = json.loads(res.stdout)["witness"]
+        edges = [(x, y) for x, y, _ in witness["edges"]]
+        colors = [c for _, _, c in witness["edges"]]
+        assert oracles.max_mono_order(30, 40, edges, colors, 2) < 60
 
 
 class TestSubcommandFlags:

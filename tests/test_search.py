@@ -1,12 +1,15 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from monocomp import search
 from monocomp import (
     THEOREMS,
     AdditiveChecker,
@@ -113,6 +116,71 @@ class TestExistsBelow:
                 fact *= i
             assert off.examined <= on.examined * fact
             checked += 1
+
+
+class TestBelowSearch:
+    def test_matches_split_oracle(self):
+        rng = random.Random(41)
+        kinds = set()
+        checked = 0
+        while checked < 60:
+            host = random_host(rng)
+            r = rng.randint(1, 3)
+            if host is None or host.edge_count > 12 or r**host.edge_count > 4096:
+                continue
+            cases = itertools.product(
+                range(2, host.m + host.n + 2), (0, 2, host.edge_count), (True, False)
+            )
+            for t, depth, canonicalize in cases:
+                _, total, _ = oracles.brute_below_search(host, r, t, canonicalize, depth)
+                for budget in {b for b in (1, total - 1, total, 1 << 62) if b >= 1}:
+                    cfg = SearchConfig(
+                        canonicalize_colors=canonicalize, split_depth=depth, budget=budget
+                    )
+                    fast = exists_coloring_below(host, r, t, cfg)
+                    colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
+                    want = oracles.brute_below_search(
+                        host, r, t, canonicalize, depth, budget
+                    )
+                    assert (fast.kind, fast.examined, colors) == want, (
+                        host.edges(), r, t, canonicalize, depth, budget
+                    )
+                    kinds.add(fast.kind)
+            checked += 1
+        assert kinds == {"Counterexample", "AllSatisfy", "BudgetExhausted"}
+
+    def test_deep_host_is_not_recursive(self):
+        # 1,200 edges: one stack frame per edge would overflow the stack
+        host = complete(30, 40)
+        out = exists_coloring_below(host, 2, 60, SearchConfig(budget=100000))
+        assert (out.kind, out.examined) == ("Counterexample", 1651)
+        assert largest_mono_component(host, out.witness).order < 60
+        out = min_max_mono_component(host, 2, SearchConfig(budget=100000))
+        assert out.kind == "BudgetExhausted"
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pools):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, arg):
+                future = Future()
+                future.set_result(fn(arg))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        host = complete_minus_circulant(4, 4, 1)
+        serial = exists_coloring_below(host, 2, 4)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        out = exists_coloring_below(host, 2, 4, workers=100000)
+        assert sizes == pools
+        assert out.to_json_dict() == serial.to_json_dict()
 
 
 class TestMinMax:
