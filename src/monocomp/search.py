@@ -20,7 +20,13 @@ task under each.  The search for a coloring without a half-half component
 the colorings under it in closed form, so ``examined`` is what
 coloring-by-coloring enumeration would report.  Color canonicalization
 forces new colors to appear in increasing order along the edge sequence,
-cutting the tree by up to r! without changing any decision.
+cutting the tree by up to r! without changing any decision.  With it, the
+below search also breaks row and column symmetry (double-lex, after Flener
+et al., CP 2002): twin rows, which have the same neighbourhood, stay
+lexicographically non-decreasing top to bottom, and twin columns, read
+top-down, left to right.  The lex-least coloring meets every such order, so
+decisions and witnesses do not change; ``examined`` counts the nodes of the
+symmetry-reduced tree.  ``canonicalize_colors=False`` turns both off.
 
 Parallel runs split the enumeration tree at a fixed edge-prefix depth into
 independent tasks and merge results by prefix rank, so the outcome (decision,
@@ -102,15 +108,17 @@ class SearchOutcome:
         }
 
 
-class _RollbackDSU:
-    """Union by size with an undo trail; no path compression so every union
-    is reversible in O(1)."""
+class _SidedDSU:
+    """Union by size with an undo trail and no path compression, so every
+    union is reversible in O(1).  Each root also keeps its count of
+    X-vertices (ids below ``m``); its Y-count is size minus that."""
 
-    __slots__ = ("parent", "size", "trail")
+    __slots__ = ("parent", "size", "xs", "trail")
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+    def __init__(self, m: int, n: int):
+        self.parent = list(range(m + n))
+        self.size = [1] * (m + n)
+        self.xs = [1] * m + [0] * n
         self.trail: list[int] = []
 
     def find(self, v: int) -> int:
@@ -118,38 +126,6 @@ class _RollbackDSU:
         while parent[v] != v:
             v = parent[v]
         return v
-
-    def union(self, a: int, b: int) -> int:
-        """Merge and return the resulting component size."""
-        ra = self.find(a)
-        rb = self.find(b)
-        if ra == rb:
-            self.trail.append(-1)
-            return self.size[ra]
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.trail.append(rb)
-        return self.size[ra]
-
-    def undo(self) -> None:
-        rb = self.trail.pop()
-        if rb >= 0:
-            ra = self.parent[rb]
-            self.parent[rb] = rb
-            self.size[ra] -= self.size[rb]
-
-
-class _SidedDSU(_RollbackDSU):
-    """A rollback union-find that also keeps each root's count of
-    X-vertices (ids below ``m``); its Y-count is size minus that."""
-
-    __slots__ = ("xs",)
-
-    def __init__(self, m: int, n: int):
-        super().__init__(m + n)
-        self.xs = [1] * m + [0] * n
 
     def union(self, a: int, b: int) -> tuple[int, int]:
         """Merge and return the resulting component's (X-count, size)."""
@@ -181,25 +157,92 @@ def _ceil_frac(value) -> int:
     return -((-f.numerator) // f.denominator)
 
 
-def _walk_below(m, n, edges, r, t_int, canonicalize, prefix, stop, budget):
+def _twin_tables(edges):
+    """Double-lex tables for twin rows (rows with the same neighbourhood)
+    and twin columns, or None when the host has neither.
+
+    For edge i = (x, y): ``row_twin[i]`` is the edge (x', y) of the previous
+    twin row x' of x, or -1; ``row_prev[i]`` is the previous edge of row x;
+    ``col_twin[i]`` is the edge (x, y') of the previous twin column y' of y,
+    or -1; ``col_prev[i]`` is the previous edge of column y.  A missing
+    previous edge reads ``len(edges)``, whose flag stays False."""
+    num_edges = len(edges)
+    rows: dict[int, list[int]] = {}
+    cols: dict[int, list[int]] = {}
+    for i, (x, y) in enumerate(edges):
+        rows.setdefault(x, []).append(i)
+        cols.setdefault(y, []).append(i)
+
+    def tables(lines, other):
+        twin, before, last = [-1] * num_edges, [num_edges] * num_edges, {}
+        for v in sorted(lines):
+            line = lines[v]
+            key = tuple(edges[i][other] for i in line)
+            prev = last.get(key)
+            for k, i in enumerate(line):
+                if prev:
+                    twin[i] = prev[k]
+                if k:
+                    before[i] = line[k - 1]
+            last[key] = line
+        return twin, before
+
+    row_twin, row_prev = tables(rows, 1)
+    col_twin, col_prev = tables(cols, 0)
+    if max(row_twin) < 0 and max(col_twin) < 0:
+        return None
+    return row_twin, row_prev, col_twin, col_prev
+
+
+def _walk_below(m, n, edges, r, t_int, canonicalize, prefix, stop, budget, twins):
     """Yield ``(colors, nodes)`` for each coloring of ``edges[:stop]`` that
     extends ``prefix`` and keeps every monochromatic component below
     ``t_int``, in lex order, then ``(None, nodes)`` once the subtree is done
     or a node goes over ``budget``.  ``nodes`` counts the colors tried, so it
-    reads ``budget + 1`` after a budget stop.  The search is an iterative
-    depth-first walk on one rollback union-find per color."""
-    dsus = [_RollbackDSU(m + n) for _ in range(r)]
-    unions = [dsu.union for dsu in dsus]
-    undos = [dsu.undo for dsu in dsus]
-    for (x, y), c in zip(edges, prefix):
-        unions[c](x, m + y)
+    reads ``budget + 1`` after a budget stop.
+
+    The search is an iterative depth-first walk on one rollback union-find
+    per color, inlined: ``parents[c]``/``sizes[c]`` with no path
+    compression, and at each depth the root that its union attached, or -1.
+    With ``twins`` (``_twin_tables``, used under canonicalization) each twin
+    row stays lex-at-least its previous twin row and each twin column,
+    read top-down, its previous twin column; the lex-least coloring meets
+    both, so only the count of nodes changes.  ``row_gt[i]`` records that
+    row x of edge i is already strictly greater than its previous twin row
+    through edge i (``col_gt`` likewise), so a depth's first color is the
+    least that keeps every order, and the flags need no undo."""
+    total = m + n
+    parents = [list(range(total)) for _ in range(r)]
+    sizes = [[1] * total for _ in range(r)]
+    ends = [(x, m + y) for x, y in edges]
+    for (a, b), c in zip(ends, prefix):
+        parent, size = parents[c], sizes[c]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
     start = len(prefix)
     assign = list(prefix) + [-1] * (stop - start)  # -1 before a depth's first color
+    merged = [-1] * stop  # the root attached at each depth, -1 for none
     # the last color to try at each depth: r - 1, or under canonicalization
     # the first unused one, so choosing the top color raises the next top
     top = [r - 1] * (stop + 1)
     if canonicalize:
         top[start] = min(r - 1, max(prefix, default=-1) + 1)
+    if twins:
+        row_twin, row_prev, col_twin, col_prev = twins
+        row_gt = [False] * (len(edges) + 1)
+        col_gt = [False] * (len(edges) + 1)
+        for i, c in enumerate(prefix):
+            if row_twin[i] >= 0:
+                row_gt[i] = row_gt[row_prev[i]] or c > prefix[row_twin[i]]
+            if col_twin[i] >= 0:
+                col_gt[i] = col_gt[col_prev[i]] or c > prefix[col_twin[i]]
     nodes = 0
     idx = start
     while idx >= start:
@@ -209,20 +252,58 @@ def _walk_below(m, n, edges, r, t_int, canonicalize, prefix, stop, budget):
             continue
         c = assign[idx]
         if c >= 0:
-            undos[c]()
+            b = merged[idx]
+            if b >= 0:
+                parent, size = parents[c], sizes[c]
+                a = parent[b]
+                parent[b] = b
+                size[a] -= size[b]
             if c == top[idx]:
                 assign[idx] = -1
                 idx -= 1
                 continue
-        c += 1
+            c += 1
+        else:
+            c = 0
+            if twins:
+                p = row_twin[idx]
+                if p >= 0 and not row_gt[row_prev[idx]]:
+                    c = assign[p]
+                p = col_twin[idx]
+                if p >= 0 and not col_gt[col_prev[idx]] and assign[p] > c:
+                    c = assign[p]
         nodes += 1
         if nodes > budget:
             break
         assign[idx] = c
-        x, y = edges[idx]
-        if unions[c](x, m + y) < t_int:
-            idx += 1
-            top[idx] = top[idx - 1] if c < top[idx - 1] else min(r - 1, c + 1)
+        parent = parents[c]
+        a, b = ends[idx]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
+            merged[idx] = -1
+        else:
+            size = sizes[c]
+            merged_size = size[a] + size[b]
+            if merged_size >= t_int:
+                merged[idx] = -1
+                continue
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] = merged_size
+            merged[idx] = b
+        if twins:
+            p = row_twin[idx]
+            if p >= 0:
+                row_gt[idx] = row_gt[row_prev[idx]] or c > assign[p]
+            p = col_twin[idx]
+            if p >= 0:
+                col_gt[idx] = col_gt[col_prev[idx]] or c > assign[p]
+        idx += 1
+        top[idx] = top[idx - 1] if c < top[idx - 1] else min(r - 1, c + 1)
     yield None, nodes
 
 
@@ -230,9 +311,11 @@ def _below_task(args) -> tuple[tuple[int, ...] | None, int, bool]:
     """The lex-least coloring under one color prefix whose monochromatic
     components all have order < t_int: (colors or None, nodes, budget
     exhausted)."""
-    m, n, edges, r, t_int, canonicalize, budget, prefix = args
+    m, n, edges, r, t_int, canonicalize, budget, twins, prefix = args
     colors, nodes = next(
-        _walk_below(m, n, edges, r, t_int, canonicalize, prefix, len(edges), budget)
+        _walk_below(
+            m, n, edges, r, t_int, canonicalize, prefix, len(edges), budget, twins
+        )
     )
     return colors, nodes, nodes > budget
 
@@ -300,13 +383,13 @@ def exists_coloring_below(
     start = time.perf_counter()
     edges = tuple(host.edges())
     depth = min(cfg.split_depth, len(edges))
-    *prefixes, (_, pre_nodes) = _walk_below(
-        host.m, host.n, edges, r, t_int, cfg.canonicalize_colors, (), depth, _UNBOUNDED
-    )
-    tasks = (
-        (host.m, host.n, edges, r, t_int, cfg.canonicalize_colors, cfg.budget, p)
-        for p, _ in prefixes
-    )
+    twins = _twin_tables(edges) if cfg.canonicalize_colors else None
+    common = (host.m, host.n, edges, r, t_int, cfg.canonicalize_colors)
+    *prefixes, (_, pre_nodes) = _walk_below(*common, (), depth, cfg.budget, twins)
+    if pre_nodes > cfg.budget:
+        elapsed = time.perf_counter() - start
+        return SearchOutcome("BudgetExhausted", None, None, pre_nodes, elapsed)
+    tasks = ((*common, cfg.budget, twins, p) for p, _ in prefixes)
     results = _in_rank_order(_below_task, tasks, workers if len(prefixes) > 1 else 1)
     witness_colors, examined, exhausted = _merge_below_tasks(results)
     results.close()

@@ -73,34 +73,67 @@ def _below(m, n, edges, colors, r, t):
     return max_mono_order(m, n, edges[: len(colors)], colors, r) < t
 
 
-def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop):
+@functools.lru_cache(maxsize=1 << 16)
+def _double_lex_ok(edges, colors):
+    """Are twin rows (rows with the same neighbourhood) lex-nondecreasing
+    top to bottom, and twin columns, read top-down, left to right?  Each
+    pair compares its colored parts as far as both go."""
+    color = dict(zip(edges, colors))
+    for side in (0, 1):
+        lines = {}
+        for e in edges:
+            lines.setdefault(e[side], []).append(e)
+        for v, w in itertools.combinations(sorted(lines), 2):
+            if [e[1 - side] for e in lines[v]] != [e[1 - side] for e in lines[w]]:
+                continue
+            a = [color[e] for e in lines[v] if e in color]
+            b = [color[e] for e in lines[w] if e in color]
+            k = min(len(a), len(b))
+            if a[:k] > b[:k]:
+                return False
+    return True
+
+
+def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop, double_lex=False):
     """The below-``t`` search tree under ``prefix`` in lex order: None for
     each color tried, then the colors of ``edges[:stop]`` at each leaf
-    whose components all stay below ``t``."""
+    whose components all stay below ``t``.  With ``double_lex`` a color
+    that breaks the order of twin rows or twin columns is not tried."""
     if len(prefix) == stop:
         yield prefix
         return
     hi = min(r - 1, max(prefix, default=-1) + 1) if canonicalize else r - 1
     for c in range(hi + 1):
-        yield None
         colors = prefix + (c,)
+        if double_lex and not _double_lex_ok(edges, colors):
+            continue
+        yield None
         if _below(m, n, edges, colors, r, t):
-            yield from _below_tree(m, n, edges, r, t, canonicalize, colors, stop)
+            yield from _below_tree(
+                m, n, edges, r, t, canonicalize, colors, stop, double_lex
+            )
 
 
-def brute_below_search(host, r, t, canonicalize=True, split_depth=4, budget=1 << 62):
+def brute_below_search(
+    host, r, t, canonicalize=True, split_depth=4, budget=1 << 62, double_lex=False
+):
     """The split search for a coloring keeping every component below ``t``,
     replayed step by step: enumerate all prefixes of ``split_depth`` edges,
-    then search under each in order with its own budget of nodes and stop at
-    the first decided one.  Returns (kind, examined, colors or None)."""
+    stopping at ``budget + 1`` nodes, then search under each in order with
+    its own budget of nodes and stop at the first decided one.  Returns
+    (kind, examined, colors or None)."""
     m, n, edges = host.m, host.n, tuple(host.edges())
     t = Fraction(t)
     depth = min(split_depth, len(edges))
-    tree = list(_below_tree(m, n, edges, r, t, canonicalize, (), depth))
+    tree = list(_below_tree(m, n, edges, r, t, canonicalize, (), depth, double_lex))
     examined = tree.count(None)
+    if examined > budget:
+        return "BudgetExhausted", budget + 1, None
     for prefix in [leaf for leaf in tree if leaf is not None]:
         nodes = 0
-        for leaf in _below_tree(m, n, edges, r, t, canonicalize, prefix, len(edges)):
+        for leaf in _below_tree(
+            m, n, edges, r, t, canonicalize, prefix, len(edges), double_lex
+        ):
             if leaf is not None:
                 return "Counterexample", examined + nodes, leaf
             nodes += 1

@@ -149,6 +149,20 @@ class TestSearch:
         )
         assert res.returncode == 3
 
+    def test_prefix_phase_stops_at_budget(self, tmp_path):
+        # 2^29 prefixes at depth 30: the prefix walk itself stops at node 11
+        res = run_cli(
+            [
+                "search", "--mode", "below", "--host", "gen:complete:m=6,n=6",
+                "--target", 13, "--budget", 10, "--split-depth", 30,
+            ],
+            tmp_path,
+        )
+        assert "Traceback" not in res.stderr
+        assert res.returncode == 3
+        out = json.loads(res.stdout)
+        assert (out["kind"], out["examined"]) == ("BudgetExhausted", 11)
+
     def test_precondition_exit_2(self, tmp_path):
         res = run_cli(
             [

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -46,6 +47,25 @@ def random_host(rng, max_side=4):
     n = rng.randint(1, max_side)
     edges = [(x, y) for x in range(m) for y in range(n) if rng.random() < 0.6]
     return from_edge_list(m, n, edges) if edges else None
+
+
+def twin_rich_host(rng):
+    """A blow-up of a random 2x2 or 3x3 base, or a random host with some
+    rows and columns repeated in shuffled order: hosts with twins."""
+    if rng.random() < 0.5:
+        m = n = rng.randint(2, 3)
+        base = [[rng.random() < 0.7 for _ in range(n)] for _ in range(m)]
+        rows = [i for i in range(m) for _ in range(rng.randint(1, 2))]
+        cols = [j for j in range(n) for _ in range(rng.randint(1, 2))]
+    else:
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        base = [[rng.random() < 0.6 for _ in range(n)] for _ in range(m)]
+        rows = list(range(m)) + rng.choices(range(m), k=rng.randint(0, 2))
+        cols = list(range(n)) + rng.choices(range(n), k=rng.randint(0, 2))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+    edges = [(x, y) for x, i in enumerate(rows) for y, j in enumerate(cols) if base[i][j]]
+    return from_edge_list(len(rows), len(cols), edges) if edges else None
 
 
 class TestExistsBelow:
@@ -110,11 +130,10 @@ class TestExistsBelow:
                 host, r, t, SearchConfig(canonicalize_colors=False)
             )
             assert on.kind == off.kind
-            # canonicalization shrinks the tree by at most r!
-            fact = 1
-            for i in range(2, r + 1):
-                fact *= i
-            assert off.examined <= on.examined * fact
+            assert on.examined <= off.examined
+            if search._twin_tables(tuple(host.edges())) is None:
+                # color canonicalization alone shrinks the tree by at most r!
+                assert off.examined <= on.examined * math.factorial(r)
             checked += 1
 
 
@@ -132,7 +151,9 @@ class TestBelowSearch:
                 range(2, host.m + host.n + 2), (0, 2, host.edge_count), (True, False)
             )
             for t, depth, canonicalize in cases:
-                _, total, _ = oracles.brute_below_search(host, r, t, canonicalize, depth)
+                _, total, _ = oracles.brute_below_search(
+                    host, r, t, canonicalize, depth, double_lex=canonicalize
+                )
                 for budget in {b for b in (1, total - 1, total, 1 << 62) if b >= 1}:
                     cfg = SearchConfig(
                         canonicalize_colors=canonicalize, split_depth=depth, budget=budget
@@ -140,7 +161,7 @@ class TestBelowSearch:
                     fast = exists_coloring_below(host, r, t, cfg)
                     colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
                     want = oracles.brute_below_search(
-                        host, r, t, canonicalize, depth, budget
+                        host, r, t, canonicalize, depth, budget, double_lex=canonicalize
                     )
                     assert (fast.kind, fast.examined, colors) == want, (
                         host.edges(), r, t, canonicalize, depth, budget
@@ -149,11 +170,42 @@ class TestBelowSearch:
             checked += 1
         assert kinds == {"Counterexample", "AllSatisfy", "BudgetExhausted"}
 
+    def test_double_lex_on_twin_rich_hosts(self):
+        # double-lex changes only the count: decision and witness are those
+        # of the symmetry-free oracle, for every split depth and worker count
+        rng = random.Random(61)
+        checked = with_twins = 0
+        while checked < 40:
+            host = twin_rich_host(rng)
+            r = rng.choice((1, 2, 2, 3, 3))
+            if host is None or r**host.edge_count > 1 << 13:
+                continue
+            with_twins += search._twin_tables(tuple(host.edges())) is not None
+            for t, depth in itertools.product(
+                range(2, host.m + host.n + 2), (0, 2, host.edge_count)
+            ):
+                fast = exists_coloring_below(host, r, t, SearchConfig(split_depth=depth))
+                colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
+                kind, _, want = oracles.brute_below_search(host, r, t, True, depth)
+                assert (fast.kind, colors) == (kind, want), (host.edges(), r, t, depth)
+                assert (fast.kind, fast.examined, colors) == oracles.brute_below_search(
+                    host, r, t, True, depth, double_lex=True
+                )
+            out = min_max_mono_component(host, r)
+            assert out.value == oracles.brute_minmax(host, r)
+            for t in (out.value, out.value + 1):
+                cfg = SearchConfig(split_depth=2)
+                serial = exists_coloring_below(host, r, t, cfg)
+                parallel = exists_coloring_below(host, r, t, cfg, workers=2)
+                assert parallel.to_json_dict() == serial.to_json_dict()
+            checked += 1
+        assert with_twins >= 35
+
     def test_deep_host_is_not_recursive(self):
         # 1,200 edges: one stack frame per edge would overflow the stack
         host = complete(30, 40)
         out = exists_coloring_below(host, 2, 60, SearchConfig(budget=100000))
-        assert (out.kind, out.examined) == ("Counterexample", 1651)
+        assert (out.kind, out.examined) == ("Counterexample", 1207)
         assert largest_mono_component(host, out.witness).order < 60
         out = min_max_mono_component(host, 2, SearchConfig(budget=100000))
         assert out.kind == "BudgetExhausted"
