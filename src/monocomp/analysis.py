@@ -166,10 +166,11 @@ def check_tetel_instance(host: BipartiteGraph, col: EdgeColoring, r: int) -> Ver
     )
 
 
-def _additive_qualifying(host, col):
+def _additive_qualifying(host, col, thm):
+    need_x, need_y, _ = thm.needs(host.m, host.n, 2)
     best = None
     for comp in mono_components(host, col):
-        if 2 * len(comp.xs) >= host.m and 2 * len(comp.ys) >= host.n:
+        if len(comp.xs) >= need_x and len(comp.ys) >= need_y:
             if best is None or comp.order > best.order:
                 best = comp
     return best
@@ -182,7 +183,7 @@ def check_additive_theorem(host: BipartiteGraph, col: EdgeColoring) -> Verdict:
     thm = _registry_theorem("additive", host, col, col.r)
     applicable = thm.hypothesis(host, 2) is None
     target = thm.target(host.m, host.n, 2)
-    witness = _additive_qualifying(host, col)
+    witness = _additive_qualifying(host, col, thm)
     best = witness if witness is not None else _largest_component_or_none(host, col)
     achieved = best.order if best is not None else 0
     return Verdict(

@@ -6,7 +6,8 @@ identical bytes.  Wall-clock timings and provenance go to the run manifest
 file instead.
 
 Exit codes: 0 done / holds / not applicable, 1 counterexample or violated
-conclusion, 2 bad input or unmet precondition, 3 search budget exhausted.
+conclusion, 2 bad input, unmet precondition or out of memory, 3 search
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -358,6 +359,9 @@ def main(argv=None) -> int:
     except (GraphError, InvalidSpec, PreconditionViolated, ValueError, OSError) as exc:
         # ValueError covers json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return _EXIT_INPUT
     sys.stdout.write(dumps_canonical(doc))
     sys.stdout.write("\n")

@@ -3,21 +3,25 @@ registry that ``analyze`` shares.
 
 ``THEOREMS`` holds one :class:`Theorem` per per-instance theorem (gy1, r2,
 conjecture, additive): its rule on r, its exact degree hypothesis, its
-target order and the sampling kernel that decides its conclusion on a flat
-color assignment.  ``analysis`` and the CLI read applicability and targets
-from here, so each hypothesis is written once (the conjecture's inequality,
-which r2 shares at r = 2, is ``bigraph.meets_conjecture_degrees``).
+target order and which conclusion it draws.  ``analysis`` and the CLI read
+applicability and targets from here, so each hypothesis is written once (the
+conjecture's inequality, which r2 shares at r = 2, is
+``bigraph.meets_conjecture_degrees``), and ``Theorem.needs`` turns either
+conclusion into one integer rule that every checker reads.
 
-Exhaustive search walks the edges in sorted (x, y) order and keeps one
-union-find per color with an undo trail, so backtracking never recomputes
-components.  Both searches are iterative, so any edge count works.
-Components only grow as edges are added, so both conclusions prune.  The
-search for a coloring below a component-order target is one walk,
-``_walk_below``, which cuts a branch the moment a partial color class
-reaches the target; it both enumerates the split prefixes and runs the
-task under each.  The search for a coloring without a half-half component
-(the additive theorem) stops descending once a prefix has one, and counts
-the colorings under it in closed form, so ``examined`` is what
+Every union-find over a flat color assignment is the same list idiom: union
+by size with no path compression, so a union is undone in O(1) by
+resetting the attached root.  Exhaustive search walks the edges in sorted
+(x, y) order on one parent/size list pair per color and keeps the root each
+depth attached, so backtracking never recomputes components.  Both
+searches are iterative, so any edge count works.  Components only grow as
+edges are added, so both conclusions prune.  The search for a coloring
+below a component-order target is one walk, ``_walk_below``, which cuts a
+branch the moment a partial color class reaches the target; it both
+enumerates the split prefixes and runs the task under each.  The search for
+a coloring without a half-half component (the additive theorem) also keeps
+each root's X-count, stops descending once a prefix has one, and counts the
+colorings under it in closed form, so ``examined`` is what
 coloring-by-coloring enumeration would report.  Color canonicalization
 forces new colors to appear in increasing order along the edge sequence,
 cutting the tree by up to r! without changing any decision.  With it, the
@@ -34,6 +38,9 @@ canonical lexicographically-least witness, examined count) is identical for
 every worker count.  Random sampling is blocked the same way: block i always
 draws the same colorings from its derived seed, whoever executes it, and
 blocks are generated lazily, so the default unbounded budget costs no memory.
+Each block checks its samples on one union-find for all r colors (color c
+at offset c(m+n), r(m+n) slots), undone after each sample, so a check costs
+O(edges) for any r.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from __future__ import annotations
 import math
 import os
 import random
-import time
 from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -87,17 +93,12 @@ class SearchConfig:
 
 @dataclass
 class SearchOutcome:
-    """Result of one search run.
-
-    ``elapsed`` is wall time and deliberately stays out of the JSON form so
-    reruns with the same seed are byte-identical; run manifests carry it.
-    """
+    """Result of one search run."""
 
     kind: str
     value: int | None
     witness: EdgeColoring | None
     examined: int
-    elapsed: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,50 +107,6 @@ class SearchOutcome:
             "examined": self.examined,
             "witness": self.witness.to_json_dict() if self.witness else None,
         }
-
-
-class _SidedDSU:
-    """Union by size with an undo trail and no path compression, so every
-    union is reversible in O(1).  Each root also keeps its count of
-    X-vertices (ids below ``m``); its Y-count is size minus that."""
-
-    __slots__ = ("parent", "size", "xs", "trail")
-
-    def __init__(self, m: int, n: int):
-        self.parent = list(range(m + n))
-        self.size = [1] * (m + n)
-        self.xs = [1] * m + [0] * n
-        self.trail: list[int] = []
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    def union(self, a: int, b: int) -> tuple[int, int]:
-        """Merge and return the resulting component's (X-count, size)."""
-        ra = self.find(a)
-        rb = self.find(b)
-        size, xs = self.size, self.xs
-        if ra == rb:
-            self.trail.append(-1)
-            return xs[ra], size[ra]
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        size[ra] += size[rb]
-        xs[ra] += xs[rb]
-        self.trail.append(rb)
-        return xs[ra], size[ra]
-
-    def undo(self) -> None:
-        rb = self.trail.pop()
-        if rb >= 0:
-            ra = self.parent[rb]
-            self.parent[rb] = rb
-            self.size[ra] -= self.size[rb]
-            self.xs[ra] -= self.xs[rb]
 
 
 def _ceil_frac(value) -> int:
@@ -380,27 +337,24 @@ def exists_coloring_below(
     t_int = _ceil_frac(target)
     if t_int < 2:
         raise ValueError("target must be at least 2")
-    start = time.perf_counter()
     edges = tuple(host.edges())
     depth = min(cfg.split_depth, len(edges))
     twins = _twin_tables(edges) if cfg.canonicalize_colors else None
     common = (host.m, host.n, edges, r, t_int, cfg.canonicalize_colors)
     *prefixes, (_, pre_nodes) = _walk_below(*common, (), depth, cfg.budget, twins)
     if pre_nodes > cfg.budget:
-        elapsed = time.perf_counter() - start
-        return SearchOutcome("BudgetExhausted", None, None, pre_nodes, elapsed)
+        return SearchOutcome("BudgetExhausted", None, None, pre_nodes)
     tasks = ((*common, cfg.budget, twins, p) for p, _ in prefixes)
     results = _in_rank_order(_below_task, tasks, workers if len(prefixes) > 1 else 1)
     witness_colors, examined, exhausted = _merge_below_tasks(results)
     results.close()
     examined += pre_nodes
-    elapsed = time.perf_counter() - start
     if witness_colors is not None:
         witness = coloring_from_assignment(host, r, witness_colors)
-        return SearchOutcome("Counterexample", None, witness, examined, elapsed)
+        return SearchOutcome("Counterexample", None, witness, examined)
     if exhausted:
-        return SearchOutcome("BudgetExhausted", None, None, examined, elapsed)
-    return SearchOutcome("AllSatisfy", None, None, examined, elapsed)
+        return SearchOutcome("BudgetExhausted", None, None, examined)
+    return SearchOutcome("AllSatisfy", None, None, examined)
 
 
 def min_max_mono_component(
@@ -414,7 +368,6 @@ def min_max_mono_component(
     if host.edge_count == 0:
         raise EmptyGraph("host has no edges")
     cfg = cfg or SearchConfig()
-    start = time.perf_counter()
     examined = 0
     cache: dict[int, SearchOutcome] = {}
 
@@ -438,12 +391,8 @@ def min_max_mono_component(
     else:
         out = below(lo)
     if out.kind == "BudgetExhausted":
-        return SearchOutcome(
-            "BudgetExhausted", lo - 1, None, examined, time.perf_counter() - start
-        )
-    return SearchOutcome(
-        "MinMaxValue", lo - 1, out.witness, examined, time.perf_counter() - start
-    )
+        return SearchOutcome("BudgetExhausted", lo - 1, None, examined)
+    return SearchOutcome("MinMaxValue", lo - 1, out.witness, examined)
 
 
 # --- the theorem registry ---------------------------------------------------
@@ -451,9 +400,10 @@ def min_max_mono_component(
 @dataclass(frozen=True)
 class Theorem:
     """One per-instance theorem.  ``hypothesis(host, r)`` is why the host
-    misses the degree hypothesis, or None; ``target(m, n, r)`` is exact;
-    ``holds(m, n, edges, colors, p, q)``, one of the two sampling kernels
-    below, decides the conclusion on a flat color assignment, target p/q.
+    misses the degree hypothesis, or None; ``target(m, n, r)`` is exact.
+    The conclusion is that some monochromatic component reaches the target
+    order, or with ``half_half`` that one holds half of each side;
+    ``needs`` gives either as one integer rule.
     """
 
     name: str
@@ -461,7 +411,7 @@ class Theorem:
     max_r: int | None
     hypothesis: Callable[[BipartiteGraph, int], str | None]
     target: Callable[[int, int, int], Fraction]
-    holds: Callable[..., bool]
+    half_half: bool = False
 
     def r_error(self, r: int) -> str | None:
         """Why the theorem says nothing about ``r`` colors, or None."""
@@ -478,65 +428,12 @@ class Theorem:
         if err:
             raise PreconditionViolated(err)
 
-
-def _max_component_reaches(m, n, edges, colors, p, q) -> bool:
-    """True iff some monochromatic component has order * q >= p."""
-    total = m + n
-    parents = {}
-    sizes = {}
-    for (x, y), c in zip(edges, colors):
-        key_a = c * total + x
-        key_b = c * total + m + y
-        ra = key_a
-        while ra in parents:
-            ra = parents[ra]
-        rb = key_b
-        while rb in parents:
-            rb = parents[rb]
-        if ra == rb:
-            continue
-        sa = sizes.get(ra, 1)
-        sb = sizes.get(rb, 1)
-        if sa < sb:
-            ra, rb = rb, ra
-            sa, sb = sb, sa
-        parents[rb] = ra
-        sizes[ra] = sa + sb
-        if (sa + sb) * q >= p:
-            return True
-    return False
-
-
-def _has_half_half_component(m, n, edges, colors, p, q) -> bool:
-    """True iff some monochromatic component has >= m/2 X-vertices and
-    >= n/2 Y-vertices (the target p/q plays no part)."""
-    total = m + n
-    parents = {}
-    xs = {}
-    ys = {}
-    for (x, y), c in zip(edges, colors):
-        key_a = c * total + x
-        key_b = c * total + m + y
-        ra = key_a
-        while ra in parents:
-            ra = parents[ra]
-        rb = key_b
-        while rb in parents:
-            rb = parents[rb]
-        if ra == rb:
-            continue
-        ax = xs.get(ra, 1 if ra % total < m else 0)
-        ay = ys.get(ra, 0 if ra % total < m else 1)
-        bx = xs.get(rb, 1 if rb % total < m else 0)
-        by = ys.get(rb, 0 if rb % total < m else 1)
-        if ax + ay < bx + by:
-            ra, rb = rb, ra
-        parents[rb] = ra
-        xs[ra] = ax + bx
-        ys[ra] = ay + by
-        if 2 * (ax + bx) >= m and 2 * (ay + by) >= n:
-            return True
-    return False
+    def needs(self, m: int, n: int, r: int) -> tuple[int, int, int]:
+        """The conclusion as (min X-count, min Y-count, min order): it holds
+        iff some monochromatic component meets all three."""
+        if self.half_half:
+            return (m + 1) // 2, (n + 1) // 2, 0
+        return 0, 0, _ceil_frac(self.target(m, n, r))
 
 
 def _no_hypothesis(host, r) -> None:
@@ -577,12 +474,10 @@ def _per_color(m, n, r) -> Fraction:
 THEOREMS = {
     thm.name: thm
     for thm in (
-        Theorem("gy1", 1, None, _complete_host, _per_color, _max_component_reaches),
-        Theorem("r2", 2, 2, _conjecture_degrees, _per_color, _max_component_reaches),
-        Theorem(
-            "conjecture", 2, None, _conjecture_degrees, _per_color, _max_component_reaches
-        ),
-        Theorem("additive", 2, 2, _additive_degrees, _per_color, _has_half_half_component),
+        Theorem("gy1", 1, None, _complete_host, _per_color),
+        Theorem("r2", 2, 2, _conjecture_degrees, _per_color),
+        Theorem("conjecture", 2, None, _conjecture_degrees, _per_color),
+        Theorem("additive", 2, 2, _additive_degrees, _per_color, half_half=True),
     )
 }
 
@@ -624,24 +519,30 @@ def _completion_counts(num_edges: int, r: int, canonicalize: bool) -> list[list[
 
 
 def _first_without_half_half(
-    m: int, n: int, edges, r: int, canonicalize: bool, budget: int
+    m: int, n: int, edges, r: int, need_x: int, need_y: int, canonicalize: bool,
+    budget: int,
 ) -> tuple[tuple[int, ...] | None, int, bool]:
     """The lex-least (canonical) coloring of ``edges`` with no
-    monochromatic component holding >= m/2 X-vertices and >= n/2
-    Y-vertices, found without visiting each coloring.
+    monochromatic component holding >= ``need_x`` X-vertices and >=
+    ``need_y`` Y-vertices, found without visiting each coloring.
 
     An iterative depth-first search colors the edges in order on one
-    rollback union-find per color.  Components only grow, so once a prefix
-    has a half-half component every completion has one: the subtree's
-    colorings are counted from ``_completion_counts`` and skipped.  Returns
-    (lex-least such coloring or None, colorings covered in lex order, budget
-    exhausted); the count and the stop at ``budget`` are those of
-    enumerating one coloring at a time.
+    rollback union-find per color, inlined as in ``_walk_below``, whose
+    roots also keep their X-count (``xcounts[c]``).  Components only grow,
+    so once a prefix has a half-half component every completion has one:
+    that union is not made, and the subtree's colorings are counted from
+    ``_completion_counts`` and skipped.  Returns (lex-least such coloring or
+    None, colorings covered in lex order, budget exhausted); the count and
+    the stop at ``budget`` are those of enumerating one coloring at a time.
     """
     num_edges = len(edges)
     counts = _completion_counts(num_edges, r, canonicalize)
-    dsus = [_SidedDSU(m, n) for _ in range(r)]
+    parents = [list(range(m + n)) for _ in range(r)]
+    sizes = [[1] * (m + n) for _ in range(r)]
+    xcounts = [[1] * m + [0] * n for _ in range(r)]
+    ends = [(x, m + y) for x, y in edges]
     assign = [-1] * num_edges  # the color tried at each depth, -1 for none yet
+    merged = [-1] * num_edges  # the root attached at each depth, -1 for none
     used = [0] * (num_edges + 1)  # colors in use before each edge
     examined = 0
     idx = 0
@@ -652,24 +553,44 @@ def _first_without_half_half(
             return tuple(assign), examined + 1, False
         c = assign[idx]
         if c >= 0:
-            dsus[c].undo()
+            b = merged[idx]
+            if b >= 0:
+                parent, size, xs = parents[c], sizes[c], xcounts[c]
+                a = parent[b]
+                parent[b] = b
+                size[a] -= size[b]
+                xs[a] -= xs[b]
         c += 1
         if c > (min(r - 1, used[idx]) if canonicalize else r - 1):
             assign[idx] = -1
             idx -= 1
             continue
         assign[idx] = c
-        x, y = edges[idx]
-        xs, size = dsus[c].union(x, m + y)
+        parent, size, xs = parents[c], sizes[c], xcounts[c]
+        a, b = ends[idx]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
         now_used = used[idx] if c < used[idx] else c + 1
-        if 2 * xs >= m and 2 * (size - xs) >= n:
-            skipped = counts[num_edges - idx - 1][now_used]
-            if examined + skipped > budget:
-                return None, budget, True
-            examined += skipped
-        else:
-            idx += 1
-            used[idx] = now_used
+        merged[idx] = -1
+        if a != b:
+            merged_x = xs[a] + xs[b]
+            merged_size = size[a] + size[b]
+            if merged_x >= need_x and merged_size - merged_x >= need_y:
+                skipped = counts[num_edges - idx - 1][now_used]
+                if examined + skipped > budget:
+                    return None, budget, True
+                examined += skipped
+                continue
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] = merged_size
+            xs[a] = merged_x
+            merged[idx] = b
+        idx += 1
+        used[idx] = now_used
     return None, examined, False
 
 
@@ -698,21 +619,18 @@ def exhaustive_verify(
     thm.require(host, r)
     if host.edge_count == 0:
         raise EmptyGraph("host has no edges")
-    start = time.perf_counter()
-    if thm.holds is _max_component_reaches:
-        out = exists_coloring_below(host, r, thm.target(host.m, host.n, r), cfg, workers)
-        out.elapsed = time.perf_counter() - start
-        return out
-    if thm.holds is not _has_half_half_component:
-        raise ValueError(f"no exhaustive search for the conclusion of {thm.name!r}")
+    if not thm.half_half:
+        return exists_coloring_below(host, r, thm.target(host.m, host.n, r), cfg, workers)
+    need_x, need_y, _ = thm.needs(host.m, host.n, r)
     colors, examined, exhausted = _first_without_half_half(
-        host.m, host.n, tuple(host.edges()), r, cfg.canonicalize_colors, cfg.budget
+        host.m, host.n, tuple(host.edges()), r, need_x, need_y,
+        cfg.canonicalize_colors, cfg.budget,
     )
     if colors is not None:
         kind, witness = "Counterexample", coloring_from_assignment(host, r, colors)
     else:
         kind, witness = ("BudgetExhausted" if exhausted else "AllSatisfy"), None
-    return SearchOutcome(kind, None, witness, examined, time.perf_counter() - start)
+    return SearchOutcome(kind, None, witness, examined)
 
 
 def _child_seed(seed: int, block: int) -> int:
@@ -720,15 +638,54 @@ def _child_seed(seed: int, block: int) -> int:
     return mixed ^ (mixed >> 31)
 
 
+def _sample_holds(ends, total, colors, need, parent, size, xs) -> bool:
+    """True iff some monochromatic component of the flat assignment
+    ``colors`` meets ``need`` (``Theorem.needs``).  ``parent``/``size``/
+    ``xs`` are one rollback union-find over r * ``total`` slots, color c at
+    offset c * ``total``, X-vertices first; ``ends`` holds each edge as
+    (x, m + y).  The unions are undone before returning, so the lists serve
+    the next sample."""
+    need_x, need_y, need_order = need
+    trail = []
+    holds = False
+    for (a, b), c in zip(ends, colors):
+        a += c * total
+        b += c * total
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
+            continue
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        order = size[a] = size[a] + size[b]
+        x = xs[a] = xs[a] + xs[b]
+        trail.append(b)
+        if order >= need_order and x >= need_x and order - x >= need_y:
+            holds = True
+            break
+    for b in reversed(trail):
+        a = parent[b]
+        parent[b] = b
+        size[a] -= size[b]
+        xs[a] -= xs[b]
+    return holds
+
+
 def _random_task(args):
-    """Check one block of samples.  Returns (offset-of-first-violation or
-    None, colors-of-that-violation or None)."""
-    m, n, edges, holds, p, q, r, seed, block_index, count = args
+    """Check one block of samples on one union-find allocated for the
+    block.  Returns (offset-of-first-violation or None,
+    colors-of-that-violation or None)."""
+    m, n, edges, need, r, seed, block_index, count = args
     rng = random.Random(_child_seed(seed, block_index))
-    num_edges = len(edges)
+    total = m + n
+    ends = [(x, m + y) for x, y in edges]
+    dsu = list(range(r * total)), [1] * (r * total), ([1] * m + [0] * n) * r
     for i in range(count):
-        colors = [rng.randrange(r) for _ in range(num_edges)]
-        if not holds(m, n, edges, colors, p, q):
+        colors = [rng.randrange(r) for _ in ends]
+        if not _sample_holds(ends, total, colors, need, *dsu):
             return i, tuple(colors)
     return None, None
 
@@ -755,14 +712,13 @@ def random_search(
     thm.require(host, r, hypothesis=False)
     if host.edge_count == 0:
         raise EmptyGraph("host has no edges")
-    start = time.perf_counter()
-    t = thm.target(host.m, host.n, r)
+    need = thm.needs(host.m, host.n, r)
     edges = tuple(host.edges())
     budget = cfg.budget
     num_blocks = -(-budget // _RANDOM_BLOCK)
     blocks = (
-        (host.m, host.n, edges, thm.holds, t.numerator, t.denominator, r, cfg.seed,
-         index, min(_RANDOM_BLOCK, budget - index * _RANDOM_BLOCK))
+        (host.m, host.n, edges, need, r, cfg.seed, index,
+         min(_RANDOM_BLOCK, budget - index * _RANDOM_BLOCK))
         for index in range(num_blocks)
     )
     results = _in_rank_order(_random_task, blocks, workers if num_blocks > 1 else 1)
@@ -771,10 +727,8 @@ def random_search(
             results.close()
             witness = coloring_from_assignment(host, r, colors)
             examined = index * _RANDOM_BLOCK + local + 1
-            return SearchOutcome(
-                "Counterexample", None, witness, examined, time.perf_counter() - start
-            )
-    return SearchOutcome("AllSatisfy", None, None, budget, time.perf_counter() - start)
+            return SearchOutcome("Counterexample", None, witness, examined)
+    return SearchOutcome("AllSatisfy", None, None, budget)
 
 
 # --- degree-slack frontier ---------------------------------------------------

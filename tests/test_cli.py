@@ -163,6 +163,34 @@ class TestSearch:
         out = json.loads(res.stdout)
         assert (out["kind"], out["examined"]) == ("BudgetExhausted", 11)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--r", 100_000_000],
+            [
+                "--mode", "random", "--host", "gen:complete:m=4,n=4", "--r", 100_000_000,
+                "--budget", 10,
+            ],
+        ],
+    )
+    def test_out_of_memory_exit_2(self, tmp_path, args):
+        # per-color union-find lists for 10^8 colors do not fit in 256 MiB
+        # of address space: one error line and exit 2, not a traceback and
+        # the counterexample code
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+            "from monocomp.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["--manifest", tmp_path / "manifest.json", "search", *args]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        res = subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: out of memory\n")
+
     def test_precondition_exit_2(self, tmp_path):
         res = run_cli(
             [

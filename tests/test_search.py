@@ -20,6 +20,7 @@ from monocomp import (
     SearchConfig,
     alpha_frontier,
     check_additive_theorem,
+    check_conjecture_instance,
     check_theorem_two_colors,
     coloring_from_triples,
     complete,
@@ -489,29 +490,64 @@ class TestRandomSearch:
 
 class TestCheckersAgree:
     def test_fast_paths_match_reference(self):
-        # each theorem's sampling kernel against the analysis verdicts,
-        # which decide the same conclusion on the bitmask component sweep
+        # the sampler's kernel, called through each theorem's rule, against
+        # the BFS oracles and the analysis verdicts (bitmask component
+        # sweep).  Odd sides tell ceil(m/2) from floor(m/2), 7/2 is a
+        # fractional target, and one union-find serves every sample of a
+        # host and r, as in a block, so a missed undo shows up
         rng = random.Random(61)
-        host = complete_minus_circulant(4, 4, 1)
-        edges = host.edges()
-        cases = [
-            (
-                ComponentTargetChecker(Fraction(4), require_complete=False),
-                lambda col: largest_mono_component(host, col).order >= 4,
-            ),
-            (THEOREMS["r2"], lambda col: check_theorem_two_colors(host, col).holds),
-            (THEOREMS["additive"], lambda col: check_additive_theorem(host, col).holds),
+        hosts = [
+            complete_minus_circulant(4, 4, 1),
+            complete_minus_circulant(5, 7, 4),
+            complete(3, 4),
         ]
-        for thm, reference in cases:
-            t = thm.target(4, 4, 2)
-            for _ in range(120):
-                colors = [rng.randrange(2) for _ in edges]
-                col = coloring_from_triples(
-                    4, 4, 2, [(x, y, c) for (x, y), c in zip(edges, colors)]
+        for host, r in itertools.product(hosts, (1, 2, 3)):
+            m, n, edges = host.m, host.n, host.edges()
+            ends = [(x, m + y) for x, y in edges]
+            dsu = list(range(r * (m + n))), [1] * (r * (m + n)), ([1] * m + [0] * n) * r
+            verdicts = {
+                "r2": lambda col: check_theorem_two_colors(host, col).holds,
+                "conjecture": lambda col: check_conjecture_instance(host, col, r).holds,
+                "additive": lambda col: check_additive_theorem(host, col).holds,
+            }
+            cases = [
+                (
+                    ComponentTargetChecker(t, require_complete=False),
+                    lambda col, t=t: largest_mono_component(host, col).order >= t,
                 )
-                assert thm.holds(4, 4, edges, colors, t.numerator, t.denominator) == (
-                    reference(col)
-                )
+                for t in (Fraction(4), Fraction(7, 2))
+            ] + [
+                (THEOREMS[name], None if THEOREMS[name].r_error(r) else verdict)
+                for name, verdict in verdicts.items()
+            ]
+            for thm, verdict in cases:
+                need, t = thm.needs(m, n, r), thm.target(m, n, r)
+
+                def oracle(colors):
+                    if thm.half_half:
+                        return oracles.has_half_half(m, n, edges, colors, r)
+                    return oracles.max_mono_order(m, n, edges, colors, r) >= t
+
+                for _ in range(60):
+                    weights = [rng.random() for _ in range(r)]
+                    colors = rng.choices(range(r), weights, k=len(edges))
+                    got = search._sample_holds(ends, m + n, colors, need, *dsu)
+                    assert got == oracle(colors)
+                    if verdict is not None:
+                        col = coloring_from_triples(
+                            m, n, r, [(x, y, c) for (x, y), c in zip(edges, colors)]
+                        )
+                        assert got == verdict(col)
+                if thm.r_error(r) is None:
+                    # random_search stops at the first sample the oracle
+                    # rejects, drawn as block 0 draws it
+                    draw = random.Random(search._child_seed(7, 0))
+                    samples = ([draw.randrange(r) for _ in edges] for _ in range(300))
+                    first = next(
+                        (i + 1 for i, colors in enumerate(samples) if not oracle(colors)), 300
+                    )
+                    out = random_search(host, r, checker=thm, cfg=SearchConfig(seed=7, budget=300))
+                    assert out.examined == first
 
 
 class TestTheoremRegistry:
