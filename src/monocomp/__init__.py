@@ -5,7 +5,7 @@ theorems instance by instance in exact arithmetic, and adversarially
 searching colorings for counterexamples or exact min-max values.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .bigraph import (
     BipartiteGraph,

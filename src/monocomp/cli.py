@@ -7,7 +7,7 @@ file instead.
 
 Exit codes: 0 done / holds / not applicable, 1 counterexample or violated
 conclusion, 2 bad input, unmet precondition or out of memory, 3 search
-budget exhausted.
+budget exhausted, 4 internal error (an unexpected exception, never a verdict).
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ _EXIT_OK = 0
 _EXIT_COUNTEREXAMPLE = 1
 _EXIT_INPUT = 2
 _EXIT_BUDGET = 3
+_EXIT_INTERNAL = 4
+_KIND_EXIT = {"Counterexample": _EXIT_COUNTEREXAMPLE, "BudgetExhausted": _EXIT_BUDGET}
 
 
 def _digest(text: str) -> str:
@@ -194,14 +196,6 @@ def cmd_analyze(args) -> tuple[dict, int, str, dict]:
     return doc, code, _digest(text), {"check": args.check, "holds": verdict.holds}
 
 
-def _outcome_exit(kind: str) -> int:
-    if kind == "Counterexample":
-        return _EXIT_COUNTEREXAMPLE
-    if kind == "BudgetExhausted":
-        return _EXIT_BUDGET
-    return _EXIT_OK
-
-
 def cmd_search(args) -> tuple[dict, int, str, dict]:
     if not args.host:
         raise GraphError(f"--mode {args.mode} needs --host")
@@ -227,7 +221,7 @@ def cmd_search(args) -> tuple[dict, int, str, dict]:
         out = random_search(host, args.r, target, thm, cfg, workers=args.workers)
     doc = out.to_json_dict()
     summary = {"mode": args.mode, "kind": out.kind, "examined": out.examined}
-    return doc, _outcome_exit(out.kind), _digest(text), summary
+    return doc, _KIND_EXIT.get(out.kind, _EXIT_OK), _digest(text), summary
 
 
 def _parse_rational(text: str, flag: str) -> Fraction:
@@ -237,16 +231,10 @@ def _parse_rational(text: str, flag: str) -> Fraction:
         raise ValueError(f"{flag} {text!r} is not a rational number") from exc
 
 
-def _parse_alphas(text: str):
-    return [
-        _parse_rational(item, "--alphas") for item in text.split(",") if item.strip()
-    ]
-
-
 def cmd_scan(args) -> tuple[dict, int, str, dict]:
     if args.total_n is None:
         raise GraphError("frontier scan needs --total-n")
-    alphas = _parse_alphas(args.alphas or "")
+    alphas = [_parse_rational(a, "--alphas") for a in args.alphas.split(",") if a.strip()]
     cfg = SearchConfig(seed=args.seed, budget=args.budget, split_depth=args.split_depth)
     table = alpha_frontier(args.total_n, alphas, r=args.r, cfg=cfg, workers=args.workers)
     params = {"total_n": args.total_n, "alphas": [str(a) for a in alphas], "r": args.r}
@@ -356,6 +344,7 @@ def main(argv=None) -> int:
     try:
         _resolve_workers(args)
         doc, code, digest, summary = args.run(args)
+        text = dumps_canonical(doc)
     except (GraphError, InvalidSpec, PreconditionViolated, ValueError, OSError) as exc:
         # ValueError covers json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
@@ -363,7 +352,10 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return _EXIT_INPUT
-    sys.stdout.write(dumps_canonical(doc))
+    except Exception as exc:  # a defect: exit 1 would read as a counterexample
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_INTERNAL
+    sys.stdout.write(text)
     sys.stdout.write("\n")
     elapsed = time.perf_counter() - started
     summary = {**summary, "exit_code": code}

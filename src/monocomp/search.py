@@ -38,6 +38,8 @@ canonical lexicographically-least witness, examined count) is identical for
 every worker count.  Random sampling is blocked the same way: block i always
 draws the same colorings from its derived seed, whoever executes it, and
 blocks are generated lazily, so the default unbounded budget costs no memory.
+A sample is one ``randbytes`` call mapped to colors by a byte table, with
+exact rejection when r does not divide 256 (``random_search`` has the rule).
 Each block checks its samples on one union-find for all r colors (color c
 at offset c(m+n), r(m+n) slots), undone after each sample, so a check costs
 O(edges) for any r.
@@ -675,16 +677,28 @@ def _sample_holds(ends, total, colors, need, parent, size, xs) -> bool:
 
 
 def _random_task(args):
-    """Check one block of samples on one union-find allocated for the
-    block.  Returns (offset-of-first-violation or None,
-    colors-of-that-violation or None)."""
+    """Draw (by the rule in ``random_search``) and check one block of
+    samples on one union-find allocated for the block.  Returns
+    (offset-of-first-violation or None, colors-of-that-violation or None)."""
     m, n, edges, need, r, seed, block_index, count = args
     rng = random.Random(_child_seed(seed, block_index))
     total = m + n
     ends = [(x, m + y) for x, y in edges]
     dsu = list(range(r * total)), [1] * (r * total), ([1] * m + [0] * n) * r
+    keep = 256 - 256 % r  # bytes from keep up would bias b mod r: they read 255
+    table = bytes(b % r if b < keep else 255 for b in range(256))
     for i in range(count):
-        colors = [rng.randrange(r) for _ in ends]
+        if r > 256:
+            colors = [rng.randrange(r) for _ in ends]
+        else:
+            colors = rng.randbytes(len(ends)).translate(table)
+        if 0 < keep < 256 and 255 in colors:  # 255 is a color only at r = 256
+            missing, fill = colors.count(255), b""
+            while len(fill) < missing:  # k getrandbits(8) are the top bytes of randbytes(4k)
+                draws = rng.randbytes(4 * (missing - len(fill)))[3::4]
+                fill += draws.translate(table).replace(b"\xff", b"")
+            fill = iter(fill)
+            colors = [c if c != 255 else next(fill) for c in colors]
         if not _sample_holds(ends, total, colors, need, *dsu):
             return i, tuple(colors)
     return None, None
@@ -698,14 +712,19 @@ def random_search(
     cfg: SearchConfig | None = None,
     workers: int = 1,
 ) -> SearchOutcome:
-    """Sample ``cfg.budget`` colorings (each edge independently uniform over
-    the r colors) and report the first violation of the theorem's
-    conclusion (gy1 by default).
+    """Sample ``cfg.budget`` colorings (each edge independently and exactly
+    uniform over the r colors) and report the first violation of the
+    theorem's conclusion (gy1 by default).
 
     Sampling is blocked so the stream is a pure function of the seed: block i
-    always holds the same colorings, whichever worker runs it.  Blocks are
-    generated lazily and merged in block order.  Only the theorem's rule on r
-    is enforced here; callers decide whether its hypothesis applies.
+    (samples 2048i on) always holds the same colorings, whichever worker runs
+    it.  Block i draws from ``random.Random(_child_seed(seed, i))``.  For
+    r <= 256 a sample is ``randbytes(E)``, one byte per edge in sorted (x, y)
+    order: byte b gives color b mod r if b < 256 - 256 mod r, and each other
+    byte, in edge order, is replaced by ``getrandbits(8)`` draws until one
+    passes.  For r > 256 each edge is ``randrange(r)``.  Blocks are generated
+    lazily and merged in block order.  Only the theorem's rule on r is
+    enforced here; callers decide whether its hypothesis applies.
     """
     cfg = cfg or SearchConfig()
     thm = _theorem(checker, target)

@@ -1,0 +1,49 @@
+"""Compare two golden CLI fixtures after a deliberate regeneration.
+
+    git show HEAD:tests/golden_cli.json > old.json
+    PYTHONPATH=src python tests/make_golden.py tests/golden_cli.json
+    python tests/golden_diff.py old.json tests/golden_cli.json "<argv>" ...
+
+Each ``<argv>`` is a command whose stdout is meant to change, its arguments
+joined by single spaces.  Exits 1 unless the input files, the command list
+and every exit code are unchanged and the stdout of exactly the named
+commands differs; every other command must be byte-identical.
+"""
+
+import json
+import sys
+
+
+def main(old_path, new_path, *expected) -> int:
+    with open(old_path, encoding="utf-8") as fh:
+        old = json.load(fh)
+    with open(new_path, encoding="utf-8") as fh:
+        new = json.load(fh)
+    problems = []
+    if old["files"] != new["files"]:
+        problems.append("input files differ")
+    if [c["argv"] for c in old["commands"]] != [c["argv"] for c in new["commands"]]:
+        problems.append("command lists differ")
+    differ = set()
+    for a, b in zip(old["commands"], new["commands"]):
+        name = " ".join(a["argv"])
+        if a["exit"] != b["exit"]:
+            problems.append(f"exit code {a['exit']} -> {b['exit']}: {name}")
+        if a["stdout"] != b["stdout"]:
+            differ.add(name)
+    for name in sorted(differ - set(expected)):
+        problems.append(f"unexpected stdout change: {name}")
+    for name in sorted(set(expected) - differ):
+        problems.append(f"expected a stdout change: {name}")
+    for line in problems:
+        print(line)
+    if problems:
+        return 1
+    same = len(new["commands"]) - len(differ)
+    print(f"ok: {len(differ)} of {len(new['commands'])} commands changed stdout as named, "
+          f"{same} byte-identical, every exit code kept")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:]))

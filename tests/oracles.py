@@ -7,6 +7,7 @@ implementations under test.
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 
@@ -36,6 +37,31 @@ def bfs_components(m, n, edges):
             )
         )
     return comps
+
+
+def sample_colors(seed, block, num_edges, r, count):
+    """The first ``count`` colorings that sample block ``block`` of a
+    random search with ``seed`` draws, byte by byte: the block's generator
+    is seeded by the 64-bit mix of (seed, block); each sample reads
+    ``getrandbits(8 * num_edges)`` as little-endian bytes, and byte b gives
+    color b mod r when b < 256 - 256 mod r.  A rejected byte is replaced by
+    ``getrandbits(8)`` draws until one is accepted, position by position
+    after the sample's bytes.  For r > 256 each color is ``randrange(r)``."""
+    mixed = (seed * 0x9E3779B97F4A7C15 + (block + 1) * 0xBF58476D1CE4E5B9) % (1 << 64)
+    rng = random.Random(mixed ^ (mixed >> 31))
+    keep = 256 - 256 % r
+    samples = []
+    for _ in range(count):
+        if r > 256:
+            samples.append(tuple(rng.randrange(r) for _ in range(num_edges)))
+            continue
+        colors = []
+        for b in rng.getrandbits(8 * num_edges).to_bytes(num_edges, "little"):
+            while b >= keep:
+                b = rng.getrandbits(8)
+            colors.append(b % r)
+        samples.append(tuple(colors))
+    return samples
 
 
 def max_mono_order(m, n, edges, colors, r):

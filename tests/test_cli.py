@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from monocomp import complete_minus_circulant, coloring_from_triples, dumps_canonical, graph_json
+from monocomp import cli
 from monocomp.cli import main
 
 import oracles
@@ -264,6 +265,19 @@ class TestBadInput:
         res = run_cli(["analyze", f, "--check", "corollary"], tmp_path)
         assert res.returncode == 2
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+class TestInternalError:
+    def test_unexpected_exception_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a defect inside a subcommand is not a verdict: exit 4 with one
+        # error line and no traceback, never 1, the counterexample code
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_search", boom)
+        code = main(["--manifest", str(tmp_path / "manifest.json"), "search", "--mode", "random"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (4, "", "error: internal error: RuntimeError: boom\n")
 
 
 class TestDeepHosts:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
@@ -419,10 +420,12 @@ class TestHalfHalfSearch:
 
 
 class TestRandomSearch:
-    @pytest.mark.parametrize("seed", [2, 5])
+    @pytest.mark.parametrize("seed", [1, 2])
     def test_hit_after_first_block_worker_invariant(self, seed):
         # the first violation lies past block 0 (2048 samples), so the
-        # lazy block stream and the rank-order merge both come into play
+        # lazy block stream and the rank-order merge both come into play:
+        # by the oracle stream, seed 1 first hits at sample 8,865 (block 4)
+        # and seed 2 at 6,119 (block 2)
         host = complete_minus_circulant(7, 7, 4)
         cfg = SearchConfig(seed=seed, budget=20_000)
         a = random_search(host, 2, target=5, cfg=cfg, workers=1)
@@ -434,7 +437,15 @@ class TestRandomSearch:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_default_budget_stops_at_first_hit(self, workers):
         # the default budget is 1 << 62 samples; the blocks must be drawn
-        # lazily for this to return at sample 3 in bounded memory
+        # lazily for this to return at the oracle's first violating sample
+        # (a coloring of K_{2,2} with no monochromatic spanning tree) in
+        # bounded memory
+        host = complete(2, 2)
+        first = next(
+            i + 1
+            for i, colors in enumerate(oracles.sample_colors(0, 0, 4, 2, 2048))
+            if oracles.max_mono_order(2, 2, host.edges(), colors, 2) < 4
+        )
         code = (
             "import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -449,7 +460,7 @@ class TestRandomSearch:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["Counterexample", "3"]
+        assert res.stdout.split() == ["Counterexample", str(first)]
 
     @pytest.mark.parametrize("search", [exhaustive_verify, random_search])
     def test_zero_colors_rejected(self, search):
@@ -486,6 +497,33 @@ class TestRandomSearch:
             again = random_search(host, 2, target=Fraction(4), cfg=cfg)
             assert again.examined == out.examined
             assert again.witness == out.witness
+
+
+class TestSampleDraw:
+    """The byte-table draw of ``_random_task`` against the byte-by-byte
+    oracle stream.  r = 256 rejects no byte and has 255 as a color, r = 129
+    rejects about half of them, r = 300 draws with ``randrange``."""
+
+    @pytest.mark.parametrize("block", [0, 1])
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 129, 255, 256, 300])
+    def test_stream_matches_oracle_and_is_uniform(self, monkeypatch, r, block):
+        host = complete(5, 10)
+        drawn = []
+
+        def record(ends, total, colors, need, *dsu):
+            drawn.append(tuple(colors))
+            return True
+
+        monkeypatch.setattr(search, "_sample_holds", record)
+        args = (5, 10, tuple(host.edges()), (0, 0, 2), r, 11, block, 2048)
+        assert search._random_task(args) == (None, None)
+        assert drawn == oracles.sample_colors(11, block, 50, r, 2048)
+        counts = Counter(itertools.chain.from_iterable(drawn))
+        assert all(0 <= c < r for c in counts)
+        # each color's count is within 5 sigma of draws / r over 102,400
+        # draws: (r count - draws)^2 <= 25 draws (r - 1)
+        draws = 2048 * 50
+        assert all((r * counts[c] - draws) ** 2 <= 25 * draws * (r - 1) for c in range(r))
 
 
 class TestCheckersAgree:
@@ -541,8 +579,7 @@ class TestCheckersAgree:
                 if thm.r_error(r) is None:
                     # random_search stops at the first sample the oracle
                     # rejects, drawn as block 0 draws it
-                    draw = random.Random(search._child_seed(7, 0))
-                    samples = ([draw.randrange(r) for _ in edges] for _ in range(300))
+                    samples = oracles.sample_colors(7, 0, len(edges), r, 300)
                     first = next(
                         (i + 1 for i, colors in enumerate(samples) if not oracle(colors)), 300
                     )
