@@ -149,18 +149,18 @@ def check_conjecture_instance(
 
 def check_tetel_instance(host: BipartiteGraph, col: EdgeColoring, r: int) -> Verdict:
     """All r: degrees within a (m/n)^3 / (128 r^5) sliver of complete force a
-    component of order (m + n)/r.  Sides are swapped internally if m > n."""
+    component of order (m + n)/r.  The theorem has m <= n, so when m > n the
+    sides are swapped by exchanging m with n and delta(X,Y) with delta(Y,X)
+    of the host's own degree profile; nothing is transposed."""
     if r < 2:
         raise ColoringMismatch("need r >= 2")
     _validate_coloring(host, col, r)
-    work_host = host.transpose() if host.m > host.n else host
-    m, n = work_host.m, work_host.n
+    prof = degree_profile(host)
+    m, n, delta_xy, delta_yx = host.m, host.n, prof.delta_xy, prof.delta_yx
+    if m > n:
+        m, n, delta_xy, delta_yx = n, m, delta_yx, delta_xy
     gamma = Fraction(m**3, 128 * r**5 * n**3)
-    prof = degree_profile(work_host)
-    applicable = (
-        Fraction(prof.delta_xy) > (1 - gamma) * n
-        and Fraction(prof.delta_yx) > (1 - gamma) * m
-    )
+    applicable = delta_xy > (1 - gamma) * n and delta_yx > (1 - gamma) * m
     return _largest_verdict(
         "tetel", host, col, applicable, Fraction(m + n, r), {"gamma": rat_str(gamma)}
     )

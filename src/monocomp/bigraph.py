@@ -38,12 +38,14 @@ class EmptyGraph(GraphError):
 
 
 def bit_indices(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
+    """Indices of the set bits of ``mask``, ascending, found by ``str.find``
+    on its binary digits: no big-int arithmetic per set bit."""
+    bits = bin(mask)[:1:-1]  # bits[i] is bit i of the mask
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    i = bits.find("1")
+    while i != -1:
+        out.append(i)
+        i = bits.find("1", i + 1)
     return out
 
 
@@ -107,15 +109,36 @@ class BipartiteGraph:
         return plane_counts(column_planes(self.rows), self.n)
 
     def transpose(self) -> "BipartiteGraph":
-        """Swap the roles of X and Y."""
-        cols = [0] * self.n
-        for x, row in enumerate(self.rows):
-            bit = 1 << x
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= bit
-                row ^= low
-        return BipartiteGraph(self.n, self.m, tuple(cols), self.edge_count)
+        """Swap the roles of X and Y.
+
+        Sparse graphs (64 E < m n) walk each row's set bits.  Denser ones
+        spread each row to one byte per column (``format``, ``translate``),
+        OR row k of each group of eight in at bit k, and read column y as a
+        strided slice of the ceil(m/8) n-byte grid: C-level work per cell,
+        not Python work per edge.  On random graphs the two cross near
+        density 1/100 for 2000 columns and 1/50 for 500 (the walk's step
+        costs more on wider rows)."""
+        m, n = self.m, self.n
+        if 64 * self.edge_count < m * n:
+            cols = [0] * n
+            for x, row in enumerate(self.rows):
+                bit = 1 << x
+                while row:
+                    low = row & -row
+                    cols[low.bit_length() - 1] |= bit
+                    row ^= low
+        else:
+            spread, table = f"0{n}b", bytes.maketrans(b"01", b"\0\1")
+            groups = []
+            for g in range(0, m, 8):
+                word = 0
+                for k, row in enumerate(self.rows[g : g + 8]):
+                    cells = format(row, spread).encode().translate(table)
+                    word |= int.from_bytes(cells, "big") << k
+                groups.append(word.to_bytes(n, "big"))
+            grid = b"".join(groups)
+            cols = [int.from_bytes(grid[n - 1 - y :: n], "little") for y in range(n)]
+        return BipartiteGraph(n, m, tuple(cols), self.edge_count)
 
     def is_complete(self) -> bool:
         return self.edge_count == self.m * self.n
@@ -153,11 +176,8 @@ def plane_counts(planes: list[int], n: int) -> list[int]:
     counts = [0] * n
     for j, plane in enumerate(planes):
         weight = 1 << j
-        bits = bin(plane)[:1:-1]  # bits[y] is bit y of the plane
-        y = bits.find("1")
-        while y != -1:
+        for y in bit_indices(plane):
             counts[y] += weight
-            y = bits.find("1", y + 1)
     return counts
 
 
@@ -291,16 +311,12 @@ class EdgeColoring:
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All colored edges sorted by (x, y)."""
-        out = []
-        for x in range(self.m):
-            for c, cls in enumerate(self.classes):
-                row = cls.rows[x]
-                while row:
-                    low = row & -row
-                    out.append((x, low.bit_length() - 1, c))
-                    row ^= low
-        out.sort()
-        return out
+        return sorted(
+            (x, y, c)
+            for c, cls in enumerate(self.classes)
+            for x, row in enumerate(cls.rows)
+            for y in bit_indices(row)
+        )
 
     def transpose(self) -> "EdgeColoring":
         return EdgeColoring(self.r, tuple(cls.transpose() for cls in self.classes))
@@ -395,34 +411,22 @@ def graph_components(g: BipartiteGraph, color: int = 0) -> list[Component]:
     Isolated vertices are not emitted.  Components come out ordered by their
     smallest X-index.
     """
-    remaining = 0
-    for x, row in enumerate(g.rows):
-        if row:
-            remaining |= 1 << x
+    rows = g.rows
+    remaining = sum(1 << x for x, row in enumerate(rows) if row)
     comps = []
     while remaining:
         xbit = remaining & -remaining
         remaining ^= xbit
-        comp_x = xbit
-        comp_y = g.rows[xbit.bit_length() - 1]
+        comp_x, comp_y = xbit, rows[xbit.bit_length() - 1]
         while True:
-            grew = 0
-            rx = remaining
-            while rx:
-                b = rx & -rx
-                rx ^= b
-                if g.rows[b.bit_length() - 1] & comp_y:
-                    grew |= b
+            grew = sum(1 << x for x in bit_indices(remaining) if rows[x] & comp_y)
             if not grew:
                 break
-            remaining &= ~grew
+            remaining ^= grew
             comp_x |= grew
             new_y = comp_y
-            gx = grew
-            while gx:
-                b = gx & -gx
-                gx ^= b
-                new_y |= g.rows[b.bit_length() - 1]
+            for x in bit_indices(grew):
+                new_y |= rows[x]
             if new_y == comp_y:
                 break
             comp_y = new_y

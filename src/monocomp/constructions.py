@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .bigraph import (
     BipartiteGraph,
     EdgeColoring,
+    bit_indices,
     coloring_from_triples,
     complete,
     degree_profile,
@@ -104,12 +105,7 @@ def blowup(
     block = (1 << t2) - 1
 
     def expand(row: int) -> int:
-        out = 0
-        while row:
-            low = row & -row
-            out |= block << ((low.bit_length() - 1) * t2)
-            row ^= low
-        return out
+        return sum(block << (y * t2) for y in bit_indices(row))
 
     classes = []
     for cls in pattern_col.classes:

@@ -343,11 +343,15 @@ def exists_coloring_below(
     depth = min(cfg.split_depth, len(edges))
     twins = _twin_tables(edges) if cfg.canonicalize_colors else None
     common = (host.m, host.n, edges, r, t_int, cfg.canonicalize_colors)
-    *prefixes, (_, pre_nodes) = _walk_below(*common, (), depth, cfg.budget, twins)
+    prefix_walk = (*common, (), depth, cfg.budget, twins)
+    # count the prefixes (the last item is the closing (None, nodes)), then stream them
+    for num_prefixes, (_, pre_nodes) in enumerate(_walk_below(*prefix_walk)):
+        pass
     if pre_nodes > cfg.budget:
         return SearchOutcome("BudgetExhausted", None, None, pre_nodes)
+    prefixes = islice(_walk_below(*prefix_walk), num_prefixes)
     tasks = ((*common, cfg.budget, twins, p) for p, _ in prefixes)
-    results = _in_rank_order(_below_task, tasks, workers if len(prefixes) > 1 else 1)
+    results = _in_rank_order(_below_task, tasks, workers if num_prefixes > 1 else 1)
     witness_colors, examined, exhausted = _merge_below_tasks(results)
     results.close()
     examined += pre_nodes

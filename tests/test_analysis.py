@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from monocomp import (
     ColoringMismatch,
+    EdgeColoring,
     bipartition_avoiding_color,
     check_additive_theorem,
     check_conjecture_instance,
@@ -128,6 +129,77 @@ class TestTetel:
         host = complete(5, 3)
         v = check_tetel_instance(host, single_color(host, r=2), 2)
         assert v.applicable and v.holds
+
+
+def tetel_oracle(host, col, r):
+    """(applicable, target, gamma, largest order) of the tetel check, with
+    the sides swapped by transposing the edge list when m > n."""
+    m, n, edges = host.m, host.n, host.edges()
+    if m > n:
+        m, n, edges = n, m, [(y, x) for x, y in edges]
+    delta_xy = min(oracles.column_degrees(m, [(y, x) for x, y in edges]))
+    delta_yx = min(oracles.column_degrees(n, edges))
+    gamma = Fraction(m**3, 128 * r**5 * n**3)
+    applicable = delta_xy > (1 - gamma) * n and delta_yx > (1 - gamma) * m
+    colors = [col.color_of(x, y) for x, y in host.edges()]
+    order = oracles.max_mono_order(host.m, host.n, host.edges(), colors, col.r)
+    return applicable, Fraction(m + n, r), gamma, order
+
+
+@st.composite
+def tetel_instances(draw):
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(2, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.sampled_from([0.6, 0.9, 1.0]))
+    pairs = [(x, y) for x in range(m) for y in range(n) if rng.random() < keep]
+    return coloring_from_triples(m, n, r, [(x, y, rng.randrange(r)) for x, y in pairs]), r
+
+
+class TestTetelOracle:
+    """The check swaps sides through the degree profile; the oracle
+    transposes the edge list."""
+
+    @staticmethod
+    def check(host, col, r):
+        v = check_tetel_instance(host, col, r)
+        applicable, target, gamma, order = tetel_oracle(host, col, r)
+        assert (v.applicable, v.target, v.detail) == (
+            applicable, target, {"gamma": str(gamma)}
+        )
+        assert (v.witness.order if v.witness else 0, v.margin) == (order, order - target)
+        assert v.holds == (order >= target)
+
+    @given(tetel_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_random_hosts(self, instance):
+        col, r = instance
+        self.check(col.union_host(), col, r)
+
+    @pytest.mark.parametrize("m,n", [(5, 3), (3, 5), (4, 4), (9, 2), (2, 9)])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_complete_hosts(self, m, n, r):
+        host = complete(m, n)
+        self.check(host, single_color(host, r=r), r)
+
+    def test_constructions(self):
+        for host, col in (lower_bound_construction(2, 3, 2), cyclic_one_factorization(4)):
+            self.check(host, col, col.r)
+            self.check(host.transpose(), col.transpose(), col.r)
+
+    def test_swap_pairs_each_degree_with_its_side(self):
+        # K_{4201,4200} minus the matching x = y: X-degrees reach down to
+        # 4199 and Y-degrees to 4200.  With the sides swapped the theorem's
+        # 4201-side is Y, and only pairing delta(Y,X) = 4200 with it clears
+        # (1 - gamma) 4201 = 4199.97...; the X-side needs 4199 > 4198.97...
+        m, n = 4201, 4200
+        full = (1 << n) - 1
+        host = from_rows(m, n, [full ^ (1 << x) if x < n else full for x in range(m)])
+        col = EdgeColoring(2, (host, from_rows(m, n, [0] * m)))
+        v = check_tetel_instance(host, col, 2)
+        assert v.applicable and v.holds
+        assert v.detail == {"gamma": str(Fraction(n**3, 128 * 2**5 * m**3))}
 
 
 class TestAdditive:

@@ -28,6 +28,7 @@ from monocomp import (
     uncolored_largest_double_star,
 )
 from monocomp.analysis import parse_general_json
+from monocomp.bigraph import bit_indices
 from monocomp.constructions import (
     complete_minus_circulant,
     cyclic_one_factorization,
@@ -379,6 +380,101 @@ class TestColumnKernels:
             assert stability_report(g, r).to_json_dict() == (
                 oracles.stability_json(g.m, g.n, edges, r)
             )
+
+
+@st.composite
+def transpose_graphs(draw, max_side=90):
+    """Sides from 0 up, so m % 8 is often non-zero, and densities on both
+    sides of ``transpose``'s 64·E >= m·n rule; some rows are forced empty
+    or full."""
+    m = draw(st.integers(0, max_side))
+    n = draw(st.integers(0, max_side))
+    density = draw(st.sampled_from([0.0, 0.004, 1 / 80, 1 / 64, 1 / 50, 0.3, 1.0]))
+    extremes = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < extremes:
+            rows.append(0 if kind < extremes / 2 else (1 << n) - 1)
+        else:
+            rows.append(sum(1 << y for y in range(n) if rng.random() < density))
+    return from_rows(m, n, rows)
+
+
+class TestTranspose:
+    """Both transpose kernels (set-bit walk and byte grid) against the
+    per-edge swap of the edge list."""
+
+    @staticmethod
+    def check(g, seed=0):
+        t = g.transpose()
+        assert t == from_edge_list(g.n, g.m, [(y, x) for x, y in g.edges()])
+        assert t.transpose() == g
+        rng = random.Random(seed)
+        r = rng.randint(1, 3)
+        col = coloring_from_triples(
+            g.m, g.n, r, [(x, y, rng.randrange(r)) for x, y in g.edges()]
+        )
+        col_t = col.transpose()
+        assert col_t.edges() == sorted((y, x, c) for x, y, c in col.edges())
+        col_t.validate_against(t)
+        assert col_t.transpose() == col
+
+    @given(transpose_graphs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_against_edge_swap(self, g, seed):
+        self.check(g, seed)
+
+    @pytest.mark.parametrize("m,n", [(8, 8), (16, 12), (13, 64), (64, 13), (3, 200), (200, 3)])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_at_the_density_rule(self, m, n, offset):
+        # ceil(m n / 64) edges is the least count on the byte-grid side; the
+        # first four shapes have 64 | m n, so offset 0 sits exactly on it
+        count = -(-m * n // 64) + offset
+        cells = random.Random(m * n + offset).sample(
+            [(x, y) for x in range(m) for y in range(n)], count
+        )
+        g = from_edge_list(m, n, cells)
+        assert (64 * g.edge_count >= m * n) == (offset >= 0)
+        self.check(g)
+
+    def test_empty_sides(self):
+        assert from_rows(0, 5, []).transpose() == from_rows(5, 0, [0] * 5)
+        assert from_rows(3, 0, [0] * 3).transpose() == from_rows(0, 3, [])
+        assert from_rows(0, 0, []).transpose() == from_rows(0, 0, [])
+
+    def test_full_and_empty_rows(self):
+        for m, n in [(1, 1), (7, 9), (9, 7), (17, 130)]:
+            self.check(complete(m, n))
+            self.check(from_rows(m, n, [0] * m))
+            self.check(from_rows(m, n, [(1 << n) - 1 if x % 3 else 0 for x in range(m)]))
+
+    def test_lower_bound_construction(self):
+        host, col = lower_bound_construction(2, 40, 20)
+        assert (host.m, host.n) == (120, 60)
+        self.check(host)
+        assert col.transpose().transpose() == col
+
+
+class TestBitIndices:
+    def test_zero(self):
+        assert bit_indices(0) == []
+
+    @given(
+        st.integers(20_000, 60_000),
+        st.sampled_from([0.0005, 0.05, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_wide_masks(self, width, density, seed):
+        rng = random.Random(seed)
+        positions = [i for i in range(width - 1) if rng.random() < density]
+        positions.append(width - 1)
+        chosen = set(positions)
+        mask = int("".join("1" if i in chosen else "0" for i in reversed(range(width))), 2)
+        assert mask.bit_length() == width
+        assert bit_indices(mask) == positions
 
 
 class TestConjectureDegrees:

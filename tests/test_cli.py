@@ -18,6 +18,23 @@ def run_cli(args, tmp_path, check=False, env=None):
     return subprocess.run(cmd, capture_output=True, text=True, check=check, env=env)
 
 
+def run_search_in_256_mib(tmp_path, args):
+    """``monocomp search`` in a child process whose address space is capped
+    at 256 MiB."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from monocomp.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["--manifest", tmp_path / "manifest.json", "search", *args]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
 def write_block_colored_k44mm(path):
     host = complete_minus_circulant(4, 4, 1)
     col = coloring_from_triples(
@@ -178,19 +195,24 @@ class TestSearch:
         # per-color union-find lists for 10^8 colors do not fit in 256 MiB
         # of address space: one error line and exit 2, not a traceback and
         # the counterexample code
-        code = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
-            "from monocomp.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        argv = ["--manifest", tmp_path / "manifest.json", "search", *args]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        res = subprocess.run(
-            [sys.executable, "-c", code, *map(str, argv)],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        res = run_search_in_256_mib(tmp_path, args)
         assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: out of memory\n")
+
+    def test_split_prefixes_are_streamed(self, tmp_path):
+        # 2^20 split prefixes, each kept until its task ran, took more than
+        # 256 MiB; streamed, the run needs O(depth) memory and every
+        # prefix is still counted in examined
+        res = run_search_in_256_mib(
+            tmp_path,
+            [
+                "--mode", "below", "--host", "gen:complete:m=6,n=6", "--target", 13,
+                "--split-depth", 20, "--no-canonicalize",
+            ],
+        )
+        assert (res.returncode, res.stderr) == (1, "")
+        out = json.loads(res.stdout)
+        assert (out["kind"], out["examined"]) == ("Counterexample", 2_097_166)
+        assert {c for _, _, c in out["witness"]["edges"]} == {0}
 
     def test_precondition_exit_2(self, tmp_path):
         res = run_cli(
