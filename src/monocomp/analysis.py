@@ -166,16 +166,6 @@ def check_tetel_instance(host: BipartiteGraph, col: EdgeColoring, r: int) -> Ver
     )
 
 
-def _additive_qualifying(host, col, thm):
-    need_x, need_y, _ = thm.needs(host.m, host.n, 2)
-    best = None
-    for comp in mono_components(host, col):
-        if len(comp.xs) >= need_x and len(comp.ys) >= need_y:
-            if best is None or comp.order > best.order:
-                best = comp
-    return best
-
-
 def check_additive_theorem(host: BipartiteGraph, col: EdgeColoring) -> Verdict:
     """Two colors, additive degrees: with N = m + n total vertices,
     |Y| >= |X| > N/4, delta(X,Y) >= |Y| - N/8 and delta(Y,X) >= |X| - N/8
@@ -183,8 +173,12 @@ def check_additive_theorem(host: BipartiteGraph, col: EdgeColoring) -> Verdict:
     thm = _registry_theorem("additive", host, col, col.r)
     applicable = thm.hypothesis(host, 2) is None
     target = thm.target(host.m, host.n, 2)
-    witness = _additive_qualifying(host, col, thm)
-    best = witness if witness is not None else _largest_component_or_none(host, col)
+    need_x, need_y, _ = thm.needs(host.m, host.n, 2)
+    comps = mono_components(host, col)
+    qualifying = [c for c in comps if len(c.xs) >= need_x and len(c.ys) >= need_y]
+    # the first of the largest, in (color, smallest X-index) order
+    witness = max(qualifying, key=lambda c: c.order, default=None)
+    best = witness or max(comps, key=lambda c: c.order, default=None)
     achieved = best.order if best is not None else 0
     return Verdict(
         check="additive",
@@ -268,11 +262,7 @@ class StabilityReport:
 
 
 def stability_report(
-    g: BipartiteGraph,
-    r: int,
-    m: int | None = None,
-    n: int | None = None,
-    delta: Fraction | None = None,
+    g: BipartiteGraph, r: int, *, delta: Fraction | None = None
 ) -> StabilityReport:
     """Evaluate the stability dichotomy on one color class.
 
@@ -280,10 +270,7 @@ def stability_report(
     and clamped at zero; passing a larger admissible delta evaluates the same
     dichotomy with the correspondingly looser exceptional-vertex thresholds.
     """
-    m = g.m if m is None else m
-    n = g.n if n is None else n
-    if (m, n) != (g.m, g.n):
-        raise ColoringMismatch("m, n disagree with the class graph")
+    m, n = g.m, g.n
     if m > n:
         raise ColoringMismatch("stability expects m <= n")
     if g.edge_count == 0:
@@ -372,9 +359,7 @@ class MainComponentsReport:
         }
 
 
-def main_lemma_report(
-    g: BipartiteGraph, r: int, m: int | None = None, n: int | None = None
-) -> MainComponentsReport:
+def main_lemma_report(g: BipartiteGraph, r: int) -> MainComponentsReport:
     """Rank the components of one color class and evaluate properties (a)-(e).
 
     The flags are recomputed from the component list; they carry the lemma's
@@ -382,10 +367,7 @@ def main_lemma_report(
     ``hypothesis_ok`` (no component of order (m+n)/r) are true, but they are
     reported regardless.
     """
-    m = g.m if m is None else m
-    n = g.n if n is None else n
-    if (m, n) != (g.m, g.n):
-        raise ColoringMismatch("m, n disagree with the class graph")
+    m, n = g.m, g.n
     if g.edge_count == 0:
         raise GraphError("main lemma needs at least one edge")
     delta = density_deficiency(g, r)

@@ -10,27 +10,29 @@ conjecture's inequality, which r2 shares at r = 2, is
 conclusion into one integer rule that every checker reads.
 
 Every union-find over a flat color assignment is the same list idiom: union
-by size with no path compression, so a union is undone in O(1) by
-resetting the attached root.  Exhaustive search walks the edges in sorted
-(x, y) order on one parent/size list pair per color and keeps the root each
-depth attached, so backtracking never recomputes components.  Both
-searches are iterative, so any edge count works.  Components only grow as
-edges are added, so both conclusions prune.  The search for a coloring
-below a component-order target is one walk, ``_walk_below``, which cuts a
-branch the moment a partial color class reaches the target; it both
-enumerates the split prefixes and runs the task under each.  The search for
-a coloring without a half-half component (the additive theorem) also keeps
-each root's X-count, stops descending once a prefix has one, and counts the
-colorings under it in closed form, so ``examined`` is what
-coloring-by-coloring enumeration would report.  Color canonicalization
-forces new colors to appear in increasing order along the edge sequence,
-cutting the tree by up to r! without changing any decision.  With it, the
-below search also breaks row and column symmetry (double-lex, after Flener
-et al., CP 2002): twin rows, which have the same neighbourhood, stay
-lexicographically non-decreasing top to bottom, and twin columns, read
-top-down, left to right.  The lex-least coloring meets every such order, so
-decisions and witnesses do not change; ``examined`` counts the nodes of the
-symmetry-reduced tree.  ``canonicalize_colors=False`` turns both off.
+by weight with no path compression, so a union is undone in O(1) by
+resetting the attached root.  Weights are packed (``_packed_rule``): an
+X-vertex weighs 1 and a Y-vertex K, so a component of x X- and y
+Y-vertices weighs x + K y.  K = 1 for an order target; K = m + 1 for
+half-half, whose conclusion is then one weight threshold plus one ``%``.
+Exhaustive search is one iterative walk, ``_walk_below``, for both
+conclusions: it colors the edges in sorted (x, y) order on one parent/size
+list pair per color, keeps the root each depth attached, so backtracking
+never recomputes components, and cuts a branch the moment a partial color
+class meets the conclusion (components only grow).  It both enumerates the
+split prefixes and runs the task under each.  Below a target ``examined``
+counts its nodes; for half-half it is the number of colorings plain
+enumeration covers, computed in closed form from the lex rank of the
+witness, and the budget stops the walk once the subtrees it cut hold more
+colorings.  Color canonicalization forces new colors to appear in
+increasing order along the edge sequence, cutting the tree by up to r!
+without changing any decision.  With it, the walk also breaks row and
+column symmetry (double-lex, after Flener et al., CP 2002): twin rows, which
+have the same neighbourhood, stay lexicographically non-decreasing top to
+bottom, and twin columns, read top-down, left to right.  Both conclusions
+are invariant under permuting twin rows within X and twin columns within Y,
+so the lex-least coloring meets every such order, and decisions and
+witnesses do not change.  ``canonicalize_colors=False`` turns both off.
 
 Parallel runs split the enumeration tree at a fixed edge-prefix depth into
 independent tasks and merge results by prefix rank, so the outcome (decision,
@@ -40,9 +42,9 @@ draws the same colorings from its derived seed, whoever executes it, and
 blocks are generated lazily, so the default unbounded budget costs no memory.
 A sample is one ``randbytes`` call mapped to colors by a byte table, with
 exact rejection when r does not divide 256 (``random_search`` has the rule).
-Each block checks its samples on one union-find for all r colors (color c
-at offset c(m+n), r(m+n) slots), undone after each sample, so a check costs
-O(edges) for any r.
+Each block checks its samples on one packed-weight union-find for all r
+colors (color c at offset c(m+n), r(m+n) slots), undone after each sample,
+so a check costs O(edges) for any r.
 """
 
 from __future__ import annotations
@@ -153,16 +155,34 @@ def _twin_tables(edges):
     return row_twin, row_prev, col_twin, col_prev
 
 
-def _walk_below(m, n, edges, r, t_int, canonicalize, prefix, stop, budget, twins):
+def _packed_rule(m: int, need: tuple[int, int, int]) -> tuple[int, int, int]:
+    """``need`` (``Theorem.needs``) over packed component weights, as
+    (weight, threshold, need_x).  An X-vertex weighs 1 and a Y-vertex
+    ``weight``, so a component with x X- and y Y-vertices weighs
+    w = x + weight * y, and it meets ``need`` iff w >= threshold and
+    w % weight >= need_x.  An order target has weight 1; a half-half one has
+    weight m + 1 > x, so x = w % weight and y = w // weight."""
+    need_x, need_y, order = need
+    if not (need_x or need_y):
+        return 1, order, 0
+    return m + 1, need_x + (m + 1) * need_y, need_x
+
+
+def _walk_below(m, n, edges, r, rule, canonicalize, prefix, stop, budget, twins, cover=None):
     """Yield ``(colors, nodes)`` for each coloring of ``edges[:stop]`` that
-    extends ``prefix`` and keeps every monochromatic component below
-    ``t_int``, in lex order, then ``(None, nodes)`` once the subtree is done
-    or a node goes over ``budget``.  ``nodes`` counts the colors tried, so it
-    reads ``budget + 1`` after a budget stop.
+    extends ``prefix`` and has no monochromatic component meeting ``rule``
+    (``_packed_rule``), in lex order, then ``(None, nodes)`` once the
+    subtree is done or a node goes over ``budget``.  ``nodes`` counts the
+    colors tried, so it reads ``budget + 1`` after a budget stop.  With
+    ``cover = (bounds, limit)``, ``bounds[i]`` is a lower bound on the
+    colorings below a cut at depth i, and the walk also stops once the cuts
+    have covered more than ``limit``.  Only with ``cover`` does a cut test
+    the X-count, so without it ``rule`` must be an order target (weight 1).
 
     The search is an iterative depth-first walk on one rollback union-find
     per color, inlined: ``parents[c]``/``sizes[c]`` with no path
-    compression, and at each depth the root that its union attached, or -1.
+    compression, sizes holding packed weights, and at each depth the root
+    that its union attached, or -1.
     With ``twins`` (``_twin_tables``, used under canonicalization) each twin
     row stays lex-at-least its previous twin row and each twin column,
     read top-down, its previous twin column; the lex-least coloring meets
@@ -170,9 +190,10 @@ def _walk_below(m, n, edges, r, t_int, canonicalize, prefix, stop, budget, twins
     row x of edge i is already strictly greater than its previous twin row
     through edge i (``col_gt`` likewise), so a depth's first color is the
     least that keeps every order, and the flags need no undo."""
+    weight, threshold, need_x = rule
     total = m + n
     parents = [list(range(total)) for _ in range(r)]
-    sizes = [[1] * total for _ in range(r)]
+    sizes = [[1] * m + [weight] * n for _ in range(r)]
     ends = [(x, m + y) for x, y in edges]
     for (a, b), c in zip(ends, prefix):
         parent, size = parents[c], sizes[c]
@@ -202,6 +223,8 @@ def _walk_below(m, n, edges, r, t_int, canonicalize, prefix, stop, budget, twins
                 row_gt[i] = row_gt[row_prev[i]] or c > prefix[row_twin[i]]
             if col_twin[i] >= 0:
                 col_gt[i] = col_gt[col_prev[i]] or c > prefix[col_twin[i]]
+    if cover:
+        bounds, spare = cover
     nodes = 0
     idx = start
     while idx >= start:
@@ -246,9 +269,16 @@ def _walk_below(m, n, edges, r, t_int, canonicalize, prefix, stop, budget, twins
         else:
             size = sizes[c]
             merged_size = size[a] + size[b]
-            if merged_size >= t_int:
-                merged[idx] = -1
-                continue
+            if merged_size >= threshold:
+                if not cover:  # an order target: no X-count test, no % per cut
+                    merged[idx] = -1
+                    continue
+                if merged_size % weight >= need_x:
+                    merged[idx] = -1
+                    spare -= bounds[idx]
+                    if spare < 0:
+                        break
+                    continue
             if size[a] < size[b]:
                 a, b = b, a
             parent[b] = a
@@ -342,7 +372,7 @@ def exists_coloring_below(
     edges = tuple(host.edges())
     depth = min(cfg.split_depth, len(edges))
     twins = _twin_tables(edges) if cfg.canonicalize_colors else None
-    common = (host.m, host.n, edges, r, t_int, cfg.canonicalize_colors)
+    common = (host.m, host.n, edges, r, (1, t_int, 0), cfg.canonicalize_colors)
     prefix_walk = (*common, (), depth, cfg.budget, twins)
     # count the prefixes (the last item is the closing (None, nodes)), then stream them
     for num_prefixes, (_, pre_nodes) in enumerate(_walk_below(*prefix_walk)):
@@ -436,7 +466,9 @@ class Theorem:
 
     def needs(self, m: int, n: int, r: int) -> tuple[int, int, int]:
         """The conclusion as (min X-count, min Y-count, min order): it holds
-        iff some monochromatic component meets all three."""
+        iff some monochromatic component meets all three.  Either the order
+        or both counts are 0; ``_packed_rule`` turns it into the one
+        weight test the search kernels run."""
         if self.half_half:
             return (m + 1) // 2, (n + 1) // 2, 0
         return 0, 0, _ceil_frac(self.target(m, n, r))
@@ -524,82 +556,6 @@ def _completion_counts(num_edges: int, r: int, canonicalize: bool) -> list[list[
     return counts
 
 
-def _first_without_half_half(
-    m: int, n: int, edges, r: int, need_x: int, need_y: int, canonicalize: bool,
-    budget: int,
-) -> tuple[tuple[int, ...] | None, int, bool]:
-    """The lex-least (canonical) coloring of ``edges`` with no
-    monochromatic component holding >= ``need_x`` X-vertices and >=
-    ``need_y`` Y-vertices, found without visiting each coloring.
-
-    An iterative depth-first search colors the edges in order on one
-    rollback union-find per color, inlined as in ``_walk_below``, whose
-    roots also keep their X-count (``xcounts[c]``).  Components only grow,
-    so once a prefix has a half-half component every completion has one:
-    that union is not made, and the subtree's colorings are counted from
-    ``_completion_counts`` and skipped.  Returns (lex-least such coloring or
-    None, colorings covered in lex order, budget exhausted); the count and
-    the stop at ``budget`` are those of enumerating one coloring at a time.
-    """
-    num_edges = len(edges)
-    counts = _completion_counts(num_edges, r, canonicalize)
-    parents = [list(range(m + n)) for _ in range(r)]
-    sizes = [[1] * (m + n) for _ in range(r)]
-    xcounts = [[1] * m + [0] * n for _ in range(r)]
-    ends = [(x, m + y) for x, y in edges]
-    assign = [-1] * num_edges  # the color tried at each depth, -1 for none yet
-    merged = [-1] * num_edges  # the root attached at each depth, -1 for none
-    used = [0] * (num_edges + 1)  # colors in use before each edge
-    examined = 0
-    idx = 0
-    while idx >= 0:
-        if idx == num_edges:
-            if examined == budget:
-                return None, budget, True
-            return tuple(assign), examined + 1, False
-        c = assign[idx]
-        if c >= 0:
-            b = merged[idx]
-            if b >= 0:
-                parent, size, xs = parents[c], sizes[c], xcounts[c]
-                a = parent[b]
-                parent[b] = b
-                size[a] -= size[b]
-                xs[a] -= xs[b]
-        c += 1
-        if c > (min(r - 1, used[idx]) if canonicalize else r - 1):
-            assign[idx] = -1
-            idx -= 1
-            continue
-        assign[idx] = c
-        parent, size, xs = parents[c], sizes[c], xcounts[c]
-        a, b = ends[idx]
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        now_used = used[idx] if c < used[idx] else c + 1
-        merged[idx] = -1
-        if a != b:
-            merged_x = xs[a] + xs[b]
-            merged_size = size[a] + size[b]
-            if merged_x >= need_x and merged_size - merged_x >= need_y:
-                skipped = counts[num_edges - idx - 1][now_used]
-                if examined + skipped > budget:
-                    return None, budget, True
-                examined += skipped
-                continue
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] = merged_size
-            xs[a] = merged_x
-            merged[idx] = b
-        idx += 1
-        used[idx] = now_used
-    return None, examined, False
-
-
 def exhaustive_verify(
     host: BipartiteGraph,
     r: int,
@@ -611,14 +567,17 @@ def exhaustive_verify(
     """Run a theorem (gy1 by default) over every (canonical) r-coloring of
     the host, after checking its rule on r and its hypothesis.
 
-    Both conclusions are decided by a pruned search whose decision and
+    Both conclusions are decided by ``_walk_below``, whose decision and
     lex-least counterexample are those of plain enumeration.  "Largest
-    component reaches the target" goes through the branch-and-bound search
-    for the complement, and ``examined`` counts its nodes.  The half-half
-    conclusion goes through ``_first_without_half_half``, which skips
-    every subtree whose prefix already has a half-half component; there
+    component reaches the target" goes through ``exists_coloring_below``,
+    and ``examined`` counts its nodes.  For the half-half conclusion
     ``examined`` counts the colorings covered, one per coloring as plain
-    enumeration would, and ``workers`` plays no part.
+    enumeration would, and is computed from the witness alone: each coloring
+    lex-before it has a half-half component, so it is the witness's lex rank
+    plus one (``_completion_counts`` counts the colorings before each edge's
+    color).  The walk stops once the subtrees it cut hold more than
+    ``cfg.budget`` colorings; ``workers`` and ``cfg.split_depth`` play no
+    part.
     """
     cfg = cfg or SearchConfig()
     thm = _theorem(checker, target)
@@ -627,16 +586,29 @@ def exhaustive_verify(
         raise EmptyGraph("host has no edges")
     if not thm.half_half:
         return exists_coloring_below(host, r, thm.target(host.m, host.n, r), cfg, workers)
-    need_x, need_y, _ = thm.needs(host.m, host.n, r)
-    colors, examined, exhausted = _first_without_half_half(
-        host.m, host.n, tuple(host.edges()), r, need_x, need_y,
-        cfg.canonicalize_colors, cfg.budget,
-    )
-    if colors is not None:
-        kind, witness = "Counterexample", coloring_from_assignment(host, r, colors)
-    else:
-        kind, witness = ("BudgetExhausted" if exhausted else "AllSatisfy"), None
-    return SearchOutcome(kind, None, witness, examined)
+    edges, canonicalize, budget = tuple(host.edges()), cfg.canonicalize_colors, cfg.budget
+    num_edges = len(edges)
+    counts = _completion_counts(num_edges, r, canonicalize)
+    # a cut at depth i uses at least one color, and f(k, u) grows with u
+    bounds = [counts[num_edges - i - 1][1] for i in range(num_edges)]
+    colors, _ = next(_walk_below(
+        host.m, host.n, edges, r, _packed_rule(host.m, thm.needs(host.m, host.n, r)),
+        canonicalize, (), num_edges, _UNBOUNDED,
+        _twin_tables(edges) if canonicalize else None, (bounds, budget),
+    ))
+    if colors is None:
+        everything = counts[num_edges][0]
+        if everything <= budget:
+            return SearchOutcome("AllSatisfy", None, None, everything)
+        return SearchOutcome("BudgetExhausted", None, None, budget)
+    rank = used = 0
+    for i, c in enumerate(colors):
+        rank += c * counts[num_edges - i - 1][used]
+        used = max(used, c + 1)
+    if rank >= budget:
+        return SearchOutcome("BudgetExhausted", None, None, budget)
+    witness = coloring_from_assignment(host, r, colors)
+    return SearchOutcome("Counterexample", None, witness, rank + 1)
 
 
 def _child_seed(seed: int, block: int) -> int:
@@ -644,14 +616,21 @@ def _child_seed(seed: int, block: int) -> int:
     return mixed ^ (mixed >> 31)
 
 
-def _sample_holds(ends, total, colors, need, parent, size, xs) -> bool:
+def _sample_union_find(m, n, r, need):
+    """``_packed_rule(m, need)`` and a fresh union-find for
+    ``_sample_holds``: parent and packed-weight lists over r * (m + n)
+    slots, color c at offset c * (m + n), X-vertices first."""
+    rule = _packed_rule(m, need)
+    return rule, list(range(r * (m + n))), ([1] * m + [rule[0]] * n) * r
+
+
+def _sample_holds(ends, total, colors, rule, parent, size) -> bool:
     """True iff some monochromatic component of the flat assignment
-    ``colors`` meets ``need`` (``Theorem.needs``).  ``parent``/``size``/
-    ``xs`` are one rollback union-find over r * ``total`` slots, color c at
-    offset c * ``total``, X-vertices first; ``ends`` holds each edge as
-    (x, m + y).  The unions are undone before returning, so the lists serve
-    the next sample."""
-    need_x, need_y, need_order = need
+    ``colors`` meets ``rule`` (``_packed_rule``).  ``parent``/``size`` are
+    one rollback union-find from ``_sample_union_find``, sizes holding
+    packed weights; ``ends`` holds each edge as (x, m + y).  The unions are
+    undone before returning, so the lists serve the next sample."""
+    weight, threshold, need_x = rule
     trail = []
     holds = False
     for (a, b), c in zip(ends, colors):
@@ -666,17 +645,15 @@ def _sample_holds(ends, total, colors, need, parent, size, xs) -> bool:
         if size[a] < size[b]:
             a, b = b, a
         parent[b] = a
-        order = size[a] = size[a] + size[b]
-        x = xs[a] = xs[a] + xs[b]
+        w = size[a] = size[a] + size[b]
         trail.append(b)
-        if order >= need_order and x >= need_x and order - x >= need_y:
+        if w >= threshold and w % weight >= need_x:
             holds = True
             break
     for b in reversed(trail):
         a = parent[b]
         parent[b] = b
         size[a] -= size[b]
-        xs[a] -= xs[b]
     return holds
 
 
@@ -688,7 +665,7 @@ def _random_task(args):
     rng = random.Random(_child_seed(seed, block_index))
     total = m + n
     ends = [(x, m + y) for x, y in edges]
-    dsu = list(range(r * total)), [1] * (r * total), ([1] * m + [0] * n) * r
+    rule, *dsu = _sample_union_find(m, n, r, need)
     keep = 256 - 256 % r  # bytes from keep up would bias b mod r: they read 255
     table = bytes(b % r if b < keep else 255 for b in range(256))
     for i in range(count):
@@ -703,7 +680,7 @@ def _random_task(args):
                 fill += draws.translate(table).replace(b"\xff", b"")
             fill = iter(fill)
             colors = [c if c != 255 else next(fill) for c in colors]
-        if not _sample_holds(ends, total, colors, need, *dsu):
+        if not _sample_holds(ends, total, colors, rule, *dsu):
             return i, tuple(colors)
     return None, None
 

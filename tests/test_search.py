@@ -377,13 +377,36 @@ def _ends_in_skipped_subtree(host, r, canonicalize, stop):
     return None
 
 
+def _check_half_half(host, r, canonicalize, thm):
+    """``exhaustive_verify`` against one-by-one enumeration on (kind,
+    examined, witness) at budgets 1, stop - 1, stop, one that ends inside a
+    skipped subtree, and unbounded.  Returns the kinds seen."""
+    kind, total, _ = oracles.brute_half_half_verify(host, r, canonicalize)
+    # stop: the colorings before the first hit, or all of them
+    stop = total - 1 if kind == "Counterexample" else total
+    inside = _ends_in_skipped_subtree(host, r, canonicalize, stop)
+    kinds = set()
+    for budget in {b for b in (1, stop - 1, stop, inside, 1 << 62) if b and b >= 1}:
+        cfg = SearchConfig(canonicalize_colors=canonicalize, budget=budget)
+        fast = exhaustive_verify(host, r, checker=thm, cfg=cfg)
+        want = oracles.brute_half_half_verify(host, r, canonicalize, budget)
+        colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
+        assert (fast.kind, fast.examined, colors) == want, (
+            host.edges(), r, canonicalize, budget
+        )
+        kinds.add(fast.kind)
+    return kinds
+
+
+# the additive conclusion for any r and host: without the hypothesis
+# counterexamples are reachable
+ANY_HALF_HALF = replace(
+    THEOREMS["additive"], min_r=1, max_r=None, hypothesis=lambda host, r: None
+)
+
+
 class TestHalfHalfSearch:
     def test_matches_plain_enumeration(self):
-        # the additive conclusion for any r and host: without the hypothesis
-        # counterexamples are reachable
-        thm = replace(
-            THEOREMS["additive"], min_r=1, max_r=None, hypothesis=lambda host, r: None
-        )
         rng = random.Random(97)
         kinds = set()
         checked = 0
@@ -393,22 +416,25 @@ class TestHalfHalfSearch:
             if host is None or host.edge_count > 12 or r**host.edge_count > 4096:
                 continue
             canonicalize = rng.random() < 0.5
-            kind, total, _ = oracles.brute_half_half_verify(host, r, canonicalize)
-            # stop: the colorings before the first hit, or all of them
-            stop = total - 1 if kind == "Counterexample" else total
-            inside = _ends_in_skipped_subtree(host, r, canonicalize, stop)
-            budgets = {b for b in (1, stop - 1, stop, inside, 1 << 62) if b and b >= 1}
-            for budget in budgets:
-                cfg = SearchConfig(canonicalize_colors=canonicalize, budget=budget)
-                fast = exhaustive_verify(host, r, checker=thm, cfg=cfg)
-                want = oracles.brute_half_half_verify(host, r, canonicalize, budget)
-                colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
-                assert (fast.kind, fast.examined, colors) == want, (
-                    host.edges(), r, canonicalize, budget
-                )
-                kinds.add(fast.kind)
+            kinds |= _check_half_half(host, r, canonicalize, ANY_HALF_HALF)
             checked += 1
         assert kinds == {"Counterexample", "AllSatisfy", "BudgetExhausted"}
+
+    @pytest.mark.parametrize(
+        "host, r",
+        [
+            (complete(3, 3), 2),
+            (complete(3, 3), 3),
+            (complete(2, 4), 2),
+            (lower_bound_construction(2, 1, 1)[0], 2),
+            (lower_bound_construction(2, 2, 1)[0], 2),
+        ],
+    )
+    def test_twin_hosts_match_plain_enumeration(self, host, r):
+        # double-lex twin breaking prunes the walk, yet kind, examined and
+        # the lex-least witness are those of enumerating every coloring
+        kinds = _check_half_half(host, r, True, ANY_HALF_HALF)
+        assert "BudgetExhausted" in kinds and len(kinds) == 2
 
     def test_deep_host_is_not_recursive(self):
         # 1,600 edges: one stack frame per edge would overflow the stack
@@ -417,6 +443,22 @@ class TestHalfHalfSearch:
             host, 2, checker=THEOREMS["additive"], cfg=SearchConfig(budget=1000)
         )
         assert (out.kind, out.examined) == ("BudgetExhausted", 1000)
+
+    def test_budget_stops_at_first_cut(self, monkeypatch):
+        # color 0 reaches half of each side of K_{40,40} at edge (19, 0),
+        # node 761; that cut alone covers far more than 1,000 colorings, so
+        # the walk stops there instead of after about E (budget + 1) nodes
+        walk, nodes_seen = search._walk_below, []
+
+        def recording(*args):
+            for colors, nodes in walk(*args):
+                nodes_seen.append(nodes)
+                yield colors, nodes
+
+        monkeypatch.setattr(search, "_walk_below", recording)
+        cfg = SearchConfig(budget=1000)
+        out = exhaustive_verify(complete(40, 40), 2, checker=THEOREMS["additive"], cfg=cfg)
+        assert (out.kind, out.examined, nodes_seen) == ("BudgetExhausted", 1000, [761])
 
 
 class TestRandomSearch:
@@ -510,7 +552,7 @@ class TestSampleDraw:
         host = complete(5, 10)
         drawn = []
 
-        def record(ends, total, colors, need, *dsu):
+        def record(ends, total, colors, rule, *dsu):
             drawn.append(tuple(colors))
             return True
 
@@ -532,17 +574,19 @@ class TestCheckersAgree:
         # the BFS oracles and the analysis verdicts (bitmask component
         # sweep).  Odd sides tell ceil(m/2) from floor(m/2), 7/2 is a
         # fractional target, and one union-find serves every sample of a
-        # host and r, as in a block, so a missed undo shows up
+        # host, r and rule, as in a block, so a missed undo shows up.  The
+        # star at x = 0 forms components with many Y- and too few
+        # X-vertices, whose packed weight clears the half-half threshold
         rng = random.Random(61)
         hosts = [
             complete_minus_circulant(4, 4, 1),
             complete_minus_circulant(5, 7, 4),
             complete(3, 4),
+            from_edge_list(4, 4, [(0, y) for y in range(4)] + [(1, 0), (2, 1), (3, 2)]),
         ]
         for host, r in itertools.product(hosts, (1, 2, 3)):
             m, n, edges = host.m, host.n, host.edges()
             ends = [(x, m + y) for x, y in edges]
-            dsu = list(range(r * (m + n))), [1] * (r * (m + n)), ([1] * m + [0] * n) * r
             verdicts = {
                 "r2": lambda col: check_theorem_two_colors(host, col).holds,
                 "conjecture": lambda col: check_conjecture_instance(host, col, r).holds,
@@ -559,7 +603,8 @@ class TestCheckersAgree:
                 for name, verdict in verdicts.items()
             ]
             for thm, verdict in cases:
-                need, t = thm.needs(m, n, r), thm.target(m, n, r)
+                t = thm.target(m, n, r)
+                rule, *dsu = search._sample_union_find(m, n, r, thm.needs(m, n, r))
 
                 def oracle(colors):
                     if thm.half_half:
@@ -569,7 +614,7 @@ class TestCheckersAgree:
                 for _ in range(60):
                     weights = [rng.random() for _ in range(r)]
                     colors = rng.choices(range(r), weights, k=len(edges))
-                    got = search._sample_holds(ends, m + n, colors, need, *dsu)
+                    got = search._sample_holds(ends, m + n, colors, rule, *dsu)
                     assert got == oracle(colors)
                     if verdict is not None:
                         col = coloring_from_triples(
@@ -607,6 +652,26 @@ class TestTheoremRegistry:
         assert random_search(host, 2, checker=relaxed, cfg=cfg).to_json_dict() == (
             random_search(host, 2, target=8, cfg=cfg).to_json_dict()
         )
+
+
+class TestPackedRule:
+    def test_packed_test_matches_direct_test(self):
+        # w = x + weight * y meets the rule iff x >= need_x, y >= need_y
+        # and x + y >= order, for every theorem and component shape
+        theorems = [*THEOREMS.values(), ComponentTargetChecker(Fraction(7, 2))]
+        for thm, r, m, n in itertools.product(theorems, (1, 2, 3), range(7), range(7)):
+            need_x, need_y, order = need = thm.needs(m, n, r)
+            weight, threshold, min_x = search._packed_rule(m, need)
+            for x, y in itertools.product(range(m + 1), range(n + 1)):
+                w = x + weight * y
+                direct = x >= need_x and y >= need_y and x + y >= order
+                assert (w >= threshold and w % weight >= min_x) == direct, (thm.name, r, m, n, x, y)
+
+    def test_cut_bounds(self):
+        # a cut covers at least f(k, 1) colorings: f grows with colors in use
+        for r, canonicalize in itertools.product((1, 2, 3, 5), (True, False)):
+            for row in search._completion_counts(12, r, canonicalize):
+                assert row == sorted(row)
 
 
 class TestTheoremSweeps:
