@@ -34,12 +34,13 @@ are invariant under permuting twin rows within X and twin columns within Y,
 so the lex-least coloring meets every such order, and decisions and
 witnesses do not change.  ``canonicalize_colors=False`` turns both off.
 
-Parallel runs split the enumeration tree at a fixed edge-prefix depth into
-independent tasks and merge results by prefix rank, so the outcome (decision,
-canonical lexicographically-least witness, examined count) is identical for
-every worker count.  Random sampling is blocked the same way: block i always
-draws the same colorings from its derived seed, whoever executes it, and
-blocks are generated lazily, so the default unbounded budget costs no memory.
+A below search is one walk over all edges: ``examined`` is its node count
+and the budget one cap on it.  Parallel runs split that walk at
+``split_depth`` into tasks merged in prefix order into the serial count, so
+the outcome is the same for every worker count and depth.  Random sampling
+is blocked too: block i always draws the same colorings from its derived
+seed, whoever executes it, and blocks are generated lazily, so the default
+unbounded budget costs no memory.
 A sample is one ``randbytes`` call mapped to colors by a byte table, with
 exact rejection when r does not divide 256 (``random_search`` has the rule).
 Each block checks its samples on one packed-weight union-find for all r
@@ -54,7 +55,7 @@ import os
 import random
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
@@ -296,17 +297,16 @@ def _walk_below(m, n, edges, r, rule, canonicalize, prefix, stop, budget, twins,
     yield None, nodes
 
 
-def _below_task(args) -> tuple[tuple[int, ...] | None, int, bool]:
-    """The lex-least coloring under one color prefix whose monochromatic
-    components all have order < t_int: (colors or None, nodes, budget
-    exhausted)."""
-    m, n, edges, r, t_int, canonicalize, budget, twins, prefix = args
-    colors, nodes = next(
-        _walk_below(
-            m, n, edges, r, t_int, canonicalize, prefix, len(edges), budget, twins
-        )
-    )
-    return colors, nodes, nodes > budget
+def _below_task(args) -> tuple[tuple[int, ...] | None, int, int]:
+    """Search under one streamed prefix (``_below_probe``): (colors or None,
+    the prefix walk's nodes at that prefix, the task's nodes).  The prefix
+    walk's closing item (prefix None) is a task of 0 nodes."""
+    *common, budget, twins, (prefix, pre) = args
+    if prefix is None:
+        return None, pre, 0
+    stop = len(common[2])
+    colors, nodes = next(_walk_below(*common, prefix, stop, budget - pre, twins))
+    return colors, pre, nodes
 
 
 def _in_rank_order(task, args, workers: int):
@@ -320,6 +320,8 @@ def _in_rank_order(task, args, workers: int):
     if workers <= 1:
         yield from map(task, args)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only here: it slows every import
+
     args = iter(args)
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
@@ -331,19 +333,37 @@ def _in_rank_order(task, args, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _merge_below_tasks(results) -> tuple[tuple[int, ...] | None, int, bool]:
-    """Fold task results in prefix rank order.
+def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int):
+    """``probe(t_int, budget)``: the lex-least r-coloring of the host whose
+    monochromatic components all have order < t_int (colors or None), and
+    the nodes one ``_walk_below`` over all edges tries to decide it, which
+    read ``budget + 1`` (and colors None) once that walk goes over
+    ``budget``.  The twin tables are built once for every probe.
 
-    Tasks after the first hit (or first budget exhaustion) do not count, so
-    the merged outcome is identical however the tasks were scheduled."""
-    examined = 0
-    for witness, nodes, exhausted in results:
-        examined += nodes
-        if witness is not None:
-            return witness, examined, False
-        if exhausted:
-            return None, examined, True
-    return None, examined, False
+    With more than one worker, ``cfg.split_depth`` only schedules: one
+    prefix walk, capped at the budget, streams the prefixes with its node
+    count pre_i at prefix i, and each task runs speculatively, capped at
+    budget - pre_i.  Merged in prefix order, task i ends at serial node
+    pre_i + (nodes of tasks 0..i), so the result is the single walk's."""
+    edges = tuple(host.edges())
+    twins = _twin_tables(edges) if cfg.canonicalize_colors else None
+    depth = min(cfg.split_depth, len(edges)) if workers > 1 else 0
+
+    def probe(t_int: int, budget: int) -> tuple[tuple[int, ...] | None, int]:
+        common = (host.m, host.n, edges, r, (1, t_int, 0), cfg.canonicalize_colors)
+        if not depth:
+            return next(_walk_below(*common, (), len(edges), budget, twins))
+        prefixes = _walk_below(*common, (), depth, budget, twins)
+        tasks = ((*common, budget, twins, item) for item in prefixes)
+        spent = 0
+        with closing(_in_rank_order(_below_task, tasks, workers)) as results:
+            for colors, pre, nodes in results:  # the last item closes the prefix walk
+                spent += nodes
+                if colors is not None or pre + spent > budget:
+                    break
+        return (colors, pre + spent) if pre + spent <= budget else (None, budget + 1)
+
+    return probe
 
 
 def exists_coloring_below(
@@ -359,7 +379,9 @@ def exists_coloring_below(
 
     Counterexample means such a coloring exists and the witness is the
     lexicographically least one; AllSatisfy means every coloring has a
-    component of order >= target.
+    component of order >= target.  ``examined`` counts the nodes of one
+    walk over all edges, whatever ``workers`` and ``cfg.split_depth``, and
+    past ``cfg.budget`` the outcome is BudgetExhausted with budget + 1.
     """
     if host.edge_count == 0:
         raise EmptyGraph("host has no edges")
@@ -369,28 +391,12 @@ def exists_coloring_below(
     t_int = _ceil_frac(target)
     if t_int < 2:
         raise ValueError("target must be at least 2")
-    edges = tuple(host.edges())
-    depth = min(cfg.split_depth, len(edges))
-    twins = _twin_tables(edges) if cfg.canonicalize_colors else None
-    common = (host.m, host.n, edges, r, (1, t_int, 0), cfg.canonicalize_colors)
-    prefix_walk = (*common, (), depth, cfg.budget, twins)
-    # count the prefixes (the last item is the closing (None, nodes)), then stream them
-    for num_prefixes, (_, pre_nodes) in enumerate(_walk_below(*prefix_walk)):
-        pass
-    if pre_nodes > cfg.budget:
-        return SearchOutcome("BudgetExhausted", None, None, pre_nodes)
-    prefixes = islice(_walk_below(*prefix_walk), num_prefixes)
-    tasks = ((*common, cfg.budget, twins, p) for p, _ in prefixes)
-    results = _in_rank_order(_below_task, tasks, workers if num_prefixes > 1 else 1)
-    witness_colors, examined, exhausted = _merge_below_tasks(results)
-    results.close()
-    examined += pre_nodes
-    if witness_colors is not None:
-        witness = coloring_from_assignment(host, r, witness_colors)
-        return SearchOutcome("Counterexample", None, witness, examined)
-    if exhausted:
-        return SearchOutcome("BudgetExhausted", None, None, examined)
-    return SearchOutcome("AllSatisfy", None, None, examined)
+    colors, examined = _below_probe(host, r, cfg, workers)(t_int, cfg.budget)
+    if colors is None:
+        kind = "BudgetExhausted" if examined > cfg.budget else "AllSatisfy"
+        return SearchOutcome(kind, None, None, examined)
+    witness = coloring_from_assignment(host, r, colors)
+    return SearchOutcome("Counterexample", None, witness, examined)
 
 
 def min_max_mono_component(
@@ -400,35 +406,29 @@ def min_max_mono_component(
     workers: int = 1,
 ) -> SearchOutcome:
     """Exact min over r-colorings of the largest monochromatic component
-    order, with a coloring achieving it (the canonical lex-least one)."""
+    order, with a coloring achieving it (the canonical lex-least one).
+
+    A binary search over below probes; each probe gets the budget the
+    earlier ones left, so ``examined``, their node total, is at most
+    ``cfg.budget + 1`` and does not depend on ``workers`` or
+    ``cfg.split_depth``."""
     if host.edge_count == 0:
         raise EmptyGraph("host has no edges")
     cfg = cfg or SearchConfig()
-    examined = 0
-    cache: dict[int, SearchOutcome] = {}
-
-    def below(t: int) -> SearchOutcome:
-        nonlocal examined
-        if t not in cache:
-            cache[t] = exists_coloring_below(host, r, t, cfg, workers)
-            examined += cache[t].examined
-        return cache[t]
-
-    lo, hi = 2, host.m + host.n + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        out = below(mid)
-        if out.kind == "BudgetExhausted":
-            break
-        if out.kind == "Counterexample":
-            hi = mid
+    probe = _below_probe(host, r, cfg, workers)
+    lo, hi, colors, examined = 2, host.m + host.n + 1, None, 0
+    while lo < hi or colors is None:  # every coloring stays below m + n + 1
+        t = (lo + hi) // 2 if lo < hi else hi
+        found, nodes = probe(t, cfg.budget - examined)
+        examined += nodes
+        if examined > cfg.budget:
+            return SearchOutcome("BudgetExhausted", lo - 1, None, examined)
+        if found is None:
+            lo = t + 1
         else:
-            lo = mid + 1
-    else:
-        out = below(lo)
-    if out.kind == "BudgetExhausted":
-        return SearchOutcome("BudgetExhausted", lo - 1, None, examined)
-    return SearchOutcome("MinMaxValue", lo - 1, out.witness, examined)
+            hi, colors = t, found
+    witness = coloring_from_assignment(host, r, colors)
+    return SearchOutcome("MinMaxValue", lo - 1, witness, examined)
 
 
 # --- the theorem registry ---------------------------------------------------

@@ -140,32 +140,19 @@ def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop, double_lex=False)
             )
 
 
-def brute_below_search(
-    host, r, t, canonicalize=True, split_depth=4, budget=1 << 62, double_lex=False
-):
-    """The split search for a coloring keeping every component below ``t``,
-    replayed step by step: enumerate all prefixes of ``split_depth`` edges,
-    stopping at ``budget + 1`` nodes, then search under each in order with
-    its own budget of nodes and stop at the first decided one.  Returns
-    (kind, examined, colors or None)."""
+def brute_below_search(host, r, t, canonicalize=True, budget=1 << 62, double_lex=False):
+    """The search for a coloring keeping every component below ``t``, as one
+    lex-order walk of the whole tree that stops at node ``budget + 1``.
+    Returns (kind, examined, colors or None)."""
     m, n, edges = host.m, host.n, tuple(host.edges())
-    t = Fraction(t)
-    depth = min(split_depth, len(edges))
-    tree = list(_below_tree(m, n, edges, r, t, canonicalize, (), depth, double_lex))
-    examined = tree.count(None)
-    if examined > budget:
-        return "BudgetExhausted", budget + 1, None
-    for prefix in [leaf for leaf in tree if leaf is not None]:
-        nodes = 0
-        for leaf in _below_tree(
-            m, n, edges, r, t, canonicalize, prefix, len(edges), double_lex
-        ):
-            if leaf is not None:
-                return "Counterexample", examined + nodes, leaf
-            nodes += 1
-            if nodes > budget:
-                return "BudgetExhausted", examined + nodes, None
-        examined += nodes
+    examined = 0
+    tree = _below_tree(m, n, edges, r, Fraction(t), canonicalize, (), len(edges), double_lex)
+    for leaf in tree:
+        if leaf is not None:
+            return "Counterexample", examined, leaf
+        examined += 1
+        if examined > budget:
+            return "BudgetExhausted", examined, None
     return "AllSatisfy", examined, None
 
 

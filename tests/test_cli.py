@@ -200,19 +200,20 @@ class TestSearch:
 
     def test_split_prefixes_are_streamed(self, tmp_path):
         # 2^20 split prefixes, each kept until its task ran, took more than
-        # 256 MiB; streamed, the run needs O(depth) memory and every
-        # prefix is still counted in examined
-        res = run_search_in_256_mib(
-            tmp_path,
-            [
-                "--mode", "below", "--host", "gen:complete:m=6,n=6", "--target", 13,
-                "--split-depth", 20, "--no-canonicalize",
-            ],
-        )
-        assert (res.returncode, res.stderr) == (1, "")
-        out = json.loads(res.stdout)
-        assert (out["kind"], out["examined"]) == ("Counterexample", 2_097_166)
-        assert {c for _, _, c in out["witness"]["edges"]} == {0}
+        # 256 MiB; streamed, the run needs O(depth) memory, and the prefix
+        # walk stops with the first hit: examined is the single walk's 36
+        for workers in (1, 2):
+            res = run_search_in_256_mib(
+                tmp_path,
+                [
+                    "--mode", "below", "--host", "gen:complete:m=6,n=6", "--target", 13,
+                    "--split-depth", 20, "--no-canonicalize", "--workers", workers,
+                ],
+            )
+            assert (res.returncode, res.stderr) == (1, ""), workers
+            out = json.loads(res.stdout)
+            assert (out["kind"], out["examined"]) == ("Counterexample", 36)
+            assert {c for _, _, c in out["witness"]["edges"]} == {0}
 
     def test_precondition_exit_2(self, tmp_path):
         res = run_cli(
@@ -365,6 +366,22 @@ class TestWorkersEnv:
         )
         assert res.returncode == 0
         assert json.loads(res.stdout)["value"] == 4
+
+
+class TestColdStart:
+    def test_cli_import_leaves_the_pool_out(self):
+        # the process pool is imported only by a search with more than one
+        # worker; every other command would pay for it at start-up
+        code = (
+            "import sys, monocomp.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert res.stdout == "[]\n"
 
 
 class TestScan:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import os
@@ -5,7 +6,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
 
@@ -140,7 +140,9 @@ class TestExistsBelow:
 
 
 class TestBelowSearch:
-    def test_matches_split_oracle(self):
+    def test_matches_split_oracle(self, monkeypatch):
+        # one CPU: two workers take the split path, its tasks run in order
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
         rng = random.Random(41)
         kinds = set()
         checked = 0
@@ -149,32 +151,39 @@ class TestBelowSearch:
             r = rng.randint(1, 3)
             if host is None or host.edge_count > 12 or r**host.edge_count > 4096:
                 continue
-            cases = itertools.product(
-                range(2, host.m + host.n + 2), (0, 2, host.edge_count), (True, False)
-            )
-            for t, depth, canonicalize in cases:
+            cases = itertools.product(range(2, host.m + host.n + 2), (True, False))
+            for t, canonicalize in cases:
                 _, total, _ = oracles.brute_below_search(
-                    host, r, t, canonicalize, depth, double_lex=canonicalize
+                    host, r, t, canonicalize, double_lex=canonicalize
                 )
                 for budget in {b for b in (1, total - 1, total, 1 << 62) if b >= 1}:
-                    cfg = SearchConfig(
-                        canonicalize_colors=canonicalize, split_depth=depth, budget=budget
-                    )
-                    fast = exists_coloring_below(host, r, t, cfg)
-                    colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
                     want = oracles.brute_below_search(
-                        host, r, t, canonicalize, depth, budget, double_lex=canonicalize
+                        host, r, t, canonicalize, budget, double_lex=canonicalize
                     )
-                    assert (fast.kind, fast.examined, colors) == want, (
-                        host.edges(), r, t, canonicalize, depth, budget
-                    )
+                    for depth in (0, 2, host.edge_count):
+                        cfg = SearchConfig(
+                            canonicalize_colors=canonicalize, split_depth=depth, budget=budget
+                        )
+                        fast = exists_coloring_below(host, r, t, cfg, workers=2)
+                        colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
+                        assert (fast.kind, fast.examined, colors) == want, (
+                            host.edges(), r, t, canonicalize, depth, budget
+                        )
                     kinds.add(fast.kind)
             checked += 1
         assert kinds == {"Counterexample", "AllSatisfy", "BudgetExhausted"}
+        monkeypatch.undo()
+        # and once through a real pool of two processes
+        host, t = complete_minus_circulant(4, 4, 1), 4
+        want = oracles.brute_below_search(host, 2, t, double_lex=True)
+        fast = exists_coloring_below(host, 2, t, SearchConfig(split_depth=2), workers=2)
+        colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
+        assert (fast.kind, fast.examined, colors) == want
 
-    def test_double_lex_on_twin_rich_hosts(self):
+    def test_double_lex_on_twin_rich_hosts(self, monkeypatch):
         # double-lex changes only the count: decision and witness are those
         # of the symmetry-free oracle, for every split depth and worker count
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
         rng = random.Random(61)
         checked = with_twins = 0
         while checked < 40:
@@ -183,31 +192,33 @@ class TestBelowSearch:
             if host is None or r**host.edge_count > 1 << 13:
                 continue
             with_twins += search._twin_tables(tuple(host.edges())) is not None
-            for t, depth in itertools.product(
-                range(2, host.m + host.n + 2), (0, 2, host.edge_count)
-            ):
-                fast = exists_coloring_below(host, r, t, SearchConfig(split_depth=depth))
-                colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
-                kind, _, want = oracles.brute_below_search(host, r, t, True, depth)
-                assert (fast.kind, colors) == (kind, want), (host.edges(), r, t, depth)
-                assert (fast.kind, fast.examined, colors) == oracles.brute_below_search(
-                    host, r, t, True, depth, double_lex=True
-                )
+            for t in range(2, host.m + host.n + 2):
+                kind, _, want = oracles.brute_below_search(host, r, t)
+                examined = oracles.brute_below_search(host, r, t, double_lex=True)[1]
+                for depth, workers in ((0, 1), (2, 2), (host.edge_count, 2)):
+                    cfg = SearchConfig(split_depth=depth)
+                    fast = exists_coloring_below(host, r, t, cfg, workers)
+                    colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
+                    assert (fast.kind, fast.examined, colors) == (kind, examined, want), (
+                        host.edges(), r, t, depth, workers
+                    )
             out = min_max_mono_component(host, r)
             assert out.value == oracles.brute_minmax(host, r)
-            for t in (out.value, out.value + 1):
-                cfg = SearchConfig(split_depth=2)
-                serial = exists_coloring_below(host, r, t, cfg)
-                parallel = exists_coloring_below(host, r, t, cfg, workers=2)
-                assert parallel.to_json_dict() == serial.to_json_dict()
             checked += 1
         assert with_twins >= 35
+        monkeypatch.undo()
+        host = twin_rich_host(random.Random(3))
+        for t in range(2, host.m + host.n + 2):
+            cfg = SearchConfig(split_depth=2)
+            serial = exists_coloring_below(host, 2, t, cfg)
+            parallel = exists_coloring_below(host, 2, t, cfg, workers=2)
+            assert parallel.to_json_dict() == serial.to_json_dict()
 
     def test_deep_host_is_not_recursive(self):
         # 1,200 edges: one stack frame per edge would overflow the stack
         host = complete(30, 40)
         out = exists_coloring_below(host, 2, 60, SearchConfig(budget=100000))
-        assert (out.kind, out.examined) == ("Counterexample", 1207)
+        assert (out.kind, out.examined) == ("Counterexample", 1201)
         assert largest_mono_component(host, out.witness).order < 60
         out = min_max_mono_component(host, 2, SearchConfig(budget=100000))
         assert out.kind == "BudgetExhausted"
@@ -221,7 +232,7 @@ class TestBelowSearch:
                 sizes.append(max_workers)
 
             def submit(self, fn, arg):
-                future = Future()
+                future = concurrent.futures.Future()
                 future.set_result(fn(arg))
                 return future
 
@@ -230,7 +241,7 @@ class TestBelowSearch:
 
         host = complete_minus_circulant(4, 4, 1)
         serial = exists_coloring_below(host, 2, 4)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         out = exists_coloring_below(host, 2, 4, workers=100000)
         assert sizes == pools
@@ -289,9 +300,8 @@ class TestParallelDeterminism:
         host = complete(4, 4)
         base = exists_coloring_below(host, 2, 5, SearchConfig(split_depth=0))
         for depth in (1, 2, 3, 6):
-            out = exists_coloring_below(host, 2, 5, SearchConfig(split_depth=depth))
-            assert out.kind == base.kind
-            assert out.witness == base.witness
+            out = exists_coloring_below(host, 2, 5, SearchConfig(split_depth=depth), workers=2)
+            assert out.to_json_dict() == base.to_json_dict()
 
     def test_worker_invariance(self):
         host = complete(4, 4)
@@ -308,6 +318,56 @@ class TestParallelDeterminism:
         a = random_search(host, 2, checker=THEOREMS["additive"], cfg=cfg, workers=1)
         b = random_search(host, 2, checker=THEOREMS["additive"], cfg=cfg, workers=4)
         assert dumps_canonical(a.to_json_dict()) == dumps_canonical(b.to_json_dict())
+
+
+def _budget_run(mode, host, r, t, cfg, workers):
+    if mode == "below":
+        return exists_coloring_below(host, r, t, cfg, workers)
+    if mode == "minmax":
+        return min_max_mono_component(host, r, cfg, workers)
+    return exhaustive_verify(host, r, t, cfg=cfg, workers=workers)
+
+
+class TestGlobalBudget:
+    """``budget`` caps the nodes of one walk over all edges: from the
+    unbounded count E on, the output is the unbounded one, and below it
+    (BudgetExhausted, budget + 1), for every split depth and worker count."""
+
+    @pytest.mark.parametrize(
+        "mode, host, r, t",
+        [
+            ("below", complete(4, 4), 2, 5),
+            ("below", complete_minus_circulant(5, 5, 1), 2, 6),
+            ("below", complete_minus_circulant(5, 5, 1), 2, 7),
+            ("minmax", complete(4, 4), 2, None),
+            ("minmax", complete_minus_circulant(5, 5, 1), 2, None),
+            ("minmax", complete(3, 4), 3, None),
+            ("verify", complete(3, 3), 2, 5),
+            ("verify", complete(4, 4), 2, None),
+        ],
+        ids=["below-k44-t5", "below-c551-t6", "below-c551-t7", "minmax-k44",
+             "minmax-c551", "minmax-k34r3", "verify-k33-t5", "verify-k44"],
+    )
+    def test_budget_is_one_global_cap(self, mode, host, r, t):
+        unbounded = _budget_run(mode, host, r, t, SearchConfig(), 1).to_json_dict()
+        total = unbounded["examined"]
+        for budget in (1, total // 2, total - 1, total, total + 1):
+            outs = [
+                _budget_run(mode, host, r, t, SearchConfig(split_depth=d, budget=budget), w)
+                .to_json_dict()
+                for d, w in itertools.product((0, 2, 4), (1, 2))
+            ]
+            if budget < total:
+                assert (outs[0]["kind"], outs[0]["examined"]) == ("BudgetExhausted", budget + 1)
+            else:
+                assert outs[0] == unbounded, budget
+            assert all(out == outs[0] for out in outs), budget
+
+    def test_min_max_probes_share_the_budget(self):
+        # with the whole budget per probe this took 4,530,048 nodes
+        host = complete_minus_circulant(8, 8, 1)
+        out = min_max_mono_component(host, 3, SearchConfig(budget=1_000_000))
+        assert (out.kind, out.examined) == ("BudgetExhausted", 1_000_001)
 
 
 class TestExhaustiveVerify:
