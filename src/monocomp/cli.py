@@ -44,7 +44,6 @@ from .constructions import (
 )
 from .search import (
     _UNBOUNDED,
-    DEFAULT_SPLIT_DEPTH,
     THEOREMS,
     PreconditionViolated,
     SearchConfig,
@@ -201,10 +200,7 @@ def cmd_search(args) -> tuple[dict, int, str, dict]:
         raise GraphError(f"--mode {args.mode} needs --host")
     host, _col, text = _load_host(args.host)
     cfg = SearchConfig(
-        seed=args.seed,
-        canonicalize_colors=not args.no_canonicalize,
-        split_depth=args.split_depth,
-        budget=args.budget,
+        seed=args.seed, canonicalize_colors=not args.no_canonicalize, budget=args.budget
     )
     target = None if args.target is None else _parse_rational(args.target, "--target")
     thm = THEOREMS[args.check]
@@ -235,7 +231,7 @@ def cmd_scan(args) -> tuple[dict, int, str, dict]:
     if args.total_n is None:
         raise GraphError("frontier scan needs --total-n")
     alphas = [_parse_rational(a, "--alphas") for a in args.alphas.split(",") if a.strip()]
-    cfg = SearchConfig(seed=args.seed, budget=args.budget, split_depth=args.split_depth)
+    cfg = SearchConfig(seed=args.seed, budget=args.budget)
     table = alpha_frontier(args.total_n, alphas, r=args.r, cfg=cfg, workers=args.workers)
     params = {"total_n": args.total_n, "alphas": [str(a) for a in alphas], "r": args.r}
     digest = _digest(dumps_canonical(params))
@@ -246,9 +242,6 @@ def _add_run_options(sub):
     """Options read by both search and scan."""
     sub.add_argument("--r", type=int, default=2, help="number of colors")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--split-depth", type=int, default=DEFAULT_SPLIT_DEPTH, dest="split_depth"
-    )
     sub.add_argument("--budget", type=int, default=_UNBOUNDED)
     sub.add_argument(
         "--workers",

@@ -11,10 +11,10 @@ conclusion into one integer rule that every checker reads.
 
 Every union-find over a flat color assignment is the same list idiom: union
 by weight with no path compression, so a union is undone in O(1) by
-resetting the attached root.  Weights are packed (``_packed_rule``): an
-X-vertex weighs 1 and a Y-vertex K, so a component of x X- and y
-Y-vertices weighs x + K y.  K = 1 for an order target; K = m + 1 for
-half-half, whose conclusion is then one weight threshold plus one ``%``.
+resetting the attached root.  Every kernel reads one packed instance
+(``_packed``): an X-vertex weighs 1 and a Y-vertex K, so a component of
+x X- and y Y-vertices weighs x + K y.  K = 1 for an order target;
+K = m + 1 for half-half, whose conclusion is one threshold plus one ``%``.
 Exhaustive search is one iterative walk, ``_walk_below``, for both
 conclusions: it colors the edges in sorted (x, y) order on one parent/size
 list pair per color, keeps the root each depth attached, so backtracking
@@ -35,10 +35,11 @@ so the lex-least coloring meets every such order, and decisions and
 witnesses do not change.  ``canonicalize_colors=False`` turns both off.
 
 A below search is one walk over all edges: ``examined`` is its node count
-and the budget one cap on it.  Parallel runs split that walk at
-``split_depth`` into tasks merged in prefix order into the serial count, so
-the outcome is the same for every worker count and depth.  Random sampling
-is blocked too: block i always draws the same colorings from its derived
+and the budget one cap on it.  Parallel runs split that walk at a depth
+derived from the worker count (``_prefix_depth``) into tasks, run on one
+process pool per search and merged in prefix order into the serial count,
+so the outcome is the same for every worker count.  Random sampling is
+blocked too: block i always draws the same colorings from its derived
 seed, whoever executes it, and blocks are generated lazily, so the default
 unbounded budget costs no memory.
 A sample is one ``randbytes`` call mapped to colors by a byte table, with
@@ -55,7 +56,7 @@ import os
 import random
 from collections import deque
 from collections.abc import Callable
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
@@ -73,7 +74,6 @@ from .constructions import complete_minus_circulant
 
 _UNBOUNDED = 1 << 62
 _RANDOM_BLOCK = 2048
-DEFAULT_SPLIT_DEPTH = 4
 
 
 class PreconditionViolated(Exception):
@@ -86,14 +86,11 @@ class SearchConfig:
 
     seed: int = 0
     canonicalize_colors: bool = True
-    split_depth: int = DEFAULT_SPLIT_DEPTH
     budget: int = _UNBOUNDED
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.split_depth < 0:
-            raise ValueError("split_depth must be >= 0")
 
 
 @dataclass
@@ -119,27 +116,27 @@ def _ceil_frac(value) -> int:
     return -((-f.numerator) // f.denominator)
 
 
-def _twin_tables(edges):
-    """Double-lex tables for twin rows (rows with the same neighbourhood)
-    and twin columns, or None when the host has neither.
+def _twin_tables(ends):
+    """Double-lex tables over ``_packed``'s ``ends`` for twin rows (rows with
+    the same neighbourhood) and twin columns, or None when the host has neither.
 
     For edge i = (x, y): ``row_twin[i]`` is the edge (x', y) of the previous
     twin row x' of x, or -1; ``row_prev[i]`` is the previous edge of row x;
     ``col_twin[i]`` is the edge (x, y') of the previous twin column y' of y,
     or -1; ``col_prev[i]`` is the previous edge of column y.  A missing
-    previous edge reads ``len(edges)``, whose flag stays False."""
-    num_edges = len(edges)
+    previous edge reads ``len(ends)``, whose flag stays False."""
+    num_edges = len(ends)
     rows: dict[int, list[int]] = {}
     cols: dict[int, list[int]] = {}
-    for i, (x, y) in enumerate(edges):
-        rows.setdefault(x, []).append(i)
-        cols.setdefault(y, []).append(i)
+    for i, (a, b) in enumerate(ends):
+        rows.setdefault(a, []).append(i)
+        cols.setdefault(b, []).append(i)
 
     def tables(lines, other):
         twin, before, last = [-1] * num_edges, [num_edges] * num_edges, {}
         for v in sorted(lines):
             line = lines[v]
-            key = tuple(edges[i][other] for i in line)
+            key = tuple(ends[i][other] for i in line)
             prev = last.get(key)
             for k, i in enumerate(line):
                 if prev:
@@ -156,29 +153,33 @@ def _twin_tables(edges):
     return row_twin, row_prev, col_twin, col_prev
 
 
-def _packed_rule(m: int, need: tuple[int, int, int]) -> tuple[int, int, int]:
-    """``need`` (``Theorem.needs``) over packed component weights, as
-    (weight, threshold, need_x).  An X-vertex weighs 1 and a Y-vertex
-    ``weight``, so a component with x X- and y Y-vertices weighs
-    w = x + weight * y, and it meets ``need`` iff w >= threshold and
-    w % weight >= need_x.  An order target has weight 1; a half-half one has
-    weight m + 1 > x, so x = w % weight and y = w // weight."""
-    need_x, need_y, order = need
-    if not (need_x or need_y):
-        return 1, order, 0
-    return m + 1, need_x + (m + 1) * need_y, need_x
+def _packed(host: BipartiteGraph, need: tuple[int, int, int]):
+    """The host and ``need`` (``Theorem.needs``) as the packed instance
+    every union-find here reads: (ends, weights, rule), each edge as
+    (x, m + y) in sorted (x, y) order, each slot's weight, and
+    (K, threshold, need_x).  A component of x X- and y Y-vertices weighs
+    w = x + K y and meets ``need`` iff w >= threshold and w % K >= need_x.
+    An order target has K = 1; a half-half one K = m + 1 > x, so
+    x = w % K and y = w // K.  A host without edges raises EmptyGraph."""
+    if host.edge_count == 0:
+        raise EmptyGraph("host has no edges")
+    m, (need_x, need_y, order) = host.m, need
+    weight = m + 1 if need_x or need_y else 1  # needs sets the order or the counts
+    ends = [(x, m + y) for x, y in host.edges()]
+    return ends, [1] * m + [weight] * host.n, (weight, order + need_x + weight * need_y, need_x)
 
 
-def _walk_below(m, n, edges, r, rule, canonicalize, prefix, stop, budget, twins, cover=None):
-    """Yield ``(colors, nodes)`` for each coloring of ``edges[:stop]`` that
+def _walk_below(ends, weights, r, rule, canonicalize, prefix, stop, budget, twins, cover=None):
+    """Yield ``(colors, nodes)`` for each coloring of ``ends[:stop]`` that
     extends ``prefix`` and has no monochromatic component meeting ``rule``
-    (``_packed_rule``), in lex order, then ``(None, nodes)`` once the
-    subtree is done or a node goes over ``budget``.  ``nodes`` counts the
-    colors tried, so it reads ``budget + 1`` after a budget stop.  With
-    ``cover = (bounds, limit)``, ``bounds[i]`` is a lower bound on the
-    colorings below a cut at depth i, and the walk also stops once the cuts
-    have covered more than ``limit``.  Only with ``cover`` does a cut test
-    the X-count, so without it ``rule`` must be an order target (weight 1).
+    (``ends``, ``weights`` and ``rule`` from ``_packed``), in lex order,
+    then ``(None, nodes)`` once the subtree is done or a node goes over
+    ``budget``.  ``nodes`` counts the colors tried, so it reads
+    ``budget + 1`` after a budget stop.  With ``cover = (bounds, limit)``,
+    ``bounds[i]`` is a lower bound on the colorings below a cut at depth i,
+    and the walk also stops once the cuts have covered more than ``limit``.
+    Only with ``cover`` does a cut test the X-count, so without it ``rule``
+    must be an order target (weight 1).
 
     The search is an iterative depth-first walk on one rollback union-find
     per color, inlined: ``parents[c]``/``sizes[c]`` with no path
@@ -192,10 +193,8 @@ def _walk_below(m, n, edges, r, rule, canonicalize, prefix, stop, budget, twins,
     through edge i (``col_gt`` likewise), so a depth's first color is the
     least that keeps every order, and the flags need no undo."""
     weight, threshold, need_x = rule
-    total = m + n
-    parents = [list(range(total)) for _ in range(r)]
-    sizes = [[1] * m + [weight] * n for _ in range(r)]
-    ends = [(x, m + y) for x, y in edges]
+    parents = [list(range(len(weights))) for _ in range(r)]
+    sizes = [list(weights) for _ in range(r)]
     for (a, b), c in zip(ends, prefix):
         parent, size = parents[c], sizes[c]
         while parent[a] != a:
@@ -217,8 +216,8 @@ def _walk_below(m, n, edges, r, rule, canonicalize, prefix, stop, budget, twins,
         top[start] = min(r - 1, max(prefix, default=-1) + 1)
     if twins:
         row_twin, row_prev, col_twin, col_prev = twins
-        row_gt = [False] * (len(edges) + 1)
-        col_gt = [False] * (len(edges) + 1)
+        row_gt = [False] * (len(ends) + 1)
+        col_gt = [False] * (len(ends) + 1)
         for i, c in enumerate(prefix):
             if row_twin[i] >= 0:
                 row_gt[i] = row_gt[row_prev[i]] or c > prefix[row_twin[i]]
@@ -304,66 +303,94 @@ def _below_task(args) -> tuple[tuple[int, ...] | None, int, int]:
     *common, budget, twins, (prefix, pre) = args
     if prefix is None:
         return None, pre, 0
-    stop = len(common[2])
+    stop = len(common[0])
     colors, nodes = next(_walk_below(*common, prefix, stop, budget - pre, twins))
     return colors, pre, nodes
 
 
-def _in_rank_order(task, args, workers: int):
-    """Yield ``task(a)`` for each ``a`` of the iterable ``args``, in order.
-
-    The pool has at most one process per CPU (the fork start method launches
-    them all at once) and at most two tasks in flight per process; once the
-    consumer stops, no task is submitted and those not yet started are
-    cancelled."""
-    workers = min(workers, os.cpu_count() or 1)
+@contextmanager
+def _pool(workers: int):
+    """Yield ``ranked(task, args)``, which yields ``task(a)`` for each ``a``
+    of the iterable ``args`` in order: in this process for one worker, else
+    on one pool of ``workers`` processes (callers cap it at the CPU count:
+    fork launches them all at once), shut down on exit, with at most two
+    tasks in flight per process.  Once its consumer stops, it submits no
+    task and cancels those not yet started, so the pool serves the next."""
     if workers <= 1:
-        yield from map(task, args)
+        yield lambda task, args: (task(a) for a in args)
         return
     from concurrent.futures import ProcessPoolExecutor  # only here: it slows every import
 
-    args = iter(args)
+    def ranked(task, args):
+        args = iter(args)
+        pending = deque(pool.submit(task, a) for a in islice(args, 2 * workers))
+        try:
+            while pending:
+                yield pending.popleft().result()
+                pending.extend(pool.submit(task, a) for a in islice(args, 1))
+        finally:
+            for future in pending:
+                future.cancel()
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        pending = deque(pool.submit(task, a) for a in islice(args, 2 * workers))
-        while pending:
-            yield pending.popleft().result()
-            pending.extend(pool.submit(task, a) for a in islice(args, 1))
+        yield ranked
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int):
-    """``probe(t_int, budget)``: the lex-least r-coloring of the host whose
-    monochromatic components all have order < t_int (colors or None), and
-    the nodes one ``_walk_below`` over all edges tries to decide it, which
-    read ``budget + 1`` (and colors None) once that walk goes over
-    ``budget``.  The twin tables are built once for every probe.
+def _prefix_depth(num_edges: int, r: int, canonicalize: bool, workers: int) -> int:
+    """The least depth d whose prefix count f(d, 0) (``_completion_counts``)
+    reaches four tasks per worker, or 0 (a serial walk) for one worker or
+    when no d <= ``num_edges`` does (r = 1).  As f(d, 0) >= 2^(d-1) for
+    r >= 2 and d edges use at most d colors, the first 4 * workers edges and
+    colors decide it."""
+    tasks = 4 * workers
+    if workers > 1:
+        counts = _completion_counts(min(num_edges, tasks), min(r, tasks), canonicalize)
+        for depth, row in enumerate(counts):
+            if row[0] >= tasks:
+                return depth
+    return 0
 
-    With more than one worker, ``cfg.split_depth`` only schedules: one
-    prefix walk, capped at the budget, streams the prefixes with its node
-    count pre_i at prefix i, and each task runs speculatively, capped at
-    budget - pre_i.  Merged in prefix order, task i ends at serial node
-    pre_i + (nodes of tasks 0..i), so the result is the single walk's."""
-    edges = tuple(host.edges())
-    twins = _twin_tables(edges) if cfg.canonicalize_colors else None
-    depth = min(cfg.split_depth, len(edges)) if workers > 1 else 0
+
+@contextmanager
+def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int):
+    """Yield ``probe(t_int, budget)``: the lex-least r-coloring of the host
+    whose monochromatic components all have order < t_int (colors or None),
+    and the nodes one ``_walk_below`` over all edges tries to decide it,
+    which read ``budget + 1`` (and colors None) once that walk goes over
+    ``budget``.  The packed instance, the twin tables, the split depth and
+    the process pool are set up once for every probe.
+
+    The walk is split at ``_prefix_depth`` for W = min(workers, CPUs)
+    processes, which only schedules: one prefix walk, capped at the budget,
+    streams the prefixes with its node count pre_i at prefix i, and each
+    task runs speculatively, capped at budget - pre_i.  Merged in prefix
+    order, task i ends at serial node pre_i + (nodes of tasks 0..i), so the
+    result is the single walk's.  At depth 0 the one task is that walk."""
+    if r < 1:
+        raise PreconditionViolated("need r >= 1")
+    ends, weights, _ = _packed(host, (0, 0, 2))  # order targets differ only in their rule
+    canonicalize = cfg.canonicalize_colors
+    twins = _twin_tables(ends) if canonicalize else None
+    workers = min(workers, os.cpu_count() or 1)
+    depth = _prefix_depth(len(ends), r, canonicalize, workers)
 
     def probe(t_int: int, budget: int) -> tuple[tuple[int, ...] | None, int]:
-        common = (host.m, host.n, edges, r, (1, t_int, 0), cfg.canonicalize_colors)
-        if not depth:
-            return next(_walk_below(*common, (), len(edges), budget, twins))
+        common = (ends, weights, r, (1, t_int, 0), canonicalize)
         prefixes = _walk_below(*common, (), depth, budget, twins)
         tasks = ((*common, budget, twins, item) for item in prefixes)
         spent = 0
-        with closing(_in_rank_order(_below_task, tasks, workers)) as results:
+        with closing(ranked(_below_task, tasks)) as results:
             for colors, pre, nodes in results:  # the last item closes the prefix walk
                 spent += nodes
                 if colors is not None or pre + spent > budget:
                     break
         return (colors, pre + spent) if pre + spent <= budget else (None, budget + 1)
 
-    return probe
+    with _pool(workers if depth else 1) as ranked:
+        yield probe
 
 
 def exists_coloring_below(
@@ -380,18 +407,15 @@ def exists_coloring_below(
     Counterexample means such a coloring exists and the witness is the
     lexicographically least one; AllSatisfy means every coloring has a
     component of order >= target.  ``examined`` counts the nodes of one
-    walk over all edges, whatever ``workers`` and ``cfg.split_depth``, and
-    past ``cfg.budget`` the outcome is BudgetExhausted with budget + 1.
+    walk over all edges, whatever ``workers``, and past ``cfg.budget`` the
+    outcome is BudgetExhausted with budget + 1.
     """
-    if host.edge_count == 0:
-        raise EmptyGraph("host has no edges")
-    if r < 1:
-        raise ValueError("need r >= 1")
     cfg = cfg or SearchConfig()
     t_int = _ceil_frac(target)
     if t_int < 2:
         raise ValueError("target must be at least 2")
-    colors, examined = _below_probe(host, r, cfg, workers)(t_int, cfg.budget)
+    with _below_probe(host, r, cfg, workers) as probe:
+        colors, examined = probe(t_int, cfg.budget)
     if colors is None:
         kind = "BudgetExhausted" if examined > cfg.budget else "AllSatisfy"
         return SearchOutcome(kind, None, None, examined)
@@ -408,25 +432,23 @@ def min_max_mono_component(
     """Exact min over r-colorings of the largest monochromatic component
     order, with a coloring achieving it (the canonical lex-least one).
 
-    A binary search over below probes; each probe gets the budget the
-    earlier ones left, so ``examined``, their node total, is at most
-    ``cfg.budget + 1`` and does not depend on ``workers`` or
-    ``cfg.split_depth``."""
-    if host.edge_count == 0:
-        raise EmptyGraph("host has no edges")
+    A binary search over below probes, which share one process pool; each
+    probe gets the budget the earlier ones left, so ``examined``, their node
+    total, is at most ``cfg.budget + 1`` and does not depend on
+    ``workers``."""
     cfg = cfg or SearchConfig()
-    probe = _below_probe(host, r, cfg, workers)
     lo, hi, colors, examined = 2, host.m + host.n + 1, None, 0
-    while lo < hi or colors is None:  # every coloring stays below m + n + 1
-        t = (lo + hi) // 2 if lo < hi else hi
-        found, nodes = probe(t, cfg.budget - examined)
-        examined += nodes
-        if examined > cfg.budget:
-            return SearchOutcome("BudgetExhausted", lo - 1, None, examined)
-        if found is None:
-            lo = t + 1
-        else:
-            hi, colors = t, found
+    with _below_probe(host, r, cfg, workers) as probe:
+        while lo < hi or colors is None:  # every coloring stays below m + n + 1
+            t = (lo + hi) // 2 if lo < hi else hi
+            found, nodes = probe(t, cfg.budget - examined)
+            examined += nodes
+            if examined > cfg.budget:
+                return SearchOutcome("BudgetExhausted", lo - 1, None, examined)
+            if found is None:
+                lo = t + 1
+            else:
+                hi, colors = t, found
     witness = coloring_from_assignment(host, r, colors)
     return SearchOutcome("MinMaxValue", lo - 1, witness, examined)
 
@@ -467,7 +489,7 @@ class Theorem:
     def needs(self, m: int, n: int, r: int) -> tuple[int, int, int]:
         """The conclusion as (min X-count, min Y-count, min order): it holds
         iff some monochromatic component meets all three.  Either the order
-        or both counts are 0; ``_packed_rule`` turns it into the one
+        or both counts are 0; ``_packed`` turns it into the one
         weight test the search kernels run."""
         if self.half_half:
             return (m + 1) // 2, (n + 1) // 2, 0
@@ -576,25 +598,21 @@ def exhaustive_verify(
     lex-before it has a half-half component, so it is the witness's lex rank
     plus one (``_completion_counts`` counts the colorings before each edge's
     color).  The walk stops once the subtrees it cut hold more than
-    ``cfg.budget`` colorings; ``workers`` and ``cfg.split_depth`` play no
-    part.
+    ``cfg.budget`` colorings; ``workers`` plays no part.
     """
     cfg = cfg or SearchConfig()
     thm = _theorem(checker, target)
     thm.require(host, r)
-    if host.edge_count == 0:
-        raise EmptyGraph("host has no edges")
     if not thm.half_half:
         return exists_coloring_below(host, r, thm.target(host.m, host.n, r), cfg, workers)
-    edges, canonicalize, budget = tuple(host.edges()), cfg.canonicalize_colors, cfg.budget
-    num_edges = len(edges)
+    ends, weights, rule = _packed(host, thm.needs(host.m, host.n, r))
+    canonicalize, budget, num_edges = cfg.canonicalize_colors, cfg.budget, len(ends)
     counts = _completion_counts(num_edges, r, canonicalize)
     # a cut at depth i uses at least one color, and f(k, u) grows with u
     bounds = [counts[num_edges - i - 1][1] for i in range(num_edges)]
     colors, _ = next(_walk_below(
-        host.m, host.n, edges, r, _packed_rule(host.m, thm.needs(host.m, host.n, r)),
-        canonicalize, (), num_edges, _UNBOUNDED,
-        _twin_tables(edges) if canonicalize else None, (bounds, budget),
+        ends, weights, r, rule, canonicalize, (), num_edges, _UNBOUNDED,
+        _twin_tables(ends) if canonicalize else None, (bounds, budget),
     ))
     if colors is None:
         everything = counts[num_edges][0]
@@ -616,20 +634,12 @@ def _child_seed(seed: int, block: int) -> int:
     return mixed ^ (mixed >> 31)
 
 
-def _sample_union_find(m, n, r, need):
-    """``_packed_rule(m, need)`` and a fresh union-find for
-    ``_sample_holds``: parent and packed-weight lists over r * (m + n)
-    slots, color c at offset c * (m + n), X-vertices first."""
-    rule = _packed_rule(m, need)
-    return rule, list(range(r * (m + n))), ([1] * m + [rule[0]] * n) * r
-
-
 def _sample_holds(ends, total, colors, rule, parent, size) -> bool:
     """True iff some monochromatic component of the flat assignment
-    ``colors`` meets ``rule`` (``_packed_rule``).  ``parent``/``size`` are
-    one rollback union-find from ``_sample_union_find``, sizes holding
-    packed weights; ``ends`` holds each edge as (x, m + y).  The unions are
-    undone before returning, so the lists serve the next sample."""
+    ``colors`` meets ``rule`` (``_packed``).  ``parent``/``size`` are one
+    rollback union-find over r copies of ``_packed``'s ``total`` slots,
+    color c at offset c * total, sizes holding packed weights.  The unions
+    are undone before returning, so the lists serve the next sample."""
     weight, threshold, need_x = rule
     trail = []
     holds = False
@@ -659,13 +669,13 @@ def _sample_holds(ends, total, colors, rule, parent, size) -> bool:
 
 def _random_task(args):
     """Draw (by the rule in ``random_search``) and check one block of
-    samples on one union-find allocated for the block.  Returns
-    (offset-of-first-violation or None, colors-of-that-violation or None)."""
-    m, n, edges, need, r, seed, block_index, count = args
+    samples of ``_packed``'s (ends, weights, rule) on one union-find allocated
+    for the block.  Returns (offset-of-first-violation or None,
+    colors-of-that-violation or None)."""
+    ends, weights, rule, r, seed, block_index, count = args
     rng = random.Random(_child_seed(seed, block_index))
-    total = m + n
-    ends = [(x, m + y) for x, y in edges]
-    rule, *dsu = _sample_union_find(m, n, r, need)
+    total = len(weights)
+    dsu = list(range(r * total)), weights * r
     keep = 256 - 256 % r  # bytes from keep up would bias b mod r: they read 255
     table = bytes(b % r if b < keep else 255 for b in range(256))
     for i in range(count):
@@ -710,24 +720,20 @@ def random_search(
     cfg = cfg or SearchConfig()
     thm = _theorem(checker, target)
     thm.require(host, r, hypothesis=False)
-    if host.edge_count == 0:
-        raise EmptyGraph("host has no edges")
-    need = thm.needs(host.m, host.n, r)
-    edges = tuple(host.edges())
+    packed = _packed(host, thm.needs(host.m, host.n, r))
     budget = cfg.budget
     num_blocks = -(-budget // _RANDOM_BLOCK)
     blocks = (
-        (host.m, host.n, edges, need, r, cfg.seed, index,
-         min(_RANDOM_BLOCK, budget - index * _RANDOM_BLOCK))
+        (*packed, r, cfg.seed, index, min(_RANDOM_BLOCK, budget - index * _RANDOM_BLOCK))
         for index in range(num_blocks)
     )
-    results = _in_rank_order(_random_task, blocks, workers if num_blocks > 1 else 1)
-    for index, (local, colors) in enumerate(results):
-        if local is not None:
-            results.close()
-            witness = coloring_from_assignment(host, r, colors)
-            examined = index * _RANDOM_BLOCK + local + 1
-            return SearchOutcome("Counterexample", None, witness, examined)
+    workers = min(workers, os.cpu_count() or 1) if num_blocks > 1 else 1
+    with _pool(workers) as ranked, closing(ranked(_random_task, blocks)) as results:
+        for index, (local, colors) in enumerate(results):
+            if local is not None:
+                witness = coloring_from_assignment(host, r, colors)
+                examined = index * _RANDOM_BLOCK + local + 1
+                return SearchOutcome("Counterexample", None, witness, examined)
     return SearchOutcome("AllSatisfy", None, None, budget)
 
 

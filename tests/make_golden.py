@@ -101,7 +101,7 @@ COMMANDS = [
     # search: minmax and below
     ["search", "--mode", "minmax", "--host", _K44, "--r", "2"],
     ["search", "--mode", "minmax", "--host", _K33, "--r", "3"],
-    ["search", "--mode", "minmax", "--host", "gen:circulant:m=5,n=5,d=1", "--split-depth", "2"],
+    ["search", "--mode", "minmax", "--host", "gen:circulant:m=5,n=5,d=1"],
     ["search", "--mode", "minmax", "--r", "2"],
     ["search", "--mode", "below", "--host", _K44, "--target", "5"],
     ["search", "--mode", "below", "--host", _K44, "--target", "4"],

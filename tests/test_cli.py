@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monocomp import complete_minus_circulant, coloring_from_triples, dumps_canonical, graph_json
-from monocomp import cli
+from monocomp import THEOREMS, cli, search
 from monocomp.cli import main
 
 import oracles
@@ -167,18 +171,18 @@ class TestSearch:
         )
         assert res.returncode == 3
 
-    def test_prefix_phase_stops_at_budget(self, tmp_path):
-        # 2^29 prefixes at depth 30: the prefix walk itself stops at node 11
-        res = run_cli(
-            [
-                "search", "--mode", "below", "--host", "gen:complete:m=6,n=6",
-                "--target", 13, "--budget", 10, "--split-depth", 30,
-            ],
-            tmp_path,
-        )
-        assert "Traceback" not in res.stderr
-        assert res.returncode == 3
-        out = json.loads(res.stdout)
+    def test_prefix_phase_stops_at_budget(self, tmp_path, monkeypatch, capsys):
+        # 2^29 prefixes at a forced depth of 30: the prefix walk itself
+        # stops at node 11
+        monkeypatch.setattr(search, "_prefix_depth", lambda *_: 30)
+        code = main([
+            "--manifest", str(tmp_path / "manifest.json"), "search", "--mode", "below",
+            "--host", "gen:complete:m=6,n=6", "--target", "13", "--budget", "10",
+            "--workers", "2",
+        ])
+        out, err = capsys.readouterr()
+        assert (code, err) == (3, "")
+        out = json.loads(out)
         assert (out["kind"], out["examined"]) == ("BudgetExhausted", 11)
 
     @pytest.mark.parametrize(
@@ -198,22 +202,32 @@ class TestSearch:
         res = run_search_in_256_mib(tmp_path, args)
         assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: out of memory\n")
 
-    def test_split_prefixes_are_streamed(self, tmp_path):
-        # 2^20 split prefixes, each kept until its task ran, took more than
-        # 256 MiB; streamed, the run needs O(depth) memory, and the prefix
-        # walk stops with the first hit: examined is the single walk's 36
-        for workers in (1, 2):
-            res = run_search_in_256_mib(
-                tmp_path,
-                [
-                    "--mode", "below", "--host", "gen:complete:m=6,n=6", "--target", 13,
-                    "--split-depth", 20, "--no-canonicalize", "--workers", workers,
-                ],
-            )
-            assert (res.returncode, res.stderr) == (1, ""), workers
-            out = json.loads(res.stdout)
+    def test_split_prefixes_are_streamed(self, tmp_path, monkeypatch, capsys):
+        # 2^20 split prefixes at a forced depth of 20: streamed, the prefix
+        # walk stops with the first hit after a few prefixes, and examined
+        # is the single walk's 36
+        walk, prefixes = search._walk_below, []
+
+        def recording(ends, weights, r, rule, canonicalize, prefix, stop, *rest):
+            for item in walk(ends, weights, r, rule, canonicalize, prefix, stop, *rest):
+                if stop < len(ends):  # the prefix walk, not a task
+                    prefixes.append(item)
+                yield item
+
+        monkeypatch.setattr(search, "_walk_below", recording)
+        monkeypatch.setattr(search, "_prefix_depth", lambda *_: 20)
+        for workers in ("1", "2"):
+            code = main([
+                "--manifest", str(tmp_path / "manifest.json"), "search", "--mode", "below",
+                "--host", "gen:complete:m=6,n=6", "--target", "13", "--no-canonicalize",
+                "--workers", workers,
+            ])
+            out, err = capsys.readouterr()
+            assert (code, err) == (1, ""), workers
+            out = json.loads(out)
             assert (out["kind"], out["examined"]) == ("Counterexample", 36)
             assert {c for _, _, c in out["witness"]["edges"]} == {0}
+        assert len(prefixes) < 20
 
     def test_precondition_exit_2(self, tmp_path):
         res = run_cli(
@@ -250,6 +264,8 @@ class TestBadInput:
             ["search", "--mode", "random", "--host", "gen:complete:m=2,n=2", "--r", 0],
             ["scan", "--total-n", 0, "--alphas", "1/8"],
             ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--workers", -3],
+            ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--r", 0],
+            ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--r", -1],
         ],
     )
     def test_exit_2_one_line(self, tmp_path, args):
@@ -330,6 +346,51 @@ class TestDeepHosts:
         assert oracles.max_mono_order(30, 40, edges, colors, 2) < 60
 
 
+# gen hosts with at most 9 edges, two of them colored
+FUZZ_HOSTS = [
+    "gen:complete:m=1,n=1",
+    "gen:complete:m=2,n=3",
+    "gen:complete:m=3,n=3",
+    "gen:circulant:m=3,n=4,d=2",
+    "gen:circulant:m=4,n=4,d=2",
+    "gen:lower-bound:r=2,t1=1,t2=1",
+    "gen:cyclic:k=3",
+]
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        mode=st.sampled_from(["minmax", "below", "verify", "random"]),
+        check=st.sampled_from(sorted(THEOREMS)),
+        host=st.sampled_from(FUZZ_HOSTS),
+        r=st.integers(-1, 4),
+        target=st.one_of(st.none(), st.sampled_from(["1/0", "x", "-1", "0", "2", "7/2", "5"])),
+        budget=st.integers(-1, 20_000),
+        no_canonicalize=st.booleans(),
+        workers=st.sampled_from(["1", "2"]),
+    )
+    def test_search_exits_with_a_verdict_or_one_error(
+        self, mode, check, host, r, target, budget, no_canonicalize, workers
+    ):
+        # every search argv ends in a documented exit code, never in a
+        # traceback or the internal-error code 4
+        argv = [
+            "--manifest", os.devnull, "search", "--mode", mode, "--check", check,
+            "--host", host, "--r", str(r), "--budget", str(budget), "--workers", workers,
+        ]
+        argv += ["--target", target] if target is not None else []
+        argv += ["--no-canonicalize"] if no_canonicalize else []
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in {0, 1, 2, 3}, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+
+
 class TestSubcommandFlags:
     """Each subcommand accepts only the flags it reads."""
 
@@ -342,6 +403,9 @@ class TestSubcommandFlags:
             ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--total-n", "16"],
             ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--alphas", "1/8"],
             ["search", "--mode", "frontier", "--total-n", "16", "--alphas", "1/8"],
+            # the split depth is derived from the worker count
+            ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--split-depth", "2"],
+            ["scan", "--total-n", "16", "--alphas", "1/8", "--budget", "10", "--split-depth", "2"],
         ],
     )
     def test_unread_flag_rejected(self, args, capsys):

@@ -70,6 +70,35 @@ def twin_rich_host(rng):
     return from_edge_list(len(rows), len(cols), edges) if edges else None
 
 
+def force_depth(monkeypatch, depth):
+    """Split every below walk at ``depth``, or at the last edge when the
+    host has fewer, whatever the worker count; with one worker the tasks
+    run in order in this process."""
+    monkeypatch.setattr(search, "_prefix_depth", lambda num_edges, *_: min(depth, num_edges))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by one that runs each task at submit, and
+    return the list of the sizes of the pools constructed."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, arg):
+            future = concurrent.futures.Future()
+            future.set_result(fn(arg))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 class TestExistsBelow:
     def test_k22_below_2_impossible(self):
         out = exists_coloring_below(complete(2, 2), 2, 2)
@@ -133,7 +162,7 @@ class TestExistsBelow:
             )
             assert on.kind == off.kind
             assert on.examined <= off.examined
-            if search._twin_tables(tuple(host.edges())) is None:
+            if search._twin_tables(search._packed(host, (0, 0, 2))[0]) is None:
                 # color canonicalization alone shrinks the tree by at most r!
                 assert off.examined <= on.examined * math.factorial(r)
             checked += 1
@@ -141,8 +170,7 @@ class TestExistsBelow:
 
 class TestBelowSearch:
     def test_matches_split_oracle(self, monkeypatch):
-        # one CPU: two workers take the split path, its tasks run in order
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+        # one worker at a forced depth: the split path, its tasks run in order
         rng = random.Random(41)
         kinds = set()
         checked = 0
@@ -160,11 +188,10 @@ class TestBelowSearch:
                     want = oracles.brute_below_search(
                         host, r, t, canonicalize, budget, double_lex=canonicalize
                     )
+                    cfg = SearchConfig(canonicalize_colors=canonicalize, budget=budget)
                     for depth in (0, 2, host.edge_count):
-                        cfg = SearchConfig(
-                            canonicalize_colors=canonicalize, split_depth=depth, budget=budget
-                        )
-                        fast = exists_coloring_below(host, r, t, cfg, workers=2)
+                        force_depth(monkeypatch, depth)
+                        fast = exists_coloring_below(host, r, t, cfg)
                         colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
                         assert (fast.kind, fast.examined, colors) == want, (
                             host.edges(), r, t, canonicalize, depth, budget
@@ -172,17 +199,18 @@ class TestBelowSearch:
                     kinds.add(fast.kind)
             checked += 1
         assert kinds == {"Counterexample", "AllSatisfy", "BudgetExhausted"}
-        monkeypatch.undo()
         # and once through a real pool of two processes
         host, t = complete_minus_circulant(4, 4, 1), 4
         want = oracles.brute_below_search(host, 2, t, double_lex=True)
-        fast = exists_coloring_below(host, 2, t, SearchConfig(split_depth=2), workers=2)
+        force_depth(monkeypatch, 2)
+        fast = exists_coloring_below(host, 2, t, workers=2)
         colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
         assert (fast.kind, fast.examined, colors) == want
 
     def test_double_lex_on_twin_rich_hosts(self, monkeypatch):
         # double-lex changes only the count: decision and witness are those
         # of the symmetry-free oracle, for every split depth and worker count
+        # (one CPU: the tasks of two workers run in order in this process)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
         rng = random.Random(61)
         checked = with_twins = 0
@@ -191,13 +219,13 @@ class TestBelowSearch:
             r = rng.choice((1, 2, 2, 3, 3))
             if host is None or r**host.edge_count > 1 << 13:
                 continue
-            with_twins += search._twin_tables(tuple(host.edges())) is not None
+            with_twins += search._twin_tables(search._packed(host, (0, 0, 2))[0]) is not None
             for t in range(2, host.m + host.n + 2):
                 kind, _, want = oracles.brute_below_search(host, r, t)
                 examined = oracles.brute_below_search(host, r, t, double_lex=True)[1]
                 for depth, workers in ((0, 1), (2, 2), (host.edge_count, 2)):
-                    cfg = SearchConfig(split_depth=depth)
-                    fast = exists_coloring_below(host, r, t, cfg, workers)
+                    force_depth(monkeypatch, depth)
+                    fast = exists_coloring_below(host, r, t, workers=workers)
                     colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
                     assert (fast.kind, fast.examined, colors) == (kind, examined, want), (
                         host.edges(), r, t, depth, workers
@@ -208,10 +236,10 @@ class TestBelowSearch:
         assert with_twins >= 35
         monkeypatch.undo()
         host = twin_rich_host(random.Random(3))
+        force_depth(monkeypatch, 2)
         for t in range(2, host.m + host.n + 2):
-            cfg = SearchConfig(split_depth=2)
-            serial = exists_coloring_below(host, 2, t, cfg)
-            parallel = exists_coloring_below(host, 2, t, cfg, workers=2)
+            serial = exists_coloring_below(host, 2, t)
+            parallel = exists_coloring_below(host, 2, t, workers=2)
             assert parallel.to_json_dict() == serial.to_json_dict()
 
     def test_deep_host_is_not_recursive(self):
@@ -224,31 +252,44 @@ class TestBelowSearch:
         assert out.kind == "BudgetExhausted"
 
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
-    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pools):
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def submit(self, fn, arg):
-                future = concurrent.futures.Future()
-                future.set_result(fn(arg))
-                return future
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
+    def test_pool_capped_at_cpu_count(self, monkeypatch, pool_sizes, cpus, pools):
         host = complete_minus_circulant(4, 4, 1)
         serial = exists_coloring_below(host, 2, 4)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         out = exists_coloring_below(host, 2, 4, workers=100000)
-        assert sizes == pools
+        assert pool_sizes == pools
         assert out.to_json_dict() == serial.to_json_dict()
+
+    def test_derived_split_depth(self):
+        # four tasks per worker: depth 4 at two workers for every canonical
+        # r >= 2 (f(3, 0) = 4 or 5 < 8 <= f(4, 0)), serial for r = 1 or
+        # one worker
+        assert [search._prefix_depth(36, r, True, 2) for r in (2, 3, 4)] == [4, 4, 4]
+        assert search._prefix_depth(36, 1, True, 2) == 0
+        assert search._prefix_depth(36, 2, True, 1) == 0
+        assert search._prefix_depth(3, 2, True, 2) == 0  # f(3, 0) = 4 < 8
+        # the first 4W edges and colors decide it, even for 10^9 colors
+        for num_edges, r, canonicalize, workers in itertools.product(
+            range(12), (1, 2, 3, 5, 10**9), (True, False), (1, 2, 3)
+        ):
+            counts = search._completion_counts(num_edges, min(r, 20), canonicalize)
+            want = next(
+                (d for d, row in enumerate(counts) if row[0] >= 4 * workers and workers > 1), 0
+            )
+            got = search._prefix_depth(num_edges, r, canonicalize, workers)
+            assert got == want, (num_edges, r, canonicalize, workers)
 
 
 class TestMinMax:
+    def test_one_pool_for_all_probes(self, monkeypatch, pool_sizes):
+        # the binary search's probes share the pool its search opened
+        host = complete(4, 4)
+        serial = min_max_mono_component(host, 2)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        out = min_max_mono_component(host, 2, workers=2)
+        assert pool_sizes == [2]
+        assert out.to_json_dict() == serial.to_json_dict()
+
     def test_k22(self):
         out = min_max_mono_component(complete(2, 2), 2)
         assert out.kind == "MinMaxValue" and out.value == 2
@@ -296,21 +337,23 @@ class TestMinMax:
 
 
 class TestParallelDeterminism:
-    def test_split_depth_invariance(self):
+    def test_split_depth_invariance(self, monkeypatch):
         host = complete(4, 4)
-        base = exists_coloring_below(host, 2, 5, SearchConfig(split_depth=0))
-        for depth in (1, 2, 3, 6):
-            out = exists_coloring_below(host, 2, 5, SearchConfig(split_depth=depth), workers=2)
+        base = exists_coloring_below(host, 2, 5)
+        for depth in (0, 1, 2, 3, 6, host.edge_count):
+            force_depth(monkeypatch, depth)
+            out = exists_coloring_below(host, 2, 5, workers=2)
             assert out.to_json_dict() == base.to_json_dict()
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, monkeypatch):
         host = complete(4, 4)
-        cfg = SearchConfig(split_depth=4)
-        serial = min_max_mono_component(host, 2, cfg, workers=1)
-        parallel = min_max_mono_component(host, 2, cfg, workers=4)
-        assert dumps_canonical(serial.to_json_dict()) == dumps_canonical(
-            parallel.to_json_dict()
-        )
+        serial = min_max_mono_component(host, 2, workers=1)
+        for depth in (0, 2, host.edge_count):
+            force_depth(monkeypatch, depth)
+            parallel = min_max_mono_component(host, 2, workers=4)
+            assert dumps_canonical(serial.to_json_dict()) == dumps_canonical(
+                parallel.to_json_dict()
+            )
 
     def test_random_worker_invariance(self):
         host = complete_minus_circulant(6, 6, 2)
@@ -331,7 +374,8 @@ def _budget_run(mode, host, r, t, cfg, workers):
 class TestGlobalBudget:
     """``budget`` caps the nodes of one walk over all edges: from the
     unbounded count E on, the output is the unbounded one, and below it
-    (BudgetExhausted, budget + 1), for every split depth and worker count."""
+    (BudgetExhausted, budget + 1), for every forced split depth and worker
+    count."""
 
     @pytest.mark.parametrize(
         "mode, host, r, t",
@@ -348,15 +392,15 @@ class TestGlobalBudget:
         ids=["below-k44-t5", "below-c551-t6", "below-c551-t7", "minmax-k44",
              "minmax-c551", "minmax-k34r3", "verify-k33-t5", "verify-k44"],
     )
-    def test_budget_is_one_global_cap(self, mode, host, r, t):
+    def test_budget_is_one_global_cap(self, monkeypatch, mode, host, r, t):
         unbounded = _budget_run(mode, host, r, t, SearchConfig(), 1).to_json_dict()
         total = unbounded["examined"]
         for budget in (1, total // 2, total - 1, total, total + 1):
-            outs = [
-                _budget_run(mode, host, r, t, SearchConfig(split_depth=d, budget=budget), w)
-                .to_json_dict()
-                for d, w in itertools.product((0, 2, 4), (1, 2))
-            ]
+            outs = []
+            for d, w in itertools.product((0, 2, host.edge_count), (1, 2)):
+                force_depth(monkeypatch, d)
+                cfg = SearchConfig(budget=budget)
+                outs.append(_budget_run(mode, host, r, t, cfg, w).to_json_dict())
             if budget < total:
                 assert (outs[0]["kind"], outs[0]["examined"]) == ("BudgetExhausted", budget + 1)
             else:
@@ -564,7 +608,9 @@ class TestRandomSearch:
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["Counterexample", str(first)]
 
-    @pytest.mark.parametrize("search", [exhaustive_verify, random_search])
+    @pytest.mark.parametrize(
+        "search", [exhaustive_verify, random_search, min_max_mono_component]
+    )
     def test_zero_colors_rejected(self, search):
         with pytest.raises(PreconditionViolated, match="r >= 1"):
             search(complete(2, 2), 0)
@@ -617,7 +663,7 @@ class TestSampleDraw:
             return True
 
         monkeypatch.setattr(search, "_sample_holds", record)
-        args = (5, 10, tuple(host.edges()), (0, 0, 2), r, 11, block, 2048)
+        args = (*search._packed(host, (0, 0, 2)), r, 11, block, 2048)
         assert search._random_task(args) == (None, None)
         assert drawn == oracles.sample_colors(11, block, 50, r, 2048)
         counts = Counter(itertools.chain.from_iterable(drawn))
@@ -646,7 +692,6 @@ class TestCheckersAgree:
         ]
         for host, r in itertools.product(hosts, (1, 2, 3)):
             m, n, edges = host.m, host.n, host.edges()
-            ends = [(x, m + y) for x, y in edges]
             verdicts = {
                 "r2": lambda col: check_theorem_two_colors(host, col).holds,
                 "conjecture": lambda col: check_conjecture_instance(host, col, r).holds,
@@ -664,7 +709,8 @@ class TestCheckersAgree:
             ]
             for thm, verdict in cases:
                 t = thm.target(m, n, r)
-                rule, *dsu = search._sample_union_find(m, n, r, thm.needs(m, n, r))
+                ends, weights, rule = search._packed(host, thm.needs(m, n, r))
+                dsu = list(range(r * (m + n))), weights * r
 
                 def oracle(colors):
                     if thm.half_half:
@@ -721,7 +767,11 @@ class TestPackedRule:
         theorems = [*THEOREMS.values(), ComponentTargetChecker(Fraction(7, 2))]
         for thm, r, m, n in itertools.product(theorems, (1, 2, 3), range(7), range(7)):
             need_x, need_y, order = need = thm.needs(m, n, r)
-            weight, threshold, min_x = search._packed_rule(m, need)
+            if not (m and n):  # a host with an empty side has no edge to search
+                with pytest.raises(EmptyGraph):
+                    search._packed(from_edge_list(m, n, []), need)
+                continue
+            _, _, (weight, threshold, min_x) = search._packed(complete(m, n), need)
             for x, y in itertools.product(range(m + 1), range(n + 1)):
                 w = x + weight * y
                 direct = x >= need_x and y >= need_y and x + y >= order
