@@ -35,13 +35,13 @@ so the lex-least coloring meets every such order, and decisions and
 witnesses do not change.  ``canonicalize_colors=False`` turns both off.
 
 A below search is one walk over all edges: ``examined`` is its node count
-and the budget one cap on it.  Parallel runs split that walk at a depth
-derived from the worker count (``_prefix_depth``) into tasks, run on one
-process pool per search and merged in prefix order into the serial count,
-so the outcome is the same for every worker count.  Random sampling is
-blocked too: block i always draws the same colorings from its derived
-seed, whoever executes it, and blocks are generated lazily, so the default
-unbounded budget costs no memory.
+and the budget one cap on it.  Parallel runs split that walk at a fixed
+depth (``_prefix_depth``) into tasks, run on one process pool per search
+and merged in prefix order into the serial count, so the outcome is the
+same for every worker count.  Random sampling is blocked too: block i
+always draws the same colorings from its derived seed, whoever executes
+it, and blocks are generated lazily, so the default unbounded budget costs
+no memory.
 A sample is one ``randbytes`` call mapped to colors by a byte table, with
 exact rejection when r does not divide 256 (``random_search`` has the rule).
 Each block checks its samples on one packed-weight union-find for all r
@@ -74,6 +74,7 @@ from .constructions import complete_minus_circulant
 
 _UNBOUNDED = 1 << 62
 _RANDOM_BLOCK = 2048
+_PREFIX_DEPTH = 4
 
 
 class PreconditionViolated(Exception):
@@ -339,19 +340,10 @@ def _pool(workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _prefix_depth(num_edges: int, r: int, canonicalize: bool, workers: int) -> int:
-    """The least depth d whose prefix count f(d, 0) (``_completion_counts``)
-    reaches four tasks per worker, or 0 (a serial walk) for one worker or
-    when no d <= ``num_edges`` does (r = 1).  As f(d, 0) >= 2^(d-1) for
-    r >= 2 and d edges use at most d colors, the first 4 * workers edges and
-    colors decide it."""
-    tasks = 4 * workers
-    if workers > 1:
-        counts = _completion_counts(min(num_edges, tasks), min(r, tasks), canonicalize)
-        for depth, row in enumerate(counts):
-            if row[0] >= tasks:
-                return depth
-    return 0
+def _prefix_depth(num_edges: int, r: int, workers: int) -> int:
+    """Where ``_below_probe`` splits the walk: ``_PREFIX_DEPTH`` edges in, or
+    0 (a serial walk) for one worker or one color, whose walk has one prefix."""
+    return min(_PREFIX_DEPTH, num_edges) if workers > 1 and r > 1 else 0
 
 
 @contextmanager
@@ -369,13 +361,13 @@ def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int):
     task runs speculatively, capped at budget - pre_i.  Merged in prefix
     order, task i ends at serial node pre_i + (nodes of tasks 0..i), so the
     result is the single walk's.  At depth 0 the one task is that walk."""
-    if r < 1:
-        raise PreconditionViolated("need r >= 1")
     ends, weights, _ = _packed(host, (0, 0, 2))  # order targets differ only in their rule
+    if r < 1:
+        raise ValueError("need r >= 1")
     canonicalize = cfg.canonicalize_colors
     twins = _twin_tables(ends) if canonicalize else None
     workers = min(workers, os.cpu_count() or 1)
-    depth = _prefix_depth(len(ends), r, canonicalize, workers)
+    depth = _prefix_depth(len(ends), r, workers)
 
     def probe(t_int: int, budget: int) -> tuple[tuple[int, ...] | None, int]:
         common = (ends, weights, r, (1, t_int, 0), canonicalize)
@@ -411,10 +403,10 @@ def exists_coloring_below(
     outcome is BudgetExhausted with budget + 1.
     """
     cfg = cfg or SearchConfig()
-    t_int = _ceil_frac(target)
-    if t_int < 2:
-        raise ValueError("target must be at least 2")
-    with _below_probe(host, r, cfg, workers) as probe:
+    with _below_probe(host, r, cfg, workers) as probe:  # checks the host and r first
+        t_int = _ceil_frac(target)
+        if t_int < 2:
+            raise ValueError("target must be at least 2")
         colors, examined = probe(t_int, cfg.budget)
     if colors is None:
         kind = "BudgetExhausted" if examined > cfg.budget else "AllSatisfy"

@@ -403,7 +403,7 @@ class TestSubcommandFlags:
             ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--total-n", "16"],
             ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--alphas", "1/8"],
             ["search", "--mode", "frontier", "--total-n", "16", "--alphas", "1/8"],
-            # the split depth is derived from the worker count
+            # the split depth is no option
             ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--split-depth", "2"],
             ["scan", "--total-n", "16", "--alphas", "1/8", "--budget", "10", "--split-depth", "2"],
         ],

@@ -236,11 +236,11 @@ class TestBelowSearch:
         assert with_twins >= 35
         monkeypatch.undo()
         host = twin_rich_host(random.Random(3))
+        serial = [exists_coloring_below(host, 2, t) for t in range(2, host.m + host.n + 2)]
         force_depth(monkeypatch, 2)
-        for t in range(2, host.m + host.n + 2):
-            serial = exists_coloring_below(host, 2, t)
+        for t, want in enumerate(serial, start=2):
             parallel = exists_coloring_below(host, 2, t, workers=2)
-            assert parallel.to_json_dict() == serial.to_json_dict()
+            assert parallel.to_json_dict() == want.to_json_dict()
 
     def test_deep_host_is_not_recursive(self):
         # 1,200 edges: one stack frame per edge would overflow the stack
@@ -260,24 +260,12 @@ class TestBelowSearch:
         assert pool_sizes == pools
         assert out.to_json_dict() == serial.to_json_dict()
 
-    def test_derived_split_depth(self):
-        # four tasks per worker: depth 4 at two workers for every canonical
-        # r >= 2 (f(3, 0) = 4 or 5 < 8 <= f(4, 0)), serial for r = 1 or
-        # one worker
-        assert [search._prefix_depth(36, r, True, 2) for r in (2, 3, 4)] == [4, 4, 4]
-        assert search._prefix_depth(36, 1, True, 2) == 0
-        assert search._prefix_depth(36, 2, True, 1) == 0
-        assert search._prefix_depth(3, 2, True, 2) == 0  # f(3, 0) = 4 < 8
-        # the first 4W edges and colors decide it, even for 10^9 colors
-        for num_edges, r, canonicalize, workers in itertools.product(
-            range(12), (1, 2, 3, 5, 10**9), (True, False), (1, 2, 3)
-        ):
-            counts = search._completion_counts(num_edges, min(r, 20), canonicalize)
-            want = next(
-                (d for d, row in enumerate(counts) if row[0] >= 4 * workers and workers > 1), 0
-            )
-            got = search._prefix_depth(num_edges, r, canonicalize, workers)
-            assert got == want, (num_edges, r, canonicalize, workers)
+    def test_prefix_depth(self):
+        # four edges in with more than one worker and color, else serial
+        assert [search._prefix_depth(36, r, 2) for r in (2, 3, 4)] == [4, 4, 4]
+        assert search._prefix_depth(36, 1, 2) == 0
+        assert search._prefix_depth(36, 2, 1) == 0
+        assert search._prefix_depth(3, 2, 2) == 3
 
 
 class TestMinMax:
@@ -608,12 +596,25 @@ class TestRandomSearch:
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["Counterexample", str(first)]
 
-    @pytest.mark.parametrize(
-        "search", [exhaustive_verify, random_search, min_max_mono_component]
-    )
+    @pytest.mark.parametrize("search", [exhaustive_verify, random_search])
     def test_zero_colors_rejected(self, search):
         with pytest.raises(PreconditionViolated, match="r >= 1"):
             search(complete(2, 2), 0)
+
+    def test_exact_search_input_errors(self):
+        # an edgeless host first, then r, then the target, as ValueError
+        edgeless = from_edge_list(2, 2, [])
+        for args in ((edgeless, 0, 1), (edgeless, 2, 1)):
+            with pytest.raises(EmptyGraph):
+                exists_coloring_below(*args)
+        with pytest.raises(EmptyGraph):
+            min_max_mono_component(edgeless, 0)
+        with pytest.raises(ValueError, match="r >= 1"):
+            exists_coloring_below(complete(2, 2), 0, 1)
+        with pytest.raises(ValueError, match="r >= 1"):
+            min_max_mono_component(complete(2, 2), 0)
+        with pytest.raises(ValueError, match="target must be at least 2"):
+            exists_coloring_below(complete(2, 2), 2, 1)
 
     def test_budget_one(self):
         host = complete(3, 3)
