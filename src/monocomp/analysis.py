@@ -217,6 +217,8 @@ def _exceptional(degs: list[int], avg: Fraction, bound: Fraction, scale: int) ->
 def density_deficiency(g: BipartiteGraph, r: int) -> Fraction:
     """The delta with e(G) = (1 - delta) mn / r, clamped at zero for classes
     denser than mn/r."""
+    if r < 1:
+        raise ValueError("need r >= 1")
     delta = 1 - Fraction(r * g.edge_count, g.m * g.n)
     return delta if delta > 0 else Fraction(0)
 

@@ -20,28 +20,25 @@ conclusions: it colors the edges in sorted (x, y) order on one parent/size
 list pair per color, keeps the root each depth attached, so backtracking
 never recomputes components, and cuts a branch the moment a partial color
 class meets the conclusion (components only grow).  It both enumerates the
-split prefixes and runs the task under each.  Below a target ``examined``
-counts its nodes; for half-half it is the number of colorings plain
-enumeration covers, computed in closed form from the lex rank of the
-witness, and the budget stops the walk once the subtrees it cut hold more
-colorings.  Color canonicalization forces new colors to appear in
-increasing order along the edge sequence, cutting the tree by up to r!
-without changing any decision.  With it, the walk also breaks row and
-column symmetry (double-lex, after Flener et al., CP 2002): twin rows, which
-have the same neighbourhood, stay lexicographically non-decreasing top to
-bottom, and twin columns, read top-down, left to right.  Both conclusions
-are invariant under permuting twin rows within X and twin columns within Y,
-so the lex-least coloring meets every such order, and decisions and
-witnesses do not change.  ``canonicalize_colors=False`` turns both off.
+split prefixes and runs the task under each.  Color canonicalization forces
+new colors to appear in increasing order along the edge sequence, cutting
+the tree by up to r! without changing any decision.  With it, the walk also
+breaks row and column symmetry (double-lex, after Flener et al., CP 2002):
+twin rows, which have the same neighbourhood, stay lexicographically
+non-decreasing top to bottom, and twin columns, read top-down, left to
+right.  Both conclusions are invariant under permuting twin rows within X
+and twin columns within Y, so the lex-least coloring meets every such
+order, and decisions and witnesses do not change.
+``canonicalize_colors=False`` turns both off.
 
-A below search is one walk over all edges: ``examined`` is its node count
-and the budget one cap on it.  Parallel runs split that walk at a fixed
-depth (``_prefix_depth``) into tasks, run on one process pool per search
-and merged in prefix order into the serial count, so the outcome is the
-same for every worker count.  Random sampling is blocked too: block i
-always draws the same colorings from its derived seed, whoever executes
-it, and blocks are generated lazily, so the default unbounded budget costs
-no memory.
+A below search, an exhaustive verify and each min-max probe is one walk
+over all edges: ``examined`` is its node count and the budget one cap on
+it.  Parallel runs split that walk at a fixed depth (``_prefix_depth``)
+into tasks, run on one process pool per search and merged in prefix order
+into the serial count, so the outcome is the same for every worker count.
+Random sampling is blocked too: block i always draws the same colorings
+from its derived seed, whoever executes it, and blocks are generated
+lazily, so the default unbounded budget costs no memory.
 A sample is one ``randbytes`` call mapped to colors by a byte table, with
 exact rejection when r does not divide 256 (``random_search`` has the rule).
 Each block checks its samples on one packed-weight union-find for all r
@@ -164,23 +161,25 @@ def _packed(host: BipartiteGraph, need: tuple[int, int, int]):
     x = w % K and y = w // K.  A host without edges raises EmptyGraph."""
     if host.edge_count == 0:
         raise EmptyGraph("host has no edges")
-    m, (need_x, need_y, order) = host.m, need
-    weight = m + 1 if need_x or need_y else 1  # needs sets the order or the counts
+    m = host.m
+    weight = m + 1 if need[0] or need[1] else 1  # needs sets the order or the counts
     ends = [(x, m + y) for x, y in host.edges()]
-    return ends, [1] * m + [weight] * host.n, (weight, order + need_x + weight * need_y, need_x)
+    return ends, [1] * m + [weight] * host.n, _rule(weight, need)
 
 
-def _walk_below(ends, weights, r, rule, canonicalize, prefix, stop, budget, twins, cover=None):
+def _rule(weight: int, need: tuple[int, int, int]) -> tuple[int, int, int]:
+    """``need`` as ``_packed``'s (K, threshold, need_x) for Y-weight K."""
+    need_x, need_y, order = need
+    return weight, order + need_x + weight * need_y, need_x
+
+
+def _walk_below(ends, weights, r, rule, canonicalize, prefix, stop, budget, twins):
     """Yield ``(colors, nodes)`` for each coloring of ``ends[:stop]`` that
     extends ``prefix`` and has no monochromatic component meeting ``rule``
     (``ends``, ``weights`` and ``rule`` from ``_packed``), in lex order,
     then ``(None, nodes)`` once the subtree is done or a node goes over
     ``budget``.  ``nodes`` counts the colors tried, so it reads
-    ``budget + 1`` after a budget stop.  With ``cover = (bounds, limit)``,
-    ``bounds[i]`` is a lower bound on the colorings below a cut at depth i,
-    and the walk also stops once the cuts have covered more than ``limit``.
-    Only with ``cover`` does a cut test the X-count, so without it ``rule``
-    must be an order target (weight 1).
+    ``budget + 1`` after a budget stop.
 
     The search is an iterative depth-first walk on one rollback union-find
     per color, inlined: ``parents[c]``/``sizes[c]`` with no path
@@ -224,8 +223,6 @@ def _walk_below(ends, weights, r, rule, canonicalize, prefix, stop, budget, twin
                 row_gt[i] = row_gt[row_prev[i]] or c > prefix[row_twin[i]]
             if col_twin[i] >= 0:
                 col_gt[i] = col_gt[col_prev[i]] or c > prefix[col_twin[i]]
-    if cover:
-        bounds, spare = cover
     nodes = 0
     idx = start
     while idx >= start:
@@ -270,16 +267,10 @@ def _walk_below(ends, weights, r, rule, canonicalize, prefix, stop, budget, twin
         else:
             size = sizes[c]
             merged_size = size[a] + size[b]
-            if merged_size >= threshold:
-                if not cover:  # an order target: no X-count test, no % per cut
-                    merged[idx] = -1
-                    continue
-                if merged_size % weight >= need_x:
-                    merged[idx] = -1
-                    spare -= bounds[idx]
-                    if spare < 0:
-                        break
-                    continue
+            # an order target (need_x 0) takes no % per cut
+            if merged_size >= threshold and (not need_x or merged_size % weight >= need_x):
+                merged[idx] = -1
+                continue
             if size[a] < size[b]:
                 a, b = b, a
             parent[b] = a
@@ -347,13 +338,14 @@ def _prefix_depth(num_edges: int, r: int, workers: int) -> int:
 
 
 @contextmanager
-def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int):
-    """Yield ``probe(t_int, budget)``: the lex-least r-coloring of the host
-    whose monochromatic components all have order < t_int (colors or None),
-    and the nodes one ``_walk_below`` over all edges tries to decide it,
-    which read ``budget + 1`` (and colors None) once that walk goes over
-    ``budget``.  The packed instance, the twin tables, the split depth and
-    the process pool are set up once for every probe.
+def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int, packing=(0, 0, 2)):
+    """Yield ``probe(need, budget)``: the lex-least r-coloring of the host
+    with no monochromatic component meeting ``need`` (``Theorem.needs``,
+    of the same kind as ``packing``: an order target, or half-half), as
+    colors or None, and the nodes one ``_walk_below`` over all edges tries
+    to decide it, which read ``budget + 1`` (and colors None) once that
+    walk goes over ``budget``.  The packed instance, the twin tables, the
+    split depth and the process pool are set up once for every probe.
 
     The walk is split at ``_prefix_depth`` for W = min(workers, CPUs)
     processes, which only schedules: one prefix walk, capped at the budget,
@@ -361,7 +353,7 @@ def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int):
     task runs speculatively, capped at budget - pre_i.  Merged in prefix
     order, task i ends at serial node pre_i + (nodes of tasks 0..i), so the
     result is the single walk's.  At depth 0 the one task is that walk."""
-    ends, weights, _ = _packed(host, (0, 0, 2))  # order targets differ only in their rule
+    ends, weights, (weight, _, _) = _packed(host, packing)  # needs of one kind pack alike
     if r < 1:
         raise ValueError("need r >= 1")
     canonicalize = cfg.canonicalize_colors
@@ -369,8 +361,8 @@ def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int):
     workers = min(workers, os.cpu_count() or 1)
     depth = _prefix_depth(len(ends), r, workers)
 
-    def probe(t_int: int, budget: int) -> tuple[tuple[int, ...] | None, int]:
-        common = (ends, weights, r, (1, t_int, 0), canonicalize)
+    def probe(need, budget: int) -> tuple[tuple[int, ...] | None, int]:
+        common = (ends, weights, r, _rule(weight, need), canonicalize)
         prefixes = _walk_below(*common, (), depth, budget, twins)
         tasks = ((*common, budget, twins, item) for item in prefixes)
         spent = 0
@@ -383,6 +375,22 @@ def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int):
 
     with _pool(workers if depth else 1) as ranked:
         yield probe
+
+
+def _decide_below(host, r, need, cfg: SearchConfig, workers: int) -> SearchOutcome:
+    """One ``_below_probe`` for ``need`` at ``cfg.budget``, as Counterexample
+    with the lex-least witness, AllSatisfy, or BudgetExhausted with
+    budget + 1; ``examined`` is the walk's node count.  After the host and
+    r, an order target below 2 raises ValueError."""
+    with _below_probe(host, r, cfg, workers, need) as probe:
+        if not (need[0] or need[1]) and need[2] < 2:
+            raise ValueError("target must be at least 2")
+        colors, examined = probe(need, cfg.budget)
+    if colors is not None:
+        witness = coloring_from_assignment(host, r, colors)
+        return SearchOutcome("Counterexample", None, witness, examined)
+    kind = "BudgetExhausted" if examined > cfg.budget else "AllSatisfy"
+    return SearchOutcome(kind, None, None, examined)
 
 
 def exists_coloring_below(
@@ -402,17 +410,7 @@ def exists_coloring_below(
     walk over all edges, whatever ``workers``, and past ``cfg.budget`` the
     outcome is BudgetExhausted with budget + 1.
     """
-    cfg = cfg or SearchConfig()
-    with _below_probe(host, r, cfg, workers) as probe:  # checks the host and r first
-        t_int = _ceil_frac(target)
-        if t_int < 2:
-            raise ValueError("target must be at least 2")
-        colors, examined = probe(t_int, cfg.budget)
-    if colors is None:
-        kind = "BudgetExhausted" if examined > cfg.budget else "AllSatisfy"
-        return SearchOutcome(kind, None, None, examined)
-    witness = coloring_from_assignment(host, r, colors)
-    return SearchOutcome("Counterexample", None, witness, examined)
+    return _decide_below(host, r, (0, 0, _ceil_frac(target)), cfg or SearchConfig(), workers)
 
 
 def min_max_mono_component(
@@ -433,7 +431,7 @@ def min_max_mono_component(
     with _below_probe(host, r, cfg, workers) as probe:
         while lo < hi or colors is None:  # every coloring stays below m + n + 1
             t = (lo + hi) // 2 if lo < hi else hi
-            found, nodes = probe(t, cfg.budget - examined)
+            found, nodes = probe((0, 0, t), cfg.budget - examined)
             examined += nodes
             if examined > cfg.budget:
                 return SearchOutcome("BudgetExhausted", lo - 1, None, examined)
@@ -548,26 +546,14 @@ def AdditiveChecker() -> Theorem:
 
 def _theorem(checker: Theorem | None, target) -> Theorem:
     """The theorem a search runs: gy1 unless given; ``target`` overrides
-    gy1's target only."""
+    gy1's target only, and below 2 raises ValueError."""
     thm = THEOREMS["gy1"] if checker is None else checker
     if target is None or thm.name != "gy1":
         return thm
     fixed = Fraction(target)
+    if fixed <= 1:  # its ceiling is below 2
+        raise ValueError("target must be at least 2")
     return replace(thm, target=lambda m, n, r: fixed)
-
-
-def _completion_counts(num_edges: int, r: int, canonicalize: bool) -> list[list[int]]:
-    """``counts[k][u]``: the colorings of k more edges once u colors are in
-    use, f(k, u) = u f(k-1, u) + [u < r] f(k-1, u+1) with f(0, u) = 1 under
-    canonicalization, r^k without it."""
-    counts = [[1] * (r + 1)]
-    for _ in range(num_edges):
-        prev = counts[-1]
-        if canonicalize:
-            counts.append([u * prev[u] + (prev[u + 1] if u < r else 0) for u in range(r + 1)])
-        else:
-            counts.append([r * prev[0]] * (r + 1))
-    return counts
 
 
 def exhaustive_verify(
@@ -581,44 +567,16 @@ def exhaustive_verify(
     """Run a theorem (gy1 by default) over every (canonical) r-coloring of
     the host, after checking its rule on r and its hypothesis.
 
-    Both conclusions are decided by ``_walk_below``, whose decision and
-    lex-least counterexample are those of plain enumeration.  "Largest
-    component reaches the target" goes through ``exists_coloring_below``,
-    and ``examined`` counts its nodes.  For the half-half conclusion
-    ``examined`` counts the colorings covered, one per coloring as plain
-    enumeration would, and is computed from the witness alone: each coloring
-    lex-before it has a half-half component, so it is the witness's lex rank
-    plus one (``_completion_counts`` counts the colorings before each edge's
-    color).  The walk stops once the subtrees it cut hold more than
-    ``cfg.budget`` colorings; ``workers`` plays no part.
+    Both conclusions are decided by one ``_below_probe``, whose decision
+    and lex-least counterexample are those of plain enumeration: for "the
+    largest component reaches the target" as in ``exists_coloring_below``,
+    and for the half-half conclusion on weights packed with K = m + 1.
+    ``examined`` counts the nodes of that one walk, ``cfg.budget`` caps
+    them, and ``workers`` splits it as for any below search.
     """
-    cfg = cfg or SearchConfig()
     thm = _theorem(checker, target)
     thm.require(host, r)
-    if not thm.half_half:
-        return exists_coloring_below(host, r, thm.target(host.m, host.n, r), cfg, workers)
-    ends, weights, rule = _packed(host, thm.needs(host.m, host.n, r))
-    canonicalize, budget, num_edges = cfg.canonicalize_colors, cfg.budget, len(ends)
-    counts = _completion_counts(num_edges, r, canonicalize)
-    # a cut at depth i uses at least one color, and f(k, u) grows with u
-    bounds = [counts[num_edges - i - 1][1] for i in range(num_edges)]
-    colors, _ = next(_walk_below(
-        ends, weights, r, rule, canonicalize, (), num_edges, _UNBOUNDED,
-        _twin_tables(ends) if canonicalize else None, (bounds, budget),
-    ))
-    if colors is None:
-        everything = counts[num_edges][0]
-        if everything <= budget:
-            return SearchOutcome("AllSatisfy", None, None, everything)
-        return SearchOutcome("BudgetExhausted", None, None, budget)
-    rank = used = 0
-    for i, c in enumerate(colors):
-        rank += c * counts[num_edges - i - 1][used]
-        used = max(used, c + 1)
-    if rank >= budget:
-        return SearchOutcome("BudgetExhausted", None, None, budget)
-    witness = coloring_from_assignment(host, r, colors)
-    return SearchOutcome("Counterexample", None, witness, rank + 1)
+    return _decide_below(host, r, thm.needs(host.m, host.n, r), cfg or SearchConfig(), workers)
 
 
 def _child_seed(seed: int, block: int) -> int:
@@ -753,8 +711,8 @@ def alpha_frontier(
     """
     if r != 2:
         raise ValueError(f"the frontier scan searches 2-colorings only, not r={r}")
-    if total_n < 2:
-        raise ValueError(f"the frontier scan needs total_n >= 2, not {total_n}")
+    if total_n < 3:  # total_n / 2 must be a target of at least 2
+        raise ValueError(f"the frontier scan needs total_n >= 3, not {total_n}")
     cfg = cfg or SearchConfig()
     rows = []
     for alpha in alphas:

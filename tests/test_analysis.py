@@ -376,6 +376,13 @@ class TestMainLemma:
         g = from_edge_list(2, 2, [(0, 0)])
         assert density_deficiency(g, 2) == 1 - Fraction(2 * 1, 4)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_reports_reject_fewer_than_one_color(self, r):
+        g = from_edge_list(2, 2, [(0, 0), (0, 1), (1, 1)])
+        for report in (stability_report, main_lemma_report):
+            with pytest.raises(ValueError, match="need r >= 1"):
+                report(g, r)
+
 
 class TestBipartition:
     def test_single_green_edge(self):

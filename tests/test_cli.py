@@ -266,6 +266,10 @@ class TestBadInput:
             ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--workers", -3],
             ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--r", 0],
             ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--r", -1],
+            ["search", "--mode", "random", "--host", "gen:complete:m=2,n=2", "--target", -1,
+             "--budget", 10],
+            ["analyze", "gen:complete:m=3,n=3", "--check", "stability", "--r", -1],
+            ["analyze", "gen:complete:m=3,n=3", "--check", "mainlemma", "--r", -3],
         ],
     )
     def test_exit_2_one_line(self, tmp_path, args):
@@ -330,7 +334,7 @@ class TestDeepHosts:
         )
         assert "Traceback" not in res.stderr
         assert res.returncode == 3
-        assert json.loads(res.stdout)["examined"] == 1000
+        assert json.loads(res.stdout)["examined"] == 1001
 
     def test_below_finds_witness(self, tmp_path):
         res = run_cli(

@@ -351,12 +351,19 @@ class TestParallelDeterminism:
         assert dumps_canonical(a.to_json_dict()) == dumps_canonical(b.to_json_dict())
 
 
-def _budget_run(mode, host, r, t, cfg, workers):
+# the additive conclusion for any r and host: without the hypothesis
+# counterexamples are reachable
+ANY_HALF_HALF = replace(
+    THEOREMS["additive"], min_r=1, max_r=None, hypothesis=lambda host, r: None
+)
+
+
+def _budget_run(mode, host, r, t, checker, cfg, workers):
     if mode == "below":
         return exists_coloring_below(host, r, t, cfg, workers)
     if mode == "minmax":
         return min_max_mono_component(host, r, cfg, workers)
-    return exhaustive_verify(host, r, t, cfg=cfg, workers=workers)
+    return exhaustive_verify(host, r, t, checker, cfg, workers)
 
 
 class TestGlobalBudget:
@@ -366,29 +373,32 @@ class TestGlobalBudget:
     count."""
 
     @pytest.mark.parametrize(
-        "mode, host, r, t",
+        "mode, host, r, t, checker",
         [
-            ("below", complete(4, 4), 2, 5),
-            ("below", complete_minus_circulant(5, 5, 1), 2, 6),
-            ("below", complete_minus_circulant(5, 5, 1), 2, 7),
-            ("minmax", complete(4, 4), 2, None),
-            ("minmax", complete_minus_circulant(5, 5, 1), 2, None),
-            ("minmax", complete(3, 4), 3, None),
-            ("verify", complete(3, 3), 2, 5),
-            ("verify", complete(4, 4), 2, None),
+            ("below", complete(4, 4), 2, 5, None),
+            ("below", complete_minus_circulant(5, 5, 1), 2, 6, None),
+            ("below", complete_minus_circulant(5, 5, 1), 2, 7, None),
+            ("minmax", complete(4, 4), 2, None, None),
+            ("minmax", complete_minus_circulant(5, 5, 1), 2, None, None),
+            ("minmax", complete(3, 4), 3, None, None),
+            ("verify", complete(3, 3), 2, 5, None),
+            ("verify", complete(4, 4), 2, None, None),
+            ("verify", complete(3, 3), 2, None, THEOREMS["additive"]),
+            ("verify", complete_minus_circulant(5, 5, 2), 2, None, ANY_HALF_HALF),
         ],
         ids=["below-k44-t5", "below-c551-t6", "below-c551-t7", "minmax-k44",
-             "minmax-c551", "minmax-k34r3", "verify-k33-t5", "verify-k44"],
+             "minmax-c551", "minmax-k34r3", "verify-k33-t5", "verify-k44",
+             "verify-additive-k33", "verify-half-half-c552"],
     )
-    def test_budget_is_one_global_cap(self, monkeypatch, mode, host, r, t):
-        unbounded = _budget_run(mode, host, r, t, SearchConfig(), 1).to_json_dict()
+    def test_budget_is_one_global_cap(self, monkeypatch, mode, host, r, t, checker):
+        unbounded = _budget_run(mode, host, r, t, checker, SearchConfig(), 1).to_json_dict()
         total = unbounded["examined"]
         for budget in (1, total // 2, total - 1, total, total + 1):
             outs = []
             for d, w in itertools.product((0, 2, host.edge_count), (1, 2)):
                 force_depth(monkeypatch, d)
                 cfg = SearchConfig(budget=budget)
-                outs.append(_budget_run(mode, host, r, t, cfg, w).to_json_dict())
+                outs.append(_budget_run(mode, host, r, t, checker, cfg, w).to_json_dict())
             if budget < total:
                 assert (outs[0]["kind"], outs[0]["examined"]) == ("BudgetExhausted", budget + 1)
             else:
@@ -428,12 +438,13 @@ class TestExhaustiveVerify:
             exhaustive_verify(host, 2, checker=ComponentTargetChecker(Fraction(4)))
 
     def test_generic_path_additive_k22(self):
-        # the half-half conclusion has no component threshold; the pruned
-        # search still counts every canonical coloring it skips
+        # the half-half conclusion has no order threshold: the first edge
+        # closes a star holding half of each side of K_{2,2}, so the walk
+        # cuts its one canonical color at the root
         host = complete(2, 2)
         out = exhaustive_verify(host, 2, checker=THEOREMS["additive"])
         assert out.kind == "AllSatisfy"
-        assert out.examined == 8  # 2^4 colorings, canonicalized
+        assert out.examined == 1
 
     def test_generic_and_pruned_find_same_witness(self):
         host = complete(3, 3)
@@ -453,48 +464,28 @@ class TestExhaustiveVerify:
         assert pruned.witness == generic_witness
 
 
-def _ends_in_skipped_subtree(host, r, canonicalize, stop):
-    """A budget b, stop // 2 < b < stop, after which coloring b + 1 lies in
-    the same satisfied subtree as coloring b, or None."""
-    m, n, edges = host.m, host.n, host.edges()
-    prev = None
-    for index, colors in enumerate(oracles.enum_assignments(edges, r, canonicalize)):
-        if index >= stop:
-            return None
-        if index > stop // 2:
-            k = oracles.half_half_prefix(m, n, edges, prev, r)
-            if k is not None and prev[:k] == colors[:k]:
-                return index
-        prev = colors
-    return None
-
-
 def _check_half_half(host, r, canonicalize, thm):
-    """``exhaustive_verify`` against one-by-one enumeration on (kind,
-    examined, witness) at budgets 1, stop - 1, stop, one that ends inside a
-    skipped subtree, and unbounded.  Returns the kinds seen."""
-    kind, total, _ = oracles.brute_half_half_verify(host, r, canonicalize)
-    # stop: the colorings before the first hit, or all of them
+    """``exhaustive_verify`` against one-by-one enumeration: unbounded, the
+    same kind and lex-least witness; at budgets 1, stop - 1, stop (stop: the
+    colorings enumeration reads) and one below the unbounded node count, at
+    most budget + 1 nodes, and the unbounded outcome unless the budget ran
+    out.  Returns the kinds seen."""
+    kind, total, want = oracles.brute_half_half_verify(host, r, canonicalize)
+    unbounded = exhaustive_verify(
+        host, r, checker=thm, cfg=SearchConfig(canonicalize_colors=canonicalize)
+    )
+    colors = unbounded.witness and tuple(c for _, _, c in unbounded.witness.edges())
+    assert (unbounded.kind, colors) == (kind, want), (host.edges(), r, canonicalize)
     stop = total - 1 if kind == "Counterexample" else total
-    inside = _ends_in_skipped_subtree(host, r, canonicalize, stop)
-    kinds = set()
-    for budget in {b for b in (1, stop - 1, stop, inside, 1 << 62) if b and b >= 1}:
+    kinds = {unbounded.kind}
+    for budget in {b for b in (1, stop - 1, stop, unbounded.examined - 1) if b >= 1}:
         cfg = SearchConfig(canonicalize_colors=canonicalize, budget=budget)
         fast = exhaustive_verify(host, r, checker=thm, cfg=cfg)
-        want = oracles.brute_half_half_verify(host, r, canonicalize, budget)
-        colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
-        assert (fast.kind, fast.examined, colors) == want, (
-            host.edges(), r, canonicalize, budget
-        )
+        assert fast.examined <= budget + 1, (host.edges(), r, canonicalize, budget)
+        if fast.kind != "BudgetExhausted":
+            assert fast.to_json_dict() == unbounded.to_json_dict(), budget
         kinds.add(fast.kind)
     return kinds
-
-
-# the additive conclusion for any r and host: without the hypothesis
-# counterexamples are reachable
-ANY_HALF_HALF = replace(
-    THEOREMS["additive"], min_r=1, max_r=None, hypothesis=lambda host, r: None
-)
 
 
 class TestHalfHalfSearch:
@@ -523,8 +514,8 @@ class TestHalfHalfSearch:
         ],
     )
     def test_twin_hosts_match_plain_enumeration(self, host, r):
-        # double-lex twin breaking prunes the walk, yet kind, examined and
-        # the lex-least witness are those of enumerating every coloring
+        # double-lex twin breaking prunes the walk, yet the kind and the
+        # lex-least witness are those of enumerating every coloring
         kinds = _check_half_half(host, r, True, ANY_HALF_HALF)
         assert "BudgetExhausted" in kinds and len(kinds) == 2
 
@@ -534,23 +525,7 @@ class TestHalfHalfSearch:
         out = exhaustive_verify(
             host, 2, checker=THEOREMS["additive"], cfg=SearchConfig(budget=1000)
         )
-        assert (out.kind, out.examined) == ("BudgetExhausted", 1000)
-
-    def test_budget_stops_at_first_cut(self, monkeypatch):
-        # color 0 reaches half of each side of K_{40,40} at edge (19, 0),
-        # node 761; that cut alone covers far more than 1,000 colorings, so
-        # the walk stops there instead of after about E (budget + 1) nodes
-        walk, nodes_seen = search._walk_below, []
-
-        def recording(*args):
-            for colors, nodes in walk(*args):
-                nodes_seen.append(nodes)
-                yield colors, nodes
-
-        monkeypatch.setattr(search, "_walk_below", recording)
-        cfg = SearchConfig(budget=1000)
-        out = exhaustive_verify(complete(40, 40), 2, checker=THEOREMS["additive"], cfg=cfg)
-        assert (out.kind, out.examined, nodes_seen) == ("BudgetExhausted", 1000, [761])
+        assert (out.kind, out.examined) == ("BudgetExhausted", 1001)
 
 
 class TestRandomSearch:
@@ -615,6 +590,9 @@ class TestRandomSearch:
             min_max_mono_component(complete(2, 2), 0)
         with pytest.raises(ValueError, match="target must be at least 2"):
             exists_coloring_below(complete(2, 2), 2, 1)
+        for target in (1, -1):  # the sampler takes an order target by the same rule
+            with pytest.raises(ValueError, match="target must be at least 2"):
+                random_search(complete(2, 2), 2, target, cfg=SearchConfig(budget=10))
 
     def test_budget_one(self):
         host = complete(3, 3)
@@ -778,12 +756,6 @@ class TestPackedRule:
                 direct = x >= need_x and y >= need_y and x + y >= order
                 assert (w >= threshold and w % weight >= min_x) == direct, (thm.name, r, m, n, x, y)
 
-    def test_cut_bounds(self):
-        # a cut covers at least f(k, 1) colorings: f grows with colors in use
-        for r, canonicalize in itertools.product((1, 2, 3, 5), (True, False)):
-            for row in search._completion_counts(12, r, canonicalize):
-                assert row == sorted(row)
-
 
 class TestTheoremSweeps:
     def test_two_color_theorem_on_conforming_hosts(self):
@@ -845,9 +817,9 @@ class TestAlphaFrontier:
         (row,) = table["rows"]
         assert row["verdict"] == "counterexample"
 
-    @pytest.mark.parametrize("total_n", [0, 1, -4])
+    @pytest.mark.parametrize("total_n", [0, 1, 2, -4])
     def test_infeasible_total_rejected(self, total_n):
-        with pytest.raises(ValueError, match="total_n >= 2"):
+        with pytest.raises(ValueError, match="total_n >= 3"):
             alpha_frontier(total_n, [Fraction(1, 8)])
 
     def test_alpha_domain(self):
