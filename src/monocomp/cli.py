@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -37,11 +36,7 @@ from .bigraph import (
     graph_json,
     parse_graph_json,
 )
-from .constructions import (
-    ConstructionSpec,
-    InvalidSpec,
-    construction_certificate,
-)
+from .constructions import GEN_VARIANTS, InvalidSpec, construction_certificate, gen_spec
 from .search import (
     _UNBOUNDED,
     THEOREMS,
@@ -84,25 +79,19 @@ def _load_host(source: str):
     """Load a (host, coloring-or-None) pair from a file or a gen: spec.
 
     Spec strings look like "gen:circulant:m=8,n=8,d=2" or
-    "gen:lower-bound:r=2,t1=1,t2=1"; "gen:complete:m=4,n=4" is sugar for a
-    circulant with d=0.
+    "gen:lower-bound:r=2,t1=1,t2=1", with the variants and parameters of
+    ``GEN_VARIANTS``.
     """
     if source.startswith("gen:"):
         parts = source.split(":")
         if len(parts) != 3:
             raise InvalidSpec(f"bad generator spec {source!r}")
-        variant = parts[1]
         params = {}
         if parts[2]:
             for item in parts[2].split(","):
                 key, _, value = item.partition("=")
                 params[key.strip()] = int(value)
-        if variant == "complete":
-            variant, params = "circulant", {**params, "d": 0}
-        try:
-            host, col = ConstructionSpec(variant=variant, **params).build()
-        except TypeError as exc:
-            raise InvalidSpec(f"bad generator parameters in {source!r}: {exc}") from exc
+        host, col = gen_spec(parts[1], params).build()
         return host, col, dumps_canonical(graph_json(host, col))
     with open(source, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -113,16 +102,8 @@ def _load_host(source: str):
 
 
 def cmd_gen(args) -> tuple[dict, int, str, dict]:
-    params = {}
-    if args.variant == "cyclic":
-        params["k"] = args.k
-    elif args.variant in ("lower-bound", "double-star-gap"):
-        params.update(r=args.r, t1=args.t1, t2=args.t2)
-    elif args.variant in ("circulant", "complete"):
-        params.update(m=args.m, n=args.n)
-        params["d"] = 0 if args.variant == "complete" else args.d
-    variant = "circulant" if args.variant == "complete" else args.variant
-    host, col = ConstructionSpec(variant=variant, **params).build()
+    params = {key: getattr(args, key) for key in GEN_VARIANTS[args.variant][1]}
+    host, col = gen_spec(args.variant, params).build()
     cert = construction_certificate(host, col)
     graph_doc = graph_json(host, col)
     doc = {"graph": graph_doc, "certificate": cert.to_json_dict()}
@@ -131,21 +112,16 @@ def cmd_gen(args) -> tuple[dict, int, str, dict]:
             fh.write(dumps_canonical(graph_doc))
             fh.write("\n")
     digest = _digest(dumps_canonical(graph_doc))
-    return doc, _EXIT_OK, digest, {"variant": variant, **params}
+    return doc, _EXIT_OK, digest, {"variant": args.variant, **params}
 
 
 def _single_class(args):
     """A (class graph, r) pair for the per-class lemma reports."""
     host, col, text = _load_host(args.file)
-    if col is None:
-        g = host
-        r = args.r if args.r else 2
-    else:
-        if not (0 <= args.color < col.r):
-            raise GraphError(f"--color must be in [0, {col.r})")
-        g = col.classes[args.color]
-        r = args.r if args.r else col.r
-    return g, r, text
+    classes = (host,) if col is None else col.classes  # an uncolored graph is one class
+    if not (0 <= args.color < len(classes)):
+        raise GraphError(f"--color must be in [0, {len(classes)})")
+    return classes[args.color], args.r or (2 if col is None else col.r), text
 
 
 def cmd_analyze(args) -> tuple[dict, int, str, dict]:
@@ -199,9 +175,7 @@ def cmd_search(args) -> tuple[dict, int, str, dict]:
     if not args.host:
         raise GraphError(f"--mode {args.mode} needs --host")
     host, _col, text = _load_host(args.host)
-    cfg = SearchConfig(
-        seed=args.seed, canonicalize_colors=not args.no_canonicalize, budget=args.budget
-    )
+    cfg = SearchConfig(seed=args.seed, budget=args.budget)
     target = None if args.target is None else _parse_rational(args.target, "--target")
     thm = THEOREMS[args.check]
     if args.mode == "minmax":
@@ -232,35 +206,17 @@ def cmd_scan(args) -> tuple[dict, int, str, dict]:
         raise GraphError("frontier scan needs --total-n")
     alphas = [_parse_rational(a, "--alphas") for a in args.alphas.split(",") if a.strip()]
     cfg = SearchConfig(seed=args.seed, budget=args.budget)
-    table = alpha_frontier(args.total_n, alphas, r=args.r, cfg=cfg, workers=args.workers)
-    params = {"total_n": args.total_n, "alphas": [str(a) for a in alphas], "r": args.r}
+    table = alpha_frontier(args.total_n, alphas, cfg=cfg, workers=args.workers)
+    params = {"total_n": args.total_n, "alphas": [str(a) for a in alphas]}
     digest = _digest(dumps_canonical(params))
     return table, _EXIT_OK, digest, {"rows": len(table["rows"])}
 
 
 def _add_run_options(sub):
     """Options read by both search and scan."""
-    sub.add_argument("--r", type=int, default=2, help="number of colors")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--budget", type=int, default=_UNBOUNDED)
-    sub.add_argument(
-        "--workers",
-        type=int,
-        help="parallel workers (default env MONO_WORKERS or 1)",
-    )
-
-
-def _resolve_workers(args) -> None:
-    """Default ``--workers`` to MONO_WORKERS, else 1; both must be integers
-    >= 1.  MONO_WORKERS is checked whatever the command."""
-    env = os.environ.get("MONO_WORKERS", "1")
-    if not (env.strip().isdecimal() and int(env) >= 1):
-        raise ValueError(f"MONO_WORKERS must be an integer >= 1, not {env!r}")
-    if "workers" in args:
-        if args.workers is None:
-            args.workers = int(env)
-        elif args.workers < 1:
-            raise ValueError(f"--workers must be >= 1, not {args.workers}")
+    sub.add_argument("--workers", type=int, default=1, help="parallel workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,10 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub
 
     gen = add_sub("gen", cmd_gen, help="emit a construction with its certificate")
-    gen.add_argument(
-        "variant",
-        choices=["cyclic", "lower-bound", "double-star-gap", "circulant", "complete"],
-    )
+    gen.add_argument("variant", choices=list(GEN_VARIANTS))
     gen.add_argument("--k", type=int, default=3)
     gen.add_argument("--r", type=int, default=2)
     gen.add_argument("--t1", type=int, default=1)
@@ -318,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--host", help="graph file or gen:<spec>")
     sea.add_argument("--target", help="rational target like 4 or 7/2")
     sea.add_argument("--check", default="gy1", choices=sorted(THEOREMS))
-    sea.add_argument("--no-canonicalize", action="store_true")
+    sea.add_argument("--r", type=int, default=2, help="number of colors")
     _add_run_options(sea)
 
     scan = add_sub("scan", cmd_scan, help="degree-slack frontier scan")
@@ -335,7 +288,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        _resolve_workers(args)
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be >= 1, not {args.workers}")
         doc, code, digest, summary = args.run(args)
         text = dumps_canonical(doc)
     except (GraphError, InvalidSpec, PreconditionViolated, ValueError, OSError) as exc:

@@ -249,3 +249,26 @@ class ConstructionSpec:
         if self.variant == "circulant":
             return complete_minus_circulant(self.m, self.n, self.d), None
         raise InvalidSpec(f"unknown construction variant {self.variant!r}")
+
+
+# each `gen` variant: the generator it runs and the parameters it reads;
+# complete is the circulant with ConstructionSpec's default d = 0
+GEN_VARIANTS = {
+    "cyclic": ("cyclic", ("k",)),
+    "lower-bound": ("lower-bound", ("r", "t1", "t2")),
+    "double-star-gap": ("double-star-gap", ("r", "t1", "t2")),
+    "circulant": ("circulant", ("m", "n", "d")),
+    "complete": ("circulant", ("m", "n")),
+}
+
+
+def gen_spec(variant: str, params: dict) -> ConstructionSpec:
+    """The spec of a ``GEN_VARIANTS`` variant; any other variant, or a
+    parameter the variant does not read, raises InvalidSpec."""
+    if variant not in GEN_VARIANTS:
+        raise InvalidSpec(f"unknown construction variant {variant!r}")
+    name, keys = GEN_VARIANTS[variant]
+    extra = sorted(set(params) - set(keys))
+    if extra:
+        raise InvalidSpec(f"{variant} takes {', '.join(keys)}, not {', '.join(extra)}")
+    return ConstructionSpec(name, **params)

@@ -22,14 +22,13 @@ never recomputes components, and cuts a branch the moment a partial color
 class meets the conclusion (components only grow).  It both enumerates the
 split prefixes and runs the task under each.  Color canonicalization forces
 new colors to appear in increasing order along the edge sequence, cutting
-the tree by up to r! without changing any decision.  With it, the walk also
-breaks row and column symmetry (double-lex, after Flener et al., CP 2002):
-twin rows, which have the same neighbourhood, stay lexicographically
-non-decreasing top to bottom, and twin columns, read top-down, left to
-right.  Both conclusions are invariant under permuting twin rows within X
-and twin columns within Y, so the lex-least coloring meets every such
-order, and decisions and witnesses do not change.
-``canonicalize_colors=False`` turns both off.
+the tree by up to r!, and the walk breaks row and column symmetry
+(double-lex, after Flener et al., CP 2002): twin rows, which have the same
+neighbourhood, stay lexicographically non-decreasing top to bottom, and twin
+columns, read top-down, left to right.  Both conclusions are invariant under
+permuting colors, twin rows within X and twin columns within Y, and the
+lex-least coloring already meets every such order, so neither cut changes a
+decision or a witness; only the node count moves.
 
 A below search, an exhaustive verify and each min-max probe is one walk
 over all edges: ``examined`` is its node count and the budget one cap on
@@ -83,7 +82,6 @@ class SearchConfig:
     """Knobs shared by the search operations."""
 
     seed: int = 0
-    canonicalize_colors: bool = True
     budget: int = _UNBOUNDED
 
     def __post_init__(self):
@@ -173,7 +171,7 @@ def _rule(weight: int, need: tuple[int, int, int]) -> tuple[int, int, int]:
     return weight, order + need_x + weight * need_y, need_x
 
 
-def _walk_below(ends, weights, r, rule, canonicalize, prefix, stop, budget, twins):
+def _walk_below(ends, weights, r, rule, prefix, stop, budget, twins):
     """Yield ``(colors, nodes)`` for each coloring of ``ends[:stop]`` that
     extends ``prefix`` and has no monochromatic component meeting ``rule``
     (``ends``, ``weights`` and ``rule`` from ``_packed``), in lex order,
@@ -185,13 +183,15 @@ def _walk_below(ends, weights, r, rule, canonicalize, prefix, stop, budget, twin
     per color, inlined: ``parents[c]``/``sizes[c]`` with no path
     compression, sizes holding packed weights, and at each depth the root
     that its union attached, or -1.
-    With ``twins`` (``_twin_tables``, used under canonicalization) each twin
-    row stays lex-at-least its previous twin row and each twin column,
-    read top-down, its previous twin column; the lex-least coloring meets
-    both, so only the count of nodes changes.  ``row_gt[i]`` records that
-    row x of edge i is already strictly greater than its previous twin row
-    through edge i (``col_gt`` likewise), so a depth's first color is the
-    least that keeps every order, and the flags need no undo."""
+    New colors appear in increasing order along the edges, and with
+    ``twins`` (``_twin_tables``, None on a twin-free host) each twin row
+    stays lex-at-least its previous twin row and each twin column, read
+    top-down, its previous twin column; the lex-least coloring meets all
+    three orders, so only the count of nodes changes.  ``row_gt[i]``
+    records that row x of edge i is already strictly greater than its
+    previous twin row through edge i (``col_gt`` likewise), so a depth's
+    first color is the least that keeps every order, and the flags need no
+    undo."""
     weight, threshold, need_x = rule
     parents = [list(range(len(weights))) for _ in range(r)]
     sizes = [list(weights) for _ in range(r)]
@@ -209,11 +209,9 @@ def _walk_below(ends, weights, r, rule, canonicalize, prefix, stop, budget, twin
     start = len(prefix)
     assign = list(prefix) + [-1] * (stop - start)  # -1 before a depth's first color
     merged = [-1] * stop  # the root attached at each depth, -1 for none
-    # the last color to try at each depth: r - 1, or under canonicalization
-    # the first unused one, so choosing the top color raises the next top
-    top = [r - 1] * (stop + 1)
-    if canonicalize:
-        top[start] = min(r - 1, max(prefix, default=-1) + 1)
+    # the last color to try at each depth is the first unused one, so
+    # choosing the top color raises the next top
+    top = [min(r - 1, max(prefix, default=-1) + 1)] * (stop + 1)
     if twins:
         row_twin, row_prev, col_twin, col_prev = twins
         row_gt = [False] * (len(ends) + 1)
@@ -356,13 +354,12 @@ def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int, 
     ends, weights, (weight, _, _) = _packed(host, packing)  # needs of one kind pack alike
     if r < 1:
         raise ValueError("need r >= 1")
-    canonicalize = cfg.canonicalize_colors
-    twins = _twin_tables(ends) if canonicalize else None
+    twins = _twin_tables(ends)
     workers = min(workers, os.cpu_count() or 1)
     depth = _prefix_depth(len(ends), r, workers)
 
     def probe(need, budget: int) -> tuple[tuple[int, ...] | None, int]:
-        common = (ends, weights, r, _rule(weight, need), canonicalize)
+        common = (ends, weights, r, _rule(weight, need))
         prefixes = _walk_below(*common, (), depth, budget, twins)
         tasks = ((*common, budget, twins, item) for item in prefixes)
         spent = 0
@@ -695,7 +692,6 @@ _EXHAUSTIVE_EDGE_LIMIT = 16
 def alpha_frontier(
     total_n: int,
     alphas,
-    r: int = 2,
     cfg: SearchConfig | None = None,
     workers: int = 1,
 ) -> dict:
@@ -706,11 +702,8 @@ def alpha_frontier(
     monochromatic component of order n/2 (exhaustively when the host is tiny,
     by seeded sampling otherwise).  The output is labeled exploratory
     evidence: a clean row is not a proof and a counterexample row only speaks
-    for its family members.  Only ``r = 2`` is searched; any other ``r``
-    raises ValueError.
+    for its family members.
     """
-    if r != 2:
-        raise ValueError(f"the frontier scan searches 2-colorings only, not r={r}")
     if total_n < 3:  # total_n / 2 must be a target of at least 2
         raise ValueError(f"the frontier scan needs total_n >= 3, not {total_n}")
     cfg = cfg or SearchConfig()
@@ -768,4 +761,4 @@ def alpha_frontier(
                 "verdict": verdict,
             }
         )
-    return {"exploratory": True, "total_n": total_n, "r": r, "rows": rows}
+    return {"exploratory": True, "total_n": total_n, "r": 2, "rows": rows}

@@ -106,7 +106,7 @@ COMMANDS = [
     ["search", "--mode", "below", "--host", _K44, "--target", "5"],
     ["search", "--mode", "below", "--host", _K44, "--target", "4"],
     ["search", "--mode", "below", "--host", _K44, "--target", "4", "--budget", "5"],
-    ["search", "--mode", "below", "--host", _K33, "--target", "7/2", "--no-canonicalize"],
+    ["search", "--mode", "below", "--host", _K33, "--target", "7/2"],
     ["search", "--mode", "below", "--host", _K44],
     # search: verify and random for each theorem
     ["search", "--mode", "verify", "--host", _K33],

@@ -16,10 +16,10 @@ from monocomp.cli import main
 import oracles
 
 
-def run_cli(args, tmp_path, check=False, env=None):
+def run_cli(args, tmp_path, check=False):
     cmd = [sys.executable, "-m", "monocomp", "--manifest", str(tmp_path / "manifest.json")]
     cmd += [str(a) for a in args]
-    return subprocess.run(cmd, capture_output=True, text=True, check=check, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, check=check)
 
 
 def run_search_in_256_mib(tmp_path, args):
@@ -208,8 +208,8 @@ class TestSearch:
         # is the single walk's 36
         walk, prefixes = search._walk_below, []
 
-        def recording(ends, weights, r, rule, canonicalize, prefix, stop, *rest):
-            for item in walk(ends, weights, r, rule, canonicalize, prefix, stop, *rest):
+        def recording(ends, weights, r, rule, prefix, stop, *rest):
+            for item in walk(ends, weights, r, rule, prefix, stop, *rest):
                 if stop < len(ends):  # the prefix walk, not a task
                     prefixes.append(item)
                 yield item
@@ -219,8 +219,7 @@ class TestSearch:
         for workers in ("1", "2"):
             code = main([
                 "--manifest", str(tmp_path / "manifest.json"), "search", "--mode", "below",
-                "--host", "gen:complete:m=6,n=6", "--target", "13", "--no-canonicalize",
-                "--workers", workers,
+                "--host", "gen:complete:m=6,n=6", "--target", "13", "--workers", workers,
             ])
             out, err = capsys.readouterr()
             assert (code, err) == (1, ""), workers
@@ -259,7 +258,6 @@ class TestBadInput:
             ["search", "--mode", "below", "--host", "gen:complete:m=3,n=3", "--target", "1/0"],
             ["search", "--mode", "verify", "--host", "gen:complete:m=3,n=3", "--target", "1/0"],
             ["scan", "--total-n", 16, "--alphas", "1/8,1/0"],
-            ["scan", "--total-n", 16, "--alphas", "1/8", "--r", 3, "--budget", 100],
             ["search", "--mode", "verify", "--host", "gen:complete:m=2,n=2", "--r", 0],
             ["search", "--mode", "random", "--host", "gen:complete:m=2,n=2", "--r", 0],
             ["scan", "--total-n", 0, "--alphas", "1/8"],
@@ -270,17 +268,16 @@ class TestBadInput:
              "--budget", 10],
             ["analyze", "gen:complete:m=3,n=3", "--check", "stability", "--r", -1],
             ["analyze", "gen:complete:m=3,n=3", "--check", "mainlemma", "--r", -3],
+            # a parameter the variant does not read
+            ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2,d=1"],
+            ["search", "--mode", "minmax", "--host", "gen:circulant:m=2,n=2,r=5"],
+            # an uncolored graph is one class, color 0
+            ["analyze", "gen:complete:m=3,n=3", "--check", "stability", "--color", 5],
+            ["analyze", "gen:complete:m=3,n=3", "--check", "mainlemma", "--color", 5],
         ],
     )
     def test_exit_2_one_line(self, tmp_path, args):
         res = run_cli(args, tmp_path)
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
-
-    def test_bad_mono_workers_env(self, tmp_path):
-        env = {**os.environ, "MONO_WORKERS": "abc"}
-        res = run_cli(["gen", "complete"], tmp_path, env=env)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
@@ -371,11 +368,10 @@ class TestArgvFuzz:
         r=st.integers(-1, 4),
         target=st.one_of(st.none(), st.sampled_from(["1/0", "x", "-1", "0", "2", "7/2", "5"])),
         budget=st.integers(-1, 20_000),
-        no_canonicalize=st.booleans(),
         workers=st.sampled_from(["1", "2"]),
     )
     def test_search_exits_with_a_verdict_or_one_error(
-        self, mode, check, host, r, target, budget, no_canonicalize, workers
+        self, mode, check, host, r, target, budget, workers
     ):
         # every search argv ends in a documented exit code, never in a
         # traceback or the internal-error code 4
@@ -384,7 +380,6 @@ class TestArgvFuzz:
             "--host", host, "--r", str(r), "--budget", str(budget), "--workers", workers,
         ]
         argv += ["--target", target] if target is not None else []
-        argv += ["--no-canonicalize"] if no_canonicalize else []
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
@@ -410,6 +405,10 @@ class TestSubcommandFlags:
             # the split depth is no option
             ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--split-depth", "2"],
             ["scan", "--total-n", "16", "--alphas", "1/8", "--budget", "10", "--split-depth", "2"],
+            # the scan searches 2-colorings only, and the walk always breaks symmetry
+            ["scan", "--total-n", "16", "--alphas", "1/8", "--r", "3", "--budget", "100"],
+            ["scan", "--total-n", "16", "--alphas", "1/8", "--r", "2"],
+            ["search", "--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--no-canonicalize"],
         ],
     )
     def test_unread_flag_rejected(self, args, capsys):
@@ -417,23 +416,6 @@ class TestSubcommandFlags:
             main(["--manifest", os.devnull, *args])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
-
-
-class TestWorkersEnv:
-    def test_mono_workers_env_default(self, tmp_path):
-        import os
-
-        env = {**os.environ, "MONO_WORKERS": "2"}
-        cmd = [
-            sys.executable, "-m", "monocomp", "--manifest",
-            str(tmp_path / "m.json"), "search", "--mode", "minmax",
-            "--host", "gen:complete:m=3,n=3", "--r", 2,
-        ]
-        res = subprocess.run(
-            [str(c) for c in cmd], capture_output=True, text=True, env=env
-        )
-        assert res.returncode == 0
-        assert json.loads(res.stdout)["value"] == 4
 
 
 class TestColdStart:
