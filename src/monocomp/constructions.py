@@ -264,11 +264,14 @@ GEN_VARIANTS = {
 
 def gen_spec(variant: str, params: dict) -> ConstructionSpec:
     """The spec of a ``GEN_VARIANTS`` variant; any other variant, or a
-    parameter the variant does not read, raises InvalidSpec."""
+    parameter the variant does not read or misses, raises InvalidSpec."""
     if variant not in GEN_VARIANTS:
         raise InvalidSpec(f"unknown construction variant {variant!r}")
     name, keys = GEN_VARIANTS[variant]
     extra = sorted(set(params) - set(keys))
     if extra:
         raise InvalidSpec(f"{variant} takes {', '.join(keys)}, not {', '.join(extra)}")
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise InvalidSpec(f"{variant} needs {', '.join(missing)}")
     return ConstructionSpec(name, **params)

@@ -22,13 +22,17 @@ never recomputes components, and cuts a branch the moment a partial color
 class meets the conclusion (components only grow).  It both enumerates the
 split prefixes and runs the task under each.  Color canonicalization forces
 new colors to appear in increasing order along the edge sequence, cutting
-the tree by up to r!, and the walk breaks row and column symmetry
-(double-lex, after Flener et al., CP 2002): twin rows, which have the same
-neighbourhood, stay lexicographically non-decreasing top to bottom, and twin
-columns, read top-down, left to right.  Both conclusions are invariant under
-permuting colors, twin rows within X and twin columns within Y, and the
-lex-least coloring already meets every such order, so neither cut changes a
-decision or a witness; only the node count moves.
+the tree by up to r!, and the walk breaks the host's own symmetry with
+lex-leader constraints (Crawford, Ginsberg, Luks, Roy, KR 1996): for each
+generator of the host's automorphism group (``_automorphisms``, found by
+individualization and refinement), the coloring stays lex-at-most its image
+under that automorphism with colors renamed by first appearance.  Every
+automorphism (a side swap too, when m = n, since then half-half is
+symmetric) and every color permutation maps a coloring that keeps all
+components below the conclusion to one that does too, so the solutions
+fall into orbits, and the lex-least solution is the least of its orbit and
+meets every such order.  So neither cut changes a decision or a witness;
+only the node count moves.
 
 A below search, an exhaustive verify and each min-max probe is one walk
 over all edges: ``examined`` is its node count and the budget one cap on
@@ -71,6 +75,7 @@ from .constructions import complete_minus_circulant
 _UNBOUNDED = 1 << 62
 _RANDOM_BLOCK = 2048
 _PREFIX_DEPTH = 4
+_SYMMETRY_WORK = 1 << 16
 
 
 class PreconditionViolated(Exception):
@@ -112,41 +117,259 @@ def _ceil_frac(value) -> int:
     return -((-f.numerator) // f.denominator)
 
 
-def _twin_tables(ends):
-    """Double-lex tables over ``_packed``'s ``ends`` for twin rows (rows with
-    the same neighbourhood) and twin columns, or None when the host has neither.
+def _automorphisms(host: BipartiteGraph) -> list[list[int]]:
+    """Generators of the host's automorphism group, each as an edge
+    permutation ``perm`` over ``_packed``'s ``ends``: the vertex bijection
+    sends edge i onto edge ``perm[i]``.  Every bijection keeps X and Y, or
+    (only when m = n) swaps them whole, and each one is checked against the
+    edge set before it is returned.
 
-    For edge i = (x, y): ``row_twin[i]`` is the edge (x', y) of the previous
-    twin row x' of x, or -1; ``row_prev[i]`` is the previous edge of row x;
-    ``col_twin[i]`` is the edge (x, y') of the previous twin column y' of y,
-    or -1; ``col_prev[i]`` is the previous edge of column y.  A missing
-    previous edge reads ``len(ends)``, whose flag stays False."""
-    num_edges = len(ends)
-    rows: dict[int, list[int]] = {}
-    cols: dict[int, list[int]] = {}
-    for i, (a, b) in enumerate(ends):
-        rows.setdefault(a, []).append(i)
-        cols.setdefault(b, []).append(i)
+    Individualization and refinement (after McKay, J. Algorithms 26, 1998)
+    over X and Y, whose vertices are numbered as in ``ends``: refining an
+    ordered partition splits its cells by their neighbour counts in one
+    splitter cell at a time, and only cells that changed become splitters.
+    The first path individualizes the first vertex of the first non-trivial
+    cell until the partition is discrete; the leaf ``first`` pairs each
+    vertex with its position.  Level by level from the deepest, for each
+    vertex w of the level's cell that is not yet in the orbit of the path's
+    vertex under the generators that fix the path above it, a depth-first
+    search under w looks for a leaf whose pairing with ``first`` is an
+    automorphism (nodes whose cell sizes differ from the first path's are
+    cut).  Together these generate the side-keeping group; with m = n, one
+    search from the partition with the sides in swapped order adds a side
+    swap if there is one.  Transpositions of twin vertices (the same
+    neighbourhood) seed the orbits, which spares complete hosts the search.
+    The search stops after ``_SYMMETRY_WORK`` vertex steps, and at most
+    ``_SYMMETRY_WORK`` permutation entries are returned: on a big host the
+    walk breaks the symmetry of the generators found first, which keeps
+    it as sound."""
+    m, n = host.m, host.n
+    num = m + n
+    if host.edge_count > _SYMMETRY_WORK:  # no generator would fit
+        return []
+    ends = [(x, m + y) for x, y in host.edges()]
+    edge_at = {e: i for i, e in enumerate(ends)}
+    adj = [[] for _ in range(num)]
+    for a, b in ends:
+        adj[a].append(b)
+        adj[b].append(a)
+    work = _SYMMETRY_WORK
 
-    def tables(lines, other):
-        twin, before, last = [-1] * num_edges, [num_edges] * num_edges, {}
-        for v in sorted(lines):
-            line = lines[v]
-            key = tuple(ends[i][other] for i in line)
-            prev = last.get(key)
-            for k, i in enumerate(line):
-                if prev:
-                    twin[i] = prev[k]
-                if k:
-                    before[i] = line[k - 1]
-            last[key] = line
-        return twin, before
+    def refine(lab, cell, end, queue):
+        """Refine the partition (``lab`` the vertices in cell order,
+        ``cell[v]`` the start of v's cell, ``end[s]`` the end of the cell at
+        s) in place until every cell has equal counts in each splitter."""
+        queued = set(queue)
+        queue = deque(queue)
+        while queue:
+            s = queue.popleft()
+            queued.discard(s)
+            count = {}
+            for v in lab[s:end[s]]:
+                for w in adj[v]:
+                    count[w] = count.get(w, 0) + 1
+            for c in sorted({cell[w] for w in count}):
+                groups = {}
+                for w in lab[c:end[c]]:
+                    groups.setdefault(count.get(w, 0), []).append(w)
+                if len(groups) == 1:
+                    continue
+                starts, at = [], c
+                for key in sorted(groups):
+                    group = groups[key]
+                    lab[at:at + len(group)] = group
+                    for w in group:
+                        cell[w] = at
+                    end[at] = at + len(group)
+                    starts.append(at)
+                    at += len(group)
+                if c not in queued:  # c's counts are known: one fragment may stay out
+                    starts.remove(max(starts, key=lambda f: end[f] - f))
+                for f in starts:
+                    if f not in queued:
+                        queued.add(f)
+                        queue.append(f)
 
-    row_twin, row_prev = tables(rows, 1)
-    col_twin, col_prev = tables(cols, 0)
-    if max(row_twin) < 0 and max(col_twin) < 0:
+    def shape(node):
+        """The cell starts of a node's partition, and its first cell of
+        two or more vertices (None when the partition is discrete)."""
+        end = node[2]
+        starts, target, s = [], None, 0
+        while s < num:
+            starts.append(s)
+            if target is None and end[s] - s > 1:
+                target = s
+            s = end[s]
+        return tuple(starts), target
+
+    def child(node, v):
+        nonlocal work
+        work -= num
+        lab, cell, end = node[0][:], node[1][:], node[2][:]
+        s = cell[v]
+        e = end[s]
+        i = lab.index(v, s, e)
+        lab[i], lab[s] = lab[s], v
+        end[s], end[s + 1] = s + 1, e
+        for w in lab[s + 1:e]:
+            cell[w] = s + 1
+        refine(lab, cell, end, [s])
+        return lab, cell, end
+
+    def root(order):
+        """The refined partition of the two sides, in ``order``."""
+        lab = [v for side in order for v in side]
+        k = len(order[0])
+        cell = [0] * num
+        for v in order[1]:
+            cell[v] = k
+        end = [0] * num
+        end[0], end[k] = k, num
+        refine(lab, cell, end, [0, k])
+        return lab, cell, end
+
+    def verified(sigma):
+        """``sigma`` if it keeps or swaps the sides whole and maps each edge
+        at a moved vertex onto an edge (so every edge onto an edge), else
+        None."""
+        nonlocal work
+        work -= num
+        swap = sigma[0] >= m
+        for v in range(num):
+            if (sigma[v] >= m) != (v >= m) ^ swap:
+                return None
+            if sigma[v] != v or swap:
+                for w in adj[v]:
+                    a, b = sigma[v], sigma[w]
+                    if (min(a, b), max(a, b)) not in edge_at:
+                        return None
+        return sigma
+
+    x_side, y_side = range(m), range(m, num)
+    node = root((x_side, y_side))
+    path = []  # (node, shape, target) per level, the leaf last
+    while True:
+        starts, target = shape(node)
+        path.append((node, starts, target))
+        if target is None or work < 0:
+            break
+        node = child(node, node[0][target])
+    first = node[0]
+
+    def search(node, level):
+        """A leaf under ``node`` (at ``level`` of the first path) whose
+        pairing with ``first`` is an automorphism, as the vertex map, or
+        None."""
+        frames = []
+        while work >= 0:
+            starts, target = shape(node)
+            if starts == path[level][1]:
+                if target is None:
+                    sigma = [0] * num
+                    for a, b in zip(first, node[0]):
+                        sigma[a] = b
+                    if verified(sigma):
+                        return sigma
+                else:
+                    frames.append((node, level, iter(node[0][target:node[2][target]])))
+            while frames:
+                parent, up, cands = frames[-1]
+                w = next(cands, None)
+                if w is not None:
+                    node, level = child(parent, w), up + 1
+                    break
+                frames.pop()
+            else:
+                return None
         return None
-    return row_twin, row_prev, col_twin, col_prev
+
+    gens = []
+    twins = {}
+    for v in range(num):
+        twins.setdefault((v >= m, tuple(adj[v])), []).append(v)
+    for group in twins.values():
+        for a, b in zip(group, group[1:]):
+            sigma = list(range(num))
+            sigma[a], sigma[b] = b, a
+            if work >= 0 and verified(sigma):
+                gens.append(sigma)
+    if len(path[-1][1]) == num:  # the first path reached a leaf
+        depth = {node[0][target]: i for i, (node, _, target) in enumerate(path[:-1])}
+        # orbits under the generators that fix the path above each level,
+        # deepest level first, as one union-find
+        orbit = list(range(num))
+
+        def find(v):
+            while orbit[v] != v:
+                v = orbit[v]
+            return v
+
+        def join(sigma):
+            for v in range(num):
+                a, b = find(v), find(sigma[v])
+                if a != b:
+                    orbit[max(a, b)] = min(a, b)
+
+        by_level = {}
+        for sigma in gens:
+            moved = min(depth.get(v, num) for v in range(num) if sigma[v] != v)
+            by_level.setdefault(moved, []).append(sigma)
+        for level in range(len(path) - 2, -1, -1):
+            for sigma in by_level.get(level, ()):
+                join(sigma)
+            node, _, target = path[level]
+            v = node[0][target]
+            for w in node[0][target + 1:node[2][target]]:
+                if work < 0:
+                    break
+                if find(w) != find(v):
+                    sigma = search(child(node, w), level + 1)
+                    if sigma:
+                        gens.append(sigma)
+                        join(sigma)
+        if m == n and work >= 0:
+            sigma = search(root((y_side, x_side)), 0)
+            if sigma:
+                gens.append(sigma)
+    perms = []
+    for sigma in gens[:_SYMMETRY_WORK // len(ends)]:
+        if sigma[0] < m:
+            perm = [edge_at[sigma[a], sigma[b]] for a, b in ends]
+        else:
+            perm = [edge_at[sigma[b], sigma[a]] for a, b in ends]
+        if perm != list(range(len(ends))):  # isolated twins move no edge
+            perms.append(perm)
+    return perms
+
+
+def _lex_schedule(perms, num_edges):
+    """The incremental lex-leader check of ``_walk_below`` for the edge
+    permutations ``perms`` (``_automorphisms``): per depth, the tuple of
+    (generator, previous slot or -1, slot, pairs) compared there, where
+    pairs are the (k, perm[k]) whose position k becomes comparable at this
+    depth and slot indexes the generator's renaming after this depth; then
+    the number of generators and of slots.
+
+    Position k of ``assign`` and of ``assign`` composed with ``perm`` are
+    both known from depth max(j, perm[j]) over j <= k on.  Positions before
+    a generator's first moved one are equal in both and left out: the
+    canonical coloring names its colors in order, so the renaming starts as
+    the identity on the colors used."""
+    schedule = [[] for _ in range(num_edges)]
+    slot = 0
+    for g, perm in enumerate(perms):
+        k0 = next(k for k in range(num_edges) if perm[k] != k)
+        events = {}
+        depth = k0
+        for k in range(k0, num_edges):
+            depth = max(depth, k, perm[k])
+            events.setdefault(depth, []).append((k, perm[k]))
+        prev = -1
+        for depth, pairs in events.items():
+            schedule[depth].append((g, prev, slot, tuple(pairs)))
+            prev = slot
+            slot += 1
+    return [tuple(at) for at in schedule], len(perms), slot
 
 
 def _packed(host: BipartiteGraph, need: tuple[int, int, int]):
@@ -171,7 +394,7 @@ def _rule(weight: int, need: tuple[int, int, int]) -> tuple[int, int, int]:
     return weight, order + need_x + weight * need_y, need_x
 
 
-def _walk_below(ends, weights, r, rule, prefix, stop, budget, twins):
+def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     """Yield ``(colors, nodes)`` for each coloring of ``ends[:stop]`` that
     extends ``prefix`` and has no monochromatic component meeting ``rule``
     (``ends``, ``weights`` and ``rule`` from ``_packed``), in lex order,
@@ -182,48 +405,41 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, twins):
     The search is an iterative depth-first walk on one rollback union-find
     per color, inlined: ``parents[c]``/``sizes[c]`` with no path
     compression, sizes holding packed weights, and at each depth the root
-    that its union attached, or -1.
-    New colors appear in increasing order along the edges, and with
-    ``twins`` (``_twin_tables``, None on a twin-free host) each twin row
-    stays lex-at-least its previous twin row and each twin column, read
-    top-down, its previous twin column; the lex-least coloring meets all
-    three orders, so only the count of nodes changes.  ``row_gt[i]``
-    records that row x of edge i is already strictly greater than its
-    previous twin row through edge i (``col_gt`` likewise), so a depth's
-    first color is the least that keeps every order, and the flags need no
-    undo."""
+    that its union attached, or -1.  New colors appear in increasing order
+    along the edges.  ``lex`` (``_lex_schedule``) holds, per depth, the
+    positions that become comparable there for each automorphism perm, and
+    the walk keeps ``assign`` lex-at-most its image ``assign[perm[k]]``
+    with colors renamed by first appearance.  The lex-least coloring meets
+    every such order (see the module docstring), so only the node count
+    changes.  Only the generators still tied do any work: ``sat[g]`` is the
+    depth at which generator g became strictly less on this path, and
+    ``states[slot]`` its renaming after that slot's depth (color to name,
+    the next name last), so neither needs an undo.  A color that breaks an
+    order is cut like one that meets the rule, as a node, and ``merged``
+    undoes its union.
+
+    The walk replays ``prefix`` first, taking each prefix color as its
+    depth's first, with ``nodes`` starting at minus the prefix length, so a
+    task's union-finds, orders and count start where the walk that made
+    the prefix left them."""
     weight, threshold, need_x = rule
+    schedule, num_gens, num_slots = lex
     parents = [list(range(len(weights))) for _ in range(r)]
     sizes = [list(weights) for _ in range(r)]
-    for (a, b), c in zip(ends, prefix):
-        parent, size = parents[c], sizes[c]
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a != b:
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
     start = len(prefix)
-    assign = list(prefix) + [-1] * (stop - start)  # -1 before a depth's first color
+    first = list(prefix) + [0] * (stop - start)  # the first color tried at each depth
+    assign = [-1] * stop  # -1 before a depth's first color
     merged = [-1] * stop  # the root attached at each depth, -1 for none
     # the last color to try at each depth is the first unused one, so
     # choosing the top color raises the next top
-    top = [min(r - 1, max(prefix, default=-1) + 1)] * (stop + 1)
-    if twins:
-        row_twin, row_prev, col_twin, col_prev = twins
-        row_gt = [False] * (len(ends) + 1)
-        col_gt = [False] * (len(ends) + 1)
-        for i, c in enumerate(prefix):
-            if row_twin[i] >= 0:
-                row_gt[i] = row_gt[row_prev[i]] or c > prefix[row_twin[i]]
-            if col_twin[i] >= 0:
-                col_gt[i] = col_gt[col_prev[i]] or c > prefix[col_twin[i]]
-    nodes = 0
-    idx = start
-    while idx >= start:
+    top = [0] * (stop + 1)
+    done = len(ends)
+    sat = [done] * num_gens
+    states = [None] * num_slots
+    identity = [list(range(c)) + [-1] * (r - c) + [c] for c in range(r)]
+    nodes = -start
+    idx = 0
+    while idx >= start or nodes < 0:  # nodes < 0 while the prefix replays
         if idx == stop:
             yield tuple(assign), nodes
             idx -= 1
@@ -242,14 +458,7 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, twins):
                 continue
             c += 1
         else:
-            c = 0
-            if twins:
-                p = row_twin[idx]
-                if p >= 0 and not row_gt[row_prev[idx]]:
-                    c = assign[p]
-                p = col_twin[idx]
-                if p >= 0 and not col_gt[col_prev[idx]] and assign[p] > c:
-                    c = assign[p]
+            c = first[idx]
         nodes += 1
         if nodes > budget:
             break
@@ -274,13 +483,31 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, twins):
             parent[b] = a
             size[a] = merged_size
             merged[idx] = b
-        if twins:
-            p = row_twin[idx]
-            if p >= 0:
-                row_gt[idx] = row_gt[row_prev[idx]] or c > assign[p]
-            p = col_twin[idx]
-            if p >= 0:
-                col_gt[idx] = col_gt[col_prev[idx]] or c > assign[p]
+        events = schedule[idx]
+        if events:
+            broken = False
+            for g, prev, slot, pairs in events:
+                if sat[g] < idx:
+                    continue
+                ren = identity[top[pairs[0][0]]] if prev < 0 else states[prev]
+                for k, p in pairs:
+                    name = ren[assign[p]]
+                    if name < 0:
+                        ren = ren[:]  # a renaming is shared until it grows
+                        name = ren[assign[p]] = ren[r]
+                        ren[r] = name + 1
+                    if assign[k] != name:
+                        break
+                else:
+                    states[slot] = ren
+                    sat[g] = done
+                    continue
+                if assign[k] > name:
+                    broken = True
+                    break
+                sat[g] = idx
+            if broken:  # merged[idx] undoes the union at the next color
+                continue
         idx += 1
         top[idx] = top[idx - 1] if c < top[idx - 1] else min(r - 1, c + 1)
     yield None, nodes
@@ -290,11 +517,11 @@ def _below_task(args) -> tuple[tuple[int, ...] | None, int, int]:
     """Search under one streamed prefix (``_below_probe``): (colors or None,
     the prefix walk's nodes at that prefix, the task's nodes).  The prefix
     walk's closing item (prefix None) is a task of 0 nodes."""
-    *common, budget, twins, (prefix, pre) = args
+    *common, budget, lex, (prefix, pre) = args
     if prefix is None:
         return None, pre, 0
     stop = len(common[0])
-    colors, nodes = next(_walk_below(*common, prefix, stop, budget - pre, twins))
+    colors, nodes = next(_walk_below(*common, prefix, stop, budget - pre, lex))
     return colors, pre, nodes
 
 
@@ -342,8 +569,9 @@ def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int, 
     of the same kind as ``packing``: an order target, or half-half), as
     colors or None, and the nodes one ``_walk_below`` over all edges tries
     to decide it, which read ``budget + 1`` (and colors None) once that
-    walk goes over ``budget``.  The packed instance, the twin tables, the
-    split depth and the process pool are set up once for every probe.
+    walk goes over ``budget``.  The packed instance, the lex-leader
+    schedule, the split depth and the process pool are set up once for
+    every probe.
 
     The walk is split at ``_prefix_depth`` for W = min(workers, CPUs)
     processes, which only schedules: one prefix walk, capped at the budget,
@@ -354,14 +582,14 @@ def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int, 
     ends, weights, (weight, _, _) = _packed(host, packing)  # needs of one kind pack alike
     if r < 1:
         raise ValueError("need r >= 1")
-    twins = _twin_tables(ends)
+    lex = _lex_schedule(_automorphisms(host), len(ends))
     workers = min(workers, os.cpu_count() or 1)
     depth = _prefix_depth(len(ends), r, workers)
 
     def probe(need, budget: int) -> tuple[tuple[int, ...] | None, int]:
         common = (ends, weights, r, _rule(weight, need))
-        prefixes = _walk_below(*common, (), depth, budget, twins)
-        tasks = ((*common, budget, twins, item) for item in prefixes)
+        prefixes = _walk_below(*common, (), depth, budget, lex)
+        tasks = ((*common, budget, lex, item) for item in prefixes)
         spent = 0
         with closing(ranked(_below_task, tasks)) as results:
             for colors, pre, nodes in results:  # the last item closes the prefix walk

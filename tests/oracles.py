@@ -99,54 +99,47 @@ def _below(m, n, edges, colors, r, t):
     return max_mono_order(m, n, edges[: len(colors)], colors, r) < t
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _double_lex_ok(edges, colors):
-    """Are twin rows (rows with the same neighbourhood) lex-nondecreasing
-    top to bottom, and twin columns, read top-down, left to right?  Each
-    pair compares its colored parts as far as both go."""
-    color = dict(zip(edges, colors))
-    for side in (0, 1):
-        lines = {}
-        for e in edges:
-            lines.setdefault(e[side], []).append(e)
-        for v, w in itertools.combinations(sorted(lines), 2):
-            if [e[1 - side] for e in lines[v]] != [e[1 - side] for e in lines[w]]:
-                continue
-            a = [color[e] for e in lines[v] if e in color]
-            b = [color[e] for e in lines[w] if e in color]
-            k = min(len(a), len(b))
-            if a[:k] > b[:k]:
-                return False
+def lex_leader_ok(colors, perm):
+    """Does the colored prefix keep ``colors`` lex-at-most its image under
+    the edge permutation ``perm`` (position k reads ``colors[perm[k]]``),
+    with the image's colors renamed by first appearance, on the positions
+    known on both sides?  Position k is known once every j <= k and every
+    ``perm[j]`` is colored."""
+    names = {}
+    for k, p in enumerate(perm):
+        if k >= len(colors) or p >= len(colors):
+            break
+        name = names.setdefault(colors[p], len(names))
+        if colors[k] != name:
+            return colors[k] < name
     return True
 
 
-def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop, double_lex=False):
+def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop, perms=()):
     """The below-``t`` search tree under ``prefix`` in lex order: None for
     each color tried, then the colors of ``edges[:stop]`` at each leaf
-    whose components all stay below ``t``.  With ``double_lex`` a color
-    that breaks the order of twin rows or twin columns is not tried."""
+    whose components all stay below ``t``.  A color whose prefix breaks
+    ``lex_leader_ok`` for some edge permutation of ``perms`` is tried, but
+    its subtree is not."""
     if len(prefix) == stop:
         yield prefix
         return
     hi = min(r - 1, max(prefix, default=-1) + 1) if canonicalize else r - 1
     for c in range(hi + 1):
         colors = prefix + (c,)
-        if double_lex and not _double_lex_ok(edges, colors):
-            continue
         yield None
-        if _below(m, n, edges, colors, r, t):
-            yield from _below_tree(
-                m, n, edges, r, t, canonicalize, colors, stop, double_lex
-            )
+        if _below(m, n, edges, colors, r, t) and all(lex_leader_ok(colors, p) for p in perms):
+            yield from _below_tree(m, n, edges, r, t, canonicalize, colors, stop, perms)
 
 
-def brute_below_search(host, r, t, canonicalize=True, budget=1 << 62, double_lex=False):
+def brute_below_search(host, r, t, canonicalize=True, budget=1 << 62, perms=()):
     """The search for a coloring keeping every component below ``t``, as one
-    lex-order walk of the whole tree that stops at node ``budget + 1``.
-    Returns (kind, examined, colors or None)."""
+    lex-order walk of the whole tree that stops at node ``budget + 1``,
+    with the lex-leader cut of ``perms``.  Returns (kind, examined, colors
+    or None)."""
     m, n, edges = host.m, host.n, tuple(host.edges())
     examined = 0
-    tree = _below_tree(m, n, edges, r, Fraction(t), canonicalize, (), len(edges), double_lex)
+    tree = _below_tree(m, n, edges, r, Fraction(t), canonicalize, (), len(edges), perms)
     for leaf in tree:
         if leaf is not None:
             return "Counterexample", examined, leaf
@@ -154,6 +147,26 @@ def brute_below_search(host, r, t, canonicalize=True, budget=1 << 62, double_lex
         if examined > budget:
             return "BudgetExhausted", examined, None
     return "AllSatisfy", examined, None
+
+
+def brute_automorphisms(host):
+    """The distinct edge permutations (edges in sorted (x, y) order) of
+    every vertex bijection that keeps the sides, or swaps them when m = n,
+    and maps edges onto edges, over all m! n! (twice that) bijections."""
+    m, n = host.m, host.n
+    edges = host.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    perms = set()
+    for xs in itertools.permutations(range(m)):
+        for ys in itertools.permutations(range(n)):
+            maps = [lambda x, y: (xs[x], ys[y])]
+            if m == n:
+                maps.append(lambda x, y: (xs[y], ys[x]))
+            for image in maps:
+                moved = [image(x, y) for x, y in edges]
+                if all(e in index for e in moved):
+                    perms.add(tuple(index[e] for e in moved))
+    return perms
 
 
 def enum_assignments(edges, r, canonicalize):

@@ -274,6 +274,9 @@ class TestBadInput:
             # an uncolored graph is one class, color 0
             ["analyze", "gen:complete:m=3,n=3", "--check", "stability", "--color", 5],
             ["analyze", "gen:complete:m=3,n=3", "--check", "mainlemma", "--color", 5],
+            # a parameter the variant reads but the spec omits
+            ["search", "--mode", "minmax", "--host", "gen:circulant:m=3,n=3"],
+            ["search", "--mode", "minmax", "--host", "gen:lower-bound:r=2"],
         ],
     )
     def test_exit_2_one_line(self, tmp_path, args):

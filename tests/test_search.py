@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -147,6 +148,18 @@ class TestExistsBelow:
             checked += 1
 
 
+def symmetric_host(rng):
+    """A twin-rich host, or one whose automorphisms move no twins: a
+    circulant K_{n,n} minus a perfect matching, or a small circulant."""
+    kind = rng.random()
+    if kind < 0.6:
+        return twin_rich_host(rng)
+    if kind < 0.8:
+        return complete_minus_circulant(*[rng.randint(3, 4)] * 2, 1)
+    m = rng.randint(2, 4)
+    return complete_minus_circulant(m, rng.randint(m, 4), rng.randint(1, 2))
+
+
 class TestBelowSearch:
     def test_matches_split_oracle(self, monkeypatch):
         # one worker at a forced depth: the split path, its tasks run in order
@@ -154,14 +167,15 @@ class TestBelowSearch:
         kinds = set()
         checked = 0
         while checked < 60:
-            host = random_host(rng)
+            host = random_host(rng) if checked % 3 else symmetric_host(rng)
             r = rng.randint(1, 3)
             if host is None or host.edge_count > 12 or r**host.edge_count > 4096:
                 continue
+            perms = search._automorphisms(host)
             for t in range(2, host.m + host.n + 2):
-                want = oracles.brute_below_search(host, r, t, double_lex=True)
+                want = oracles.brute_below_search(host, r, t, perms=perms)
                 for budget in {b for b in (1, want[1] - 1, want[1], 1 << 62) if b >= 1}:
-                    bounded = oracles.brute_below_search(host, r, t, True, budget, double_lex=True)
+                    bounded = oracles.brute_below_search(host, r, t, True, budget, perms)
                     for depth in (0, 2, host.edge_count):
                         force_depth(monkeypatch, depth)
                         fast = exists_coloring_below(host, r, t, SearchConfig(budget=budget))
@@ -178,28 +192,31 @@ class TestBelowSearch:
         assert kinds == {"Counterexample", "AllSatisfy", "BudgetExhausted"}
         # and once through a real pool of two processes
         host, t = complete_minus_circulant(4, 4, 1), 4
-        want = oracles.brute_below_search(host, 2, t, double_lex=True)
+        want = oracles.brute_below_search(host, 2, t, perms=search._automorphisms(host))
         force_depth(monkeypatch, 2)
         fast = exists_coloring_below(host, 2, t, workers=2)
         colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
         assert (fast.kind, fast.examined, colors) == want
 
     def test_double_lex_on_twin_rich_hosts(self, monkeypatch):
-        # double-lex changes only the count: decision and witness are those
-        # of the symmetry-free oracle, for every split depth and worker count
+        # the lex-leader cut of the host's automorphisms (twin transpositions
+        # among them) changes only the count: decision and witness are those
+        # of the symmetry-free oracle and examined is the oracle's with the
+        # library's generators, for every split depth and worker count
         # (one CPU: the tasks of two workers run in order in this process)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
         rng = random.Random(61)
-        checked = with_twins = 0
+        checked = moved = 0
         while checked < 40:
-            host = twin_rich_host(rng)
+            host = symmetric_host(rng)
             r = rng.choice((1, 2, 2, 3, 3))
             if host is None or r**host.edge_count > 1 << 13:
                 continue
-            with_twins += search._twin_tables(search._packed(host, (0, 0, 2))[0]) is not None
+            perms = search._automorphisms(host)
+            moved += bool(perms)
             for t in range(2, host.m + host.n + 2):
                 kind, _, want = oracles.brute_below_search(host, r, t)
-                examined = oracles.brute_below_search(host, r, t, double_lex=True)[1]
+                examined = oracles.brute_below_search(host, r, t, perms=perms)[1]
                 for depth, workers in ((0, 1), (2, 2), (host.edge_count, 2)):
                     force_depth(monkeypatch, depth)
                     fast = exists_coloring_below(host, r, t, workers=workers)
@@ -210,7 +227,7 @@ class TestBelowSearch:
             out = min_max_mono_component(host, r)
             assert out.value == oracles.brute_minmax(host, r)
             checked += 1
-        assert with_twins >= 35
+        assert moved >= 35
         monkeypatch.undo()
         host = twin_rich_host(random.Random(3))
         serial = [exists_coloring_below(host, 2, t) for t in range(2, host.m + host.n + 2)]
@@ -223,7 +240,7 @@ class TestBelowSearch:
         # 1,200 edges: one stack frame per edge would overflow the stack
         host = complete(30, 40)
         out = exists_coloring_below(host, 2, 60, SearchConfig(budget=100000))
-        assert (out.kind, out.examined) == ("Counterexample", 1201)
+        assert (out.kind, out.examined) == ("Counterexample", 1640)
         assert largest_mono_component(host, out.witness).order < 60
         out = min_max_mono_component(host, 2, SearchConfig(budget=100000))
         assert out.kind == "BudgetExhausted"
@@ -243,6 +260,94 @@ class TestBelowSearch:
         assert search._prefix_depth(36, 1, 2) == 0
         assert search._prefix_depth(36, 2, 1) == 0
         assert search._prefix_depth(3, 2, 2) == 3
+
+
+def _closure_order(perms, num_edges):
+    """The order of the group the edge permutations generate."""
+    seen, frontier = {tuple(range(num_edges))}, [tuple(range(num_edges))]
+    while frontier:
+        grown = []
+        for g in frontier:
+            for perm in perms:
+                gh = tuple(g[i] for i in perm)
+                if gh not in seen:
+                    seen.add(gh)
+                    grown.append(gh)
+        frontier = grown
+    return len(seen)
+
+
+class TestAutomorphisms:
+    @staticmethod
+    def _check_generators(host):
+        """Each generator maps the edges onto the edges by a vertex map that
+        keeps the sides or swaps them whole."""
+        ends = [(x, host.m + y) for x, y in host.edges()]
+        perms = search._automorphisms(host)
+
+        def vertex_map(perm, swap):
+            sigma = {}
+            for (a, b), i in zip(ends, perm):
+                c, d = ends[i][::-1] if swap else ends[i]
+                if sigma.setdefault(a, c) != c or sigma.setdefault(b, d) != d:
+                    return None
+            return sigma if len(set(sigma.values())) == len(sigma) else None
+
+        for perm in perms:
+            assert sorted(perm) == list(range(len(ends)))
+            assert vertex_map(perm, False) or (host.m == host.n and vertex_map(perm, True))
+        return perms
+
+    def test_group_orders(self):
+        circ = complete_minus_circulant(10, 10, 3)
+        assert _closure_order(self._check_generators(circ), circ.edge_count) == 40
+        for n in (3, 4, 5):
+            host = complete_minus_circulant(n, n, 1)
+            perms = self._check_generators(host)
+            assert _closure_order(perms, host.edge_count) == 2 * math.factorial(n)
+        for m, n in itertools.combinations_with_replacement(range(1, 5), 2):
+            if m * n < 2:  # one edge: no permutation to tell
+                continue
+            host = complete(m, n)
+            want = math.factorial(m) * math.factorial(n) * (2 if m == n else 1)
+            assert _closure_order(self._check_generators(host), host.edge_count) == want
+
+    def test_random_hosts_match_brute_count(self):
+        rng = random.Random(19)
+        for _ in range(150):
+            host = random_host(rng)
+            if host is None:
+                continue
+            perms = self._check_generators(host)
+            want = len(oracles.brute_automorphisms(host))
+            assert _closure_order(perms, host.edge_count) == want, host.edges()
+
+    def test_big_hosts_stay_cheap(self):
+        # the search and the permutations are capped, so a big host costs
+        # little and gets the generators found first
+        perms = search._automorphisms(complete(40, 40))
+        assert 0 < len(perms) * 1600 <= search._SYMMETRY_WORK
+        assert search._automorphisms(complete(300, 300)) == []
+
+    def test_worker_invariance(self, monkeypatch):
+        # the prefix replay rebuilds each task's lex-leader state, so two
+        # workers examine exactly the serial count
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        for d, r in ((2, 2), (1, 3)):
+            host = complete_minus_circulant(6, 6, d)
+            serial = min_max_mono_component(host, r)
+            parallel = min_max_mono_component(host, r, workers=2)
+            assert parallel.to_json_dict() == serial.to_json_dict()
+            for t in (serial.value, serial.value + 1):  # AllSatisfy, Counterexample
+                one = exists_coloring_below(host, r, t)
+                two = exists_coloring_below(host, r, t, workers=2)
+                assert two.to_json_dict() == one.to_json_dict()
+
+    def test_perfect_matching_complement_r3(self):
+        # K_{8,8} minus a perfect matching, r = 3, target 6: 487,454,652
+        # nodes under twin breaking alone, which finds no twins here
+        out = exists_coloring_below(complete_minus_circulant(8, 8, 1), 3, 6)
+        assert (out.kind, out.examined) == ("AllSatisfy", 1412394)
 
 
 class TestMinMax:
@@ -486,11 +591,15 @@ class TestHalfHalfSearch:
             (complete(2, 4), 2),
             (lower_bound_construction(2, 1, 1)[0], 2),
             (lower_bound_construction(2, 2, 1)[0], 2),
+            (complete_minus_circulant(4, 4, 1), 2),
+            (complete_minus_circulant(4, 4, 2), 3),
+            (complete_minus_circulant(3, 4, 1), 2),
         ],
     )
     def test_twin_hosts_match_plain_enumeration(self, host, r):
-        # double-lex twin breaking prunes the walk, yet the kind and the
-        # lex-least witness are those of enumerating every coloring
+        # the lex-leader cut of the host's automorphisms, side swaps among
+        # them when m = n, prunes the walk, yet the kind and the lex-least
+        # witness are those of enumerating every coloring
         kinds = _check_half_half(host, r, True, ANY_HALF_HALF)
         assert "BudgetExhausted" in kinds and len(kinds) == 2
 
