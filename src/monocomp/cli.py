@@ -13,7 +13,6 @@ budget exhausted, 4 internal error (an unexpected exception, never a verdict).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -58,13 +57,16 @@ _KIND_EXIT = {"Counterexample": _EXIT_COUNTEREXAMPLE, "BudgetExhausted": _EXIT_B
 
 
 def _digest(text: str) -> str:
+    import hashlib  # only here: nothing else on the import path loads it
+
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
-def _write_manifest(path: str, argv, digest: str, seed, summary: dict, elapsed: float):
+def _write_manifest(path: str, argv, source: str, seed, summary: dict, elapsed: float):
+    """Write the run manifest; ``source`` is the canonical input text it digests."""
     manifest = {
         "argv": list(argv),
-        "input_digest": digest,
+        "input_digest": _digest(source),
         "seed": seed,
         "version": __version__,
         "timings": {"elapsed_us": int(elapsed * 1_000_000)},
@@ -111,8 +113,7 @@ def cmd_gen(args) -> tuple[dict, int, str, dict]:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical(graph_doc))
             fh.write("\n")
-    digest = _digest(dumps_canonical(graph_doc))
-    return doc, _EXIT_OK, digest, {"variant": args.variant, **params}
+    return doc, _EXIT_OK, dumps_canonical(graph_doc), {"variant": args.variant, **params}
 
 
 def _single_class(args):
@@ -139,7 +140,7 @@ def cmd_analyze(args) -> tuple[dict, int, str, dict]:
             )
         doc = report.to_json_dict()
         code = _EXIT_COUNTEREXAMPLE if violated else _EXIT_OK
-        return doc, code, _digest(text), {"check": args.check, "violated": violated}
+        return doc, code, text, {"check": args.check, "violated": violated}
 
     if args.check == "corollary":
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -168,7 +169,7 @@ def cmd_analyze(args) -> tuple[dict, int, str, dict]:
             verdict = check_additive_theorem(host, col)
     doc = verdict.to_json_dict()
     code = _EXIT_OK if (not verdict.applicable or verdict.holds) else _EXIT_COUNTEREXAMPLE
-    return doc, code, _digest(text), {"check": args.check, "holds": verdict.holds}
+    return doc, code, text, {"check": args.check, "holds": verdict.holds}
 
 
 def cmd_search(args) -> tuple[dict, int, str, dict]:
@@ -191,7 +192,7 @@ def cmd_search(args) -> tuple[dict, int, str, dict]:
         out = random_search(host, args.r, target, thm, cfg, workers=args.workers)
     doc = out.to_json_dict()
     summary = {"mode": args.mode, "kind": out.kind, "examined": out.examined}
-    return doc, _KIND_EXIT.get(out.kind, _EXIT_OK), _digest(text), summary
+    return doc, _KIND_EXIT.get(out.kind, _EXIT_OK), text, summary
 
 
 def _parse_rational(text: str, flag: str) -> Fraction:
@@ -208,8 +209,7 @@ def cmd_scan(args) -> tuple[dict, int, str, dict]:
     cfg = SearchConfig(seed=args.seed, budget=args.budget)
     table = alpha_frontier(args.total_n, alphas, cfg=cfg, workers=args.workers)
     params = {"total_n": args.total_n, "alphas": [str(a) for a in alphas]}
-    digest = _digest(dumps_canonical(params))
-    return table, _EXIT_OK, digest, {"rows": len(table["rows"])}
+    return table, _EXIT_OK, dumps_canonical(params), {"rows": len(table["rows"])}
 
 
 def _add_run_options(sub):
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be >= 1, not {args.workers}")
-        doc, code, digest, summary = args.run(args)
+        doc, code, source, summary = args.run(args)
         text = dumps_canonical(doc)
     except (GraphError, InvalidSpec, PreconditionViolated, ValueError, OSError) as exc:
         # ValueError covers json.JSONDecodeError
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     summary = {**summary, "exit_code": code}
     seed = getattr(args, "seed", None)  # gen and analyze take no seed
     try:
-        _write_manifest(args.manifest, argv, digest, seed, summary, elapsed)
+        _write_manifest(args.manifest, argv, source, seed, summary, elapsed)
     except OSError as exc:
         print(f"warning: could not write manifest: {exc}", file=sys.stderr)
     return code

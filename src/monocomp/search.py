@@ -31,14 +31,25 @@ automorphism (a side swap too, when m = n, since then half-half is
 symmetric) and every color permutation maps a coloring that keeps all
 components below the conclusion to one that does too, so the solutions
 fall into orbits, and the lex-least solution is the least of its orbit and
-meets every such order.  So neither cut changes a decision or a witness;
-only the node count moves.
+meets every such order.  The walk also skips dead states (subproblem
+dominance caching: Chu, Garcia de la Banda, Stuckey, Constraints 17, 2012;
+Smith, CP 2005).  Once an X-row is fully colored, the rest of the walk
+depends only on the row, the colors in use and, per color, the partition
+of Y into components with their packed weights, since the X-vertices
+still to come are untouched; a state whose subtree had no leaf is
+skipped when it recurs.  The earlier prefix with the same state is
+lex-less, and extended by the same colors it would be a solution too, so
+no skipped subtree holds the lex-least solution.  So no cut changes a
+decision or a witness; only the node count moves.
 
 A below search, an exhaustive verify and each min-max probe is one walk
 over all edges: ``examined`` is its node count and the budget one cap on
 it.  Parallel runs split that walk at a fixed depth (``_prefix_depth``)
 into tasks, run on one process pool per search and merged in prefix order
 into the serial count, so the outcome is the same for every worker count.
+Dead states are kept only past ``_PREFIX_DEPTH`` edges and forgotten at
+each backtrack above it, so every task starts from the empty set that the
+serial walk has there.
 Random sampling is blocked too: block i always draws the same colorings
 from its derived seed, whoever executes it, and blocks are generated
 lazily, so the default unbounded budget costs no memory.
@@ -76,6 +87,7 @@ _UNBOUNDED = 1 << 62
 _RANDOM_BLOCK = 2048
 _PREFIX_DEPTH = 4
 _SYMMETRY_WORK = 1 << 16
+_DEAD_STATES = 1 << 18  # dead keys a walk keeps per split prefix (circ(9,9,2) r3: ~30 MB)
 
 
 class PreconditionViolated(Exception):
@@ -418,6 +430,20 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     order is cut like one that meets the rule, as a node, and ``merged``
     undoes its union.
 
+    Past the split depth P = min(``_PREFIX_DEPTH``, edges), each depth d
+    where a new X-row starts keys its state: the row, ``top[d]`` and, per
+    color up to it, each Y-slot's class index by first Y-vertex, then the
+    classes' packed weights (``bytes`` when the weights sum below 256 and
+    r <= 256, so every entry fits, else a tuple).  A key in ``dead`` skips
+    the subtree (the color that led there still counts as a node); a
+    subtree that ends before any leaf was yielded adds its key while
+    ``dead`` holds fewer than ``_DEAD_STATES`` keys, which bounds the
+    walk's memory on searches of many millions of nodes.  The row is
+    part of the key: states at different rows can be equal, and their
+    futures differ.  ``dead`` is emptied at each backtrack above P, so a
+    task whose prefix is at most P edges long counts exactly the nodes the
+    serial walk spends under that prefix.
+
     The walk replays ``prefix`` first, taking each prefix color as its
     depth's first, with ``nodes`` starting at minus the prefix length, so a
     task's union-finds, orders and count start where the walk that made
@@ -426,6 +452,15 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     schedule, num_gens, num_slots = lex
     parents = [list(range(len(weights))) for _ in range(r)]
     sizes = [list(weights) for _ in range(r)]
+    split = min(_PREFIX_DEPTH, len(ends))
+    ys = sorted({b for _, b in ends})
+    # the depths past the split where a new X-row starts
+    row_start = [split < d < stop and ends[d][0] != ends[d - 1][0] for d in range(stop + 1)]
+    pack = bytes if sum(weights) < 256 and r <= 256 else tuple  # bounds every key entry
+    dead = set()
+    mark = [-1] * len(weights)
+    keys = [None] * (stop + 1)
+    yielded = False
     start = len(prefix)
     first = list(prefix) + [0] * (stop - start)  # the first color tried at each depth
     assign = [-1] * stop  # -1 before a depth's first color
@@ -441,6 +476,7 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     idx = 0
     while idx >= start or nodes < 0:  # nodes < 0 while the prefix replays
         if idx == stop:
+            yielded = True
             yield tuple(assign), nodes
             idx -= 1
             continue
@@ -454,7 +490,11 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
                 size[a] -= size[b]
             if c == top[idx]:
                 assign[idx] = -1
+                if row_start[idx] and not yielded and len(dead) < _DEAD_STATES:
+                    dead.add(keys[idx])
                 idx -= 1
+                if idx < split:
+                    dead.clear()
                 continue
             c += 1
         else:
@@ -510,6 +550,26 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
                 continue
         idx += 1
         top[idx] = top[idx - 1] if c < top[idx - 1] else min(r - 1, c + 1)
+        if row_start[idx]:
+            key = [ends[idx][0], top[idx]]
+            for parent, size in zip(parents, sizes[:top[idx] + 1]):
+                roots = []  # by first Y-vertex; mark[root] is the index
+                for v in ys:
+                    while parent[v] != v:
+                        v = parent[v]
+                    i = mark[v]
+                    if i < 0:
+                        i = mark[v] = len(roots)
+                        roots.append(v)
+                    key.append(i)
+                for v in roots:
+                    key.append(size[v])
+                    mark[v] = -1
+            key = pack(key)
+            if key in dead:  # merged[idx - 1] undoes the union at the next color
+                idx -= 1
+                continue
+            keys[idx] = key
     yield None, nodes
 
 
@@ -578,7 +638,9 @@ def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int, 
     streams the prefixes with its node count pre_i at prefix i, and each
     task runs speculatively, capped at budget - pre_i.  Merged in prefix
     order, task i ends at serial node pre_i + (nodes of tasks 0..i), so the
-    result is the single walk's.  At depth 0 the one task is that walk."""
+    result is the single walk's: the split depth is at most
+    ``_PREFIX_DEPTH``, where the walk's dead-state set starts empty for
+    every prefix.  At depth 0 the one task is that walk."""
     ends, weights, (weight, _, _) = _packed(host, packing)  # needs of one kind pack alike
     if r < 1:
         raise ValueError("need r >= 1")
@@ -602,14 +664,14 @@ def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int, 
         yield probe
 
 
-def _decide_below(host, r, need, cfg: SearchConfig, workers: int) -> SearchOutcome:
+def _decide_below(host, r, need, cfg: SearchConfig, workers: int, what="target") -> SearchOutcome:
     """One ``_below_probe`` for ``need`` at ``cfg.budget``, as Counterexample
     with the lex-least witness, AllSatisfy, or BudgetExhausted with
     budget + 1; ``examined`` is the walk's node count.  After the host and
-    r, an order target below 2 raises ValueError."""
+    r, an order target below 2 raises ValueError, naming it as ``what``."""
     with _below_probe(host, r, cfg, workers, need) as probe:
         if not (need[0] or need[1]) and need[2] < 2:
-            raise ValueError("target must be at least 2")
+            raise ValueError(f"{what} must be at least 2")
         colors, examined = probe(need, cfg.budget)
     if colors is not None:
         witness = coloring_from_assignment(host, r, colors)
@@ -801,7 +863,9 @@ def exhaustive_verify(
     """
     thm = _theorem(checker, target)
     thm.require(host, r)
-    return _decide_below(host, r, thm.needs(host.m, host.n, r), cfg or SearchConfig(), workers)
+    need = thm.needs(host.m, host.n, r)
+    what = f"the {thm.name} target {rat_str(thm.target(host.m, host.n, r))}"
+    return _decide_below(host, r, need, cfg or SearchConfig(), workers, what)
 
 
 def _child_seed(seed: int, block: int) -> int:

@@ -95,7 +95,9 @@ def brute_minmax(host, r):
 @functools.lru_cache(maxsize=1 << 16)
 def _below(m, n, edges, colors, r, t):
     """Does every component of the colored prefix, found by BFS, stay
-    below ``t``?"""
+    below ``t``, or for ``t`` None, hold fewer than half of either side?"""
+    if t is None:
+        return not has_half_half(m, n, edges[: len(colors)], colors, r)
     return max_mono_order(m, n, edges[: len(colors)], colors, r) < t
 
 
@@ -115,31 +117,84 @@ def lex_leader_ok(colors, perm):
     return True
 
 
-def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop, perms=()):
+# the depth at which the library's walk splits into tasks (search._PREFIX_DEPTH),
+# and the most dead states it keeps under one prefix of that depth
+# (search._DEAD_STATES)
+SPLIT_DEPTH = 4
+DEAD_STATES = 1 << 18
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def state_key(m, n, edges, colors, r):
+    """What the rest of a canonical walk depends on once ``colors`` has
+    colored whole X-rows: the number of edges colored, the highest color
+    the next edge may take, and for each color up to it the components by
+    BFS, as the set of (Y-vertices, X count) over a partition of all of Y
+    (a Y-vertex without an edge of that color is a class of its own, with
+    no X)."""
+    top = min(r - 1, max(colors) + 1)
+    key = [len(colors), top]
+    for c in range(top + 1):
+        comps = bfs_components(m, n, [e for e, col in zip(edges, colors) if col == c])
+        covered = set().union(*(ys for _, ys in comps))
+        lone = [(frozenset([y]), 0) for y in range(n) if y not in covered]
+        key.append(frozenset([(ys, len(xs)) for xs, ys in comps] + lone))
+    return tuple(key)
+
+
+def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop, perms=(), dead=None):
     """The below-``t`` search tree under ``prefix`` in lex order: None for
     each color tried, then the colors of ``edges[:stop]`` at each leaf
-    whose components all stay below ``t``.  A color whose prefix breaks
+    whose components all stay below ``t`` (``_below``).  A color whose prefix breaks
     ``lex_leader_ok`` for some edge permutation of ``perms`` is tried, but
-    its subtree is not."""
+    its subtree is not.
+
+    With ``dead`` (a set), the walk's dead-state cache: past
+    ``SPLIT_DEPTH`` edges, a prefix that ends an X-row and has the
+    ``state_key`` of an earlier prefix whose subtree had no leaf is tried,
+    but its subtree is not.  The set keeps at most ``DEAD_STATES`` keys and
+    is emptied after the subtree of each prefix of ``SPLIT_DEPTH`` edges."""
     if len(prefix) == stop:
         yield prefix
         return
+    split = min(SPLIT_DEPTH, len(edges))
     hi = min(r - 1, max(prefix, default=-1) + 1) if canonicalize else r - 1
     for c in range(hi + 1):
         colors = prefix + (c,)
         yield None
-        if _below(m, n, edges, colors, r, t) and all(lex_leader_ok(colors, p) for p in perms):
-            yield from _below_tree(m, n, edges, r, t, canonicalize, colors, stop, perms)
+        if not _below(m, n, edges, colors, r, t):
+            continue
+        if not all(lex_leader_ok(colors, p) for p in perms):
+            continue
+        d = len(colors)
+        subtree = _below_tree(m, n, edges, r, t, canonicalize, colors, stop, perms, dead)
+        if dead is None or not (split < d < stop and edges[d][0] != edges[d - 1][0]):
+            yield from subtree
+            if dead is not None and d == split:
+                dead.clear()
+            continue
+        key = state_key(m, n, edges, colors, r)
+        if key in dead:
+            continue
+        leaf = False
+        for item in subtree:
+            leaf = leaf or item is not None
+            yield item
+        if not leaf and len(dead) < DEAD_STATES:
+            dead.add(key)
 
 
-def brute_below_search(host, r, t, canonicalize=True, budget=1 << 62, perms=()):
-    """The search for a coloring keeping every component below ``t``, as one
+def brute_below_search(host, r, t, canonicalize=True, budget=1 << 62, perms=(), dead_states=False):
+    """The search for a coloring keeping every component below ``t`` (for
+    ``t`` None: every component short of half of X or of half of Y), as one
     lex-order walk of the whole tree that stops at node ``budget + 1``,
-    with the lex-leader cut of ``perms``.  Returns (kind, examined, colors
-    or None)."""
+    with the lex-leader cut of ``perms`` and, with ``dead_states``, the
+    dead-state cache.  Returns (kind, examined, colors or None)."""
     m, n, edges = host.m, host.n, tuple(host.edges())
     examined = 0
-    tree = _below_tree(m, n, edges, r, Fraction(t), canonicalize, (), len(edges), perms)
+    t = None if t is None else Fraction(t)
+    dead = set() if dead_states else None
+    tree = _below_tree(m, n, edges, r, t, canonicalize, (), len(edges), perms, dead)
     for leaf in tree:
         if leaf is not None:
             return "Counterexample", examined, leaf

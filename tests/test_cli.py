@@ -277,6 +277,9 @@ class TestBadInput:
             # a parameter the variant reads but the spec omits
             ["search", "--mode", "minmax", "--host", "gen:circulant:m=3,n=3"],
             ["search", "--mode", "minmax", "--host", "gen:lower-bound:r=2"],
+            # no --target: the conjecture's own target (m + n)/r = 1/50 is below 2
+            ["search", "--mode", "verify", "--check", "conjecture",
+             "--host", "gen:complete:m=3,n=3", "--r", 300],
         ],
     )
     def test_exit_2_one_line(self, tmp_path, args):
@@ -422,19 +425,28 @@ class TestSubcommandFlags:
 
 
 class TestColdStart:
-    def test_cli_import_leaves_the_pool_out(self):
-        # the process pool is imported only by a search with more than one
-        # worker; every other command would pay for it at start-up
+    @staticmethod
+    def _loaded(*packages):
+        """The modules of ``packages`` that ``import monocomp.cli`` loads in
+        a fresh interpreter, as printed there."""
         code = (
             "import sys, monocomp.cli\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         res = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
-        assert res.stdout == "[]\n"
+        return res.stdout
+
+    def test_cli_import_leaves_the_pool_out(self):
+        # the process pool is imported only by a search with more than one
+        # worker; every other command would pay for it at start-up
+        assert self._loaded("concurrent", "multiprocessing") == "[]\n"
+
+    def test_cli_import_leaves_hashlib_out(self):
+        # only the manifest's input digest needs it, once the command has run
+        assert self._loaded("hashlib", "_hashlib") == "[]\n"
 
 
 class TestScan:

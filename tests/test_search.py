@@ -173,9 +173,9 @@ class TestBelowSearch:
                 continue
             perms = search._automorphisms(host)
             for t in range(2, host.m + host.n + 2):
-                want = oracles.brute_below_search(host, r, t, perms=perms)
+                want = oracles.brute_below_search(host, r, t, perms=perms, dead_states=True)
                 for budget in {b for b in (1, want[1] - 1, want[1], 1 << 62) if b >= 1}:
-                    bounded = oracles.brute_below_search(host, r, t, True, budget, perms)
+                    bounded = oracles.brute_below_search(host, r, t, True, budget, perms, True)
                     for depth in (0, 2, host.edge_count):
                         force_depth(monkeypatch, depth)
                         fast = exists_coloring_below(host, r, t, SearchConfig(budget=budget))
@@ -192,7 +192,9 @@ class TestBelowSearch:
         assert kinds == {"Counterexample", "AllSatisfy", "BudgetExhausted"}
         # and once through a real pool of two processes
         host, t = complete_minus_circulant(4, 4, 1), 4
-        want = oracles.brute_below_search(host, 2, t, perms=search._automorphisms(host))
+        want = oracles.brute_below_search(
+            host, 2, t, perms=search._automorphisms(host), dead_states=True
+        )
         force_depth(monkeypatch, 2)
         fast = exists_coloring_below(host, 2, t, workers=2)
         colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
@@ -216,7 +218,7 @@ class TestBelowSearch:
             moved += bool(perms)
             for t in range(2, host.m + host.n + 2):
                 kind, _, want = oracles.brute_below_search(host, r, t)
-                examined = oracles.brute_below_search(host, r, t, perms=perms)[1]
+                examined = oracles.brute_below_search(host, r, t, perms=perms, dead_states=True)[1]
                 for depth, workers in ((0, 1), (2, 2), (host.edge_count, 2)):
                     force_depth(monkeypatch, depth)
                     fast = exists_coloring_below(host, r, t, workers=workers)
@@ -260,6 +262,113 @@ class TestBelowSearch:
         assert search._prefix_depth(36, 1, 2) == 0
         assert search._prefix_depth(36, 2, 1) == 0
         assert search._prefix_depth(3, 2, 2) == 3
+
+
+def _padded(host, m, n):
+    """``host`` with isolated vertices added up to m x n."""
+    return from_edge_list(m, n, host.edges())
+
+
+class TestDeadStates:
+    """The below walk skips a state at an X-row start past the split depth
+    whose key an earlier, leafless subtree had: ``examined`` is the oracle
+    mirror's for every split depth and worker count, and the kind and the
+    lex-least witness are those of the walk without the cache."""
+
+    @staticmethod
+    def _check(monkeypatch, host, r, targets, runs):
+        """Compare each target with the oracles for each (depth, workers)
+        of ``runs``; return how many targets the cache moved."""
+        assert oracles.SPLIT_DEPTH == search._PREFIX_DEPTH  # both forget dead states there
+        assert oracles.DEAD_STATES == search._DEAD_STATES
+        perms = search._automorphisms(host)
+        moved = 0
+        for t in targets:
+            kind, plain, want = oracles.brute_below_search(host, r, t, perms=perms)
+            examined = oracles.brute_below_search(host, r, t, perms=perms, dead_states=True)[1]
+            moved += examined != plain
+            for depth, workers in runs:
+                force_depth(monkeypatch, depth)
+                if t is None:
+                    fast = exhaustive_verify(host, r, checker=ANY_HALF_HALF, workers=workers)
+                else:
+                    fast = exists_coloring_below(host, r, t, workers=workers)
+                colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
+                assert (fast.kind, fast.examined, colors) == (kind, examined, want), (
+                    host.edges(), r, t, depth, workers
+                )
+        return moved
+
+    @pytest.mark.parametrize("host", [complete(4, 2), complete(5, 3)], ids=["k42", "k53"])
+    def test_short_rows_at_split(self, monkeypatch, host):
+        # rows of two or three edges end at and before the split depth
+        depths = (0, 2, host.edge_count)
+        runs = list(itertools.product(depths, (1, 2)))
+        self._check(monkeypatch, host, 3, range(2, host.m + host.n + 2), runs)
+
+    @pytest.mark.parametrize(
+        "host, r",
+        [
+            (complete(5, 3), 2),
+            (complete(7, 3), 2),
+            (complete_minus_circulant(5, 5, 1), 2),
+            (complete_minus_circulant(6, 6, 2), 2),
+            # keyed without its row, a state at one X-row start equals one at
+            # another here, and the skip loses the lex-least witness of t = 8
+            (from_edge_list(9, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 2),
+                                   (3, 1), (4, 1), (4, 2), (5, 0), (6, 1), (6, 2), (7, 0),
+                                   (7, 2), (8, 0), (8, 1)]), 2),
+            # isolated vertices lift the packed weights to 256 and more
+            (_padded(complete(7, 3), 7, 250), 2),
+            (_padded(complete(4, 2), 4, 260), 3),
+        ],
+        ids=["k53r2", "k73r2", "c551r2", "c662r2", "rows9r2", "k73padded-r2", "k42padded-r3"],
+    )
+    def test_matches_mirror(self, monkeypatch, host, r):
+        # one CPU: the tasks of two workers run in order in this process
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+        runs = list(itertools.product((0, 2, host.edge_count), (1, 2)))
+        edges = host.edges()
+        order = len({x for x, _ in edges}) + len({y for _, y in edges})  # isolated vertices aside
+        moved = self._check(monkeypatch, host, r, range(2, order + 2), runs)
+        assert moved or r == 3
+
+    def test_full_record_takes_no_more_keys(self, monkeypatch):
+        # with room for three keys per split prefix the walk skips less, and
+        # its count is still the mirror's
+        host = complete_minus_circulant(6, 6, 2)
+        runs = [(0, 1), (2, 1), (host.edge_count, 1)]
+        full = [exists_coloring_below(host, 2, t).examined for t in range(2, 14)]
+        monkeypatch.setattr(search, "_DEAD_STATES", 3)
+        monkeypatch.setattr(oracles, "DEAD_STATES", 3)
+        assert self._check(monkeypatch, host, 2, range(2, 14), runs)
+        capped = [exists_coloring_below(host, 2, t).examined for t in range(2, 14)]
+        assert capped != full and all(c >= f for c, f in zip(capped, full))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "block",
+        [complete(8, 8), complete_minus_circulant(8, 9, 1), complete(10, 8)],
+        ids=["k88", "c891", "k108"],
+    )
+    def test_half_half_with_heavy_weights(self, monkeypatch, block, r):
+        # K = m + 1 = 17: the packed weights sum to 16 + 17 * 16 >= 256
+        host = _padded(block, 16, 16)
+        need = THEOREMS["additive"].needs(host.m, host.n, r)
+        assert sum(search._packed(host, need)[1]) >= 256
+        self._check(monkeypatch, host, r, [None], [(0, 1), (2, 1), (host.edge_count, 1)])
+
+    def test_circulant_probes(self):
+        host = complete_minus_circulant(10, 10, 3)
+        out = exists_coloring_below(host, 2, 10)
+        assert (out.kind, out.examined) == ("AllSatisfy", 363939)
+        out = exists_coloring_below(host, 2, 11)
+        colors = "".join(str(c) for _, _, c in out.witness.edges())
+        assert (out.kind, out.examined) == ("Counterexample", 96816)
+        # the lex-least witness, as without the cache (661,510 nodes)
+        assert colors == (
+            "0000011011110000111000001100000110000011001110001111000011000001000001"
+        )
 
 
 def _closure_order(perms, num_edges):
@@ -345,9 +454,10 @@ class TestAutomorphisms:
 
     def test_perfect_matching_complement_r3(self):
         # K_{8,8} minus a perfect matching, r = 3, target 6: 487,454,652
-        # nodes under twin breaking alone, which finds no twins here
+        # nodes under twin breaking alone, which finds no twins here, and
+        # 1,412,394 without the dead-state cache
         out = exists_coloring_below(complete_minus_circulant(8, 8, 1), 3, 6)
-        assert (out.kind, out.examined) == ("AllSatisfy", 1412394)
+        assert (out.kind, out.examined) == ("AllSatisfy", 1160790)
 
 
 class TestMinMax:
@@ -677,6 +787,9 @@ class TestRandomSearch:
         for target in (1, -1):  # the sampler takes an order target by the same rule
             with pytest.raises(ValueError, match="target must be at least 2"):
                 random_search(complete(2, 2), 2, target, cfg=SearchConfig(budget=10))
+        # a theorem's own target, (m + n)/r, is named with the theorem
+        with pytest.raises(ValueError, match="^the conjecture target 1/50 must be at least 2$"):
+            exhaustive_verify(complete(3, 3), 300, checker=THEOREMS["conjecture"])
 
     def test_budget_one(self):
         host = complete(3, 3)
