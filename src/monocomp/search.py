@@ -670,14 +670,24 @@ def _decide_below(host, r, need, cfg: SearchConfig, workers: int, what="target")
     budget + 1; ``examined`` is the walk's node count.  After the host and
     r, an order target below 2 raises ValueError, naming it as ``what``."""
     with _below_probe(host, r, cfg, workers, need) as probe:
-        if not (need[0] or need[1]) and need[2] < 2:
-            raise ValueError(f"{what} must be at least 2")
+        _require_target(need, what)
         colors, examined = probe(need, cfg.budget)
     if colors is not None:
         witness = coloring_from_assignment(host, r, colors)
         return SearchOutcome("Counterexample", None, witness, examined)
     kind = "BudgetExhausted" if examined > cfg.budget else "AllSatisfy"
     return SearchOutcome(kind, None, None, examined)
+
+
+def _require_target(need: tuple[int, int, int], what: str) -> None:
+    """Raise ValueError, naming the target as ``what``, when ``need``
+    (``Theorem.needs``) is an order target below 2."""
+    if not (need[0] or need[1]) and need[2] < 2:
+        raise ValueError(f"{what} must be at least 2")
+
+
+def _target_name(thm: Theorem, host: BipartiteGraph, r: int) -> str:
+    return f"the {thm.name} target {rat_str(thm.target(host.m, host.n, r))}"
 
 
 def exists_coloring_below(
@@ -864,8 +874,7 @@ def exhaustive_verify(
     thm = _theorem(checker, target)
     thm.require(host, r)
     need = thm.needs(host.m, host.n, r)
-    what = f"the {thm.name} target {rat_str(thm.target(host.m, host.n, r))}"
-    return _decide_below(host, r, need, cfg or SearchConfig(), workers, what)
+    return _decide_below(host, r, need, cfg or SearchConfig(), workers, _target_name(thm, host, r))
 
 
 def _child_seed(seed: int, block: int) -> int:
@@ -954,12 +963,16 @@ def random_search(
     byte, in edge order, is replaced by ``getrandbits(8)`` draws until one
     passes.  For r > 256 each edge is ``randrange(r)``.  Blocks are generated
     lazily and merged in block order.  Only the theorem's rule on r is
-    enforced here; callers decide whether its hypothesis applies.
+    enforced here; callers decide whether its hypothesis applies.  After the
+    host, a theorem whose order target is below 2 raises ValueError, as in
+    ``exhaustive_verify``.
     """
     cfg = cfg or SearchConfig()
     thm = _theorem(checker, target)
     thm.require(host, r, hypothesis=False)
-    packed = _packed(host, thm.needs(host.m, host.n, r))
+    need = thm.needs(host.m, host.n, r)
+    packed = _packed(host, need)
+    _require_target(need, _target_name(thm, host, r))
     budget = cfg.budget
     num_blocks = -(-budget // _RANDOM_BLOCK)
     blocks = (

@@ -358,3 +358,32 @@ def stability_json(m, n, edges, r, delta=None):
         "case_ii": case_ii,
         "dichotomy": case_i or case_ii,
     }
+
+
+def first_bad_pair(m, n, edges):
+    """The per-edge loop over (x, y) pairs in input order: the (error class
+    name, message) of the first pair outside [0, m) x [0, n) or seen
+    before, or None when every pair is good."""
+    seen = set()
+    for x, y in edges:
+        if not (0 <= x < m) or not (0 <= y < n):
+            return "IndexOutOfRange", f"edge ({x}, {y}) outside [0, {m}) x [0, {n})"
+        if (x, y) in seen:
+            return "DuplicateEdge", f"edge ({x}, {y}) given twice"
+        seen.add((x, y))
+    return None
+
+
+def first_bad_triple(m, n, r, triples):
+    """As ``first_bad_pair`` for (x, y, color) triples: the color is checked
+    first, and an edge repeated in any color is a duplicate."""
+    seen = set()
+    for x, y, c in triples:
+        if not (0 <= c < r):
+            return "ColoringMismatch", f"color {c} outside [0, {r})"
+        if not (0 <= x < m) or not (0 <= y < n):
+            return "IndexOutOfRange", f"edge ({x}, {y}) outside [0, {m}) x [0, {n})"
+        if (x, y) in seen:
+            return "DuplicateEdge", f"edge ({x}, {y}) given twice"
+        seen.add((x, y))
+    return None

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -28,7 +29,8 @@ from monocomp import (
     uncolored_largest_double_star,
 )
 from monocomp.analysis import parse_general_json
-from monocomp.bigraph import bit_indices
+from monocomp import bigraph
+from monocomp.bigraph import DENSE_RATIO, WIDE_BITS, bit_indices
 from monocomp.constructions import (
     complete_minus_circulant,
     cyclic_one_factorization,
@@ -456,6 +458,31 @@ class TestTranspose:
         self.check(host)
         assert col.transpose().transpose() == col
 
+    @pytest.mark.parametrize("m,n", [(3, 30_000), (30_000, 3)])
+    def test_rows_wider_than_the_walk_switch(self, m, n):
+        # a handful of edges: the set-bit walk, on rows (or columns) of
+        # 30,000 bits, past bit_indices' WIDE_BITS
+        rng = random.Random(m)
+        cells = {(rng.randrange(m), rng.randrange(n)) for _ in range(6)}
+        cells |= {(0, 0), (m - 1, n - 1)}
+        g = from_edge_list(m, n, sorted(cells))
+        assert 64 * g.edge_count < m * n
+        self.check(g)
+
+
+def mask_with(width, count, seed):
+    """A mask of bit length ``width`` with ``count`` set bits, the top one
+    included, and its set bits ascending."""
+    positions = sorted(random.Random(seed).sample(range(width - 1), count - 1)) + [width - 1]
+    digits = ["0"] * width
+    for i in positions:
+        digits[width - 1 - i] = "1"
+    return int("".join(digits), 2), positions
+
+
+def set_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
 
 class TestBitIndices:
     def test_zero(self):
@@ -475,6 +502,125 @@ class TestBitIndices:
         mask = int("".join("1" if i in chosen else "0" for i in reversed(range(width))), 2)
         assert mask.bit_length() == width
         assert bit_indices(mask) == positions
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_against_bit_tests(self, data):
+        # widths on both sides of WIDE_BITS and counts on both sides of
+        # width // DENSE_RATIO, the edges of both included
+        width = data.draw(
+            st.one_of(st.integers(1, 30_000), st.sampled_from([WIDE_BITS, WIDE_BITS + 1, 30_000]))
+        )
+        most_walked = max(width // DENSE_RATIO, 1)
+        count = data.draw(
+            st.one_of(
+                st.integers(1, width),
+                st.sampled_from([most_walked, min(most_walked + 1, width)]),
+            )
+        )
+        mask, positions = mask_with(width, count, data.draw(st.integers(0, 2**32 - 1)))
+        assert bit_indices(mask) == set_bits(mask) == positions
+
+    @pytest.mark.parametrize("width", [WIDE_BITS - 1, WIDE_BITS, WIDE_BITS + 1, 30_000])
+    @pytest.mark.parametrize("extra", [0, 1, 100])
+    def test_at_the_switch(self, monkeypatch, width, extra):
+        # the binary-digit scan runs exactly for a mask wider than WIDE_BITS
+        # with more than width // DENSE_RATIO set bits
+        count = width // DENSE_RATIO + extra
+        mask, positions = mask_with(width, count, width + extra)
+        scans = []
+        monkeypatch.setattr(bigraph, "bin", lambda v: scans.append(v) or bin(v), raising=False)
+        assert bit_indices(mask) == set_bits(mask) == positions
+        assert bool(scans) == (width > WIDE_BITS and extra > 0)
+
+
+def inject_faults(rng, good, faults, make):
+    """``good`` with one item per kind in ``faults`` inserted, in that order;
+    ``make[kind](placed)`` builds it from the items placed before it."""
+    items = list(good)
+    lo = 0
+    for kind in faults:
+        at = rng.randint(max(lo, kind == "dup"), len(items))
+        items.insert(at, make[kind](items[:at]))
+        lo = at + 1
+    return items
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except GraphError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class TestFirstBadEdge:
+    """The row builders group edges and build each row once; on bad input
+    the error is still the one the per-edge loop raises for the first bad
+    edge in input order."""
+
+    @staticmethod
+    def instance(seed):
+        rng = random.Random(seed)
+        m, n = rng.choice([(1, 1), (3, 4), (9, 7), (3, 30_000), (40, 2)])
+        step = n // min(n, 50)  # spread over wide rows
+        cells = rng.sample([(x, y * step) for x in range(m) for y in range(min(n, 50))],
+                           min(m * n, 20))
+
+        def bad_cell(placed):
+            return rng.choice([(m, 0), (-1, 0), (0, n), (0, -1), (m + 5, n + 5)])
+
+        return rng, m, n, cells, bad_cell
+
+    @staticmethod
+    def orders(kinds):
+        return [f for size in range(len(kinds) + 1) for f in itertools.permutations(kinds, size)]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_pairs(self, seed):
+        rng, m, n, cells, bad_cell = self.instance(seed)
+        make = {"dup": rng.choice, "range": bad_cell}
+        for faults in self.orders(list(make)):
+            edges = inject_faults(rng, cells, faults, make)
+            want = oracles.first_bad_pair(m, n, edges)
+            assert (want is None) == (not faults)
+            assert raised(from_edge_list, m, n, edges) == want
+            assert raised(from_edge_list, m, n, iter(edges)) == want
+            assert raised(parse_graph_json, {"m": m, "n": n, "edges": edges}) == want
+        assert from_edge_list(m, n, cells).edges() == sorted(cells)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_triples(self, seed, r):
+        rng, m, n, cells, bad_cell = self.instance(seed)
+        good = [(x, y, rng.randrange(r)) for x, y in cells]
+        make = {
+            # the repeat takes any color: a duplicate within or across colors
+            "dup": lambda placed: (*rng.choice(placed)[:2], rng.randrange(r)),
+            "range": lambda placed: (*bad_cell(placed), rng.randrange(r)),
+            "color": lambda placed: (*rng.choice(cells), rng.choice([r, -1, r + 7])),
+        }
+        for faults in self.orders(list(make)):
+            triples = inject_faults(rng, good, faults, make)
+            want = oracles.first_bad_triple(m, n, r, triples)
+            assert (want is None) == (not faults)
+            assert raised(coloring_from_triples, m, n, r, triples) == want
+            assert raised(coloring_from_triples, m, n, r, iter(triples)) == want
+            doc = {"m": m, "n": n, "r": r, "edges": triples}
+            assert raised(parse_graph_json, doc) == want
+        assert coloring_from_triples(m, n, r, good).edges() == sorted(good)
+
+    def test_non_integer_fields(self):
+        # the per-edge loop's own errors for values JSON never carries
+        with pytest.raises(TypeError):
+            from_edge_list(2, 2, [(0, 0), (1.0, 1)])
+        with pytest.raises(TypeError):
+            from_edge_list(2, 2, [(0, 0.5)])
+        with pytest.raises(TypeError):
+            coloring_from_triples(2, 2, 2, [(0, 0, 0), (0, 1, 1.0)])
+        with pytest.raises(DuplicateEdge):
+            from_edge_list(2, 2, [(0, 0), (0, 0), (1.0, 1)])
 
 
 class TestConjectureDegrees:

@@ -191,14 +191,15 @@ class TestSearch:
             ["--mode", "minmax", "--host", "gen:complete:m=2,n=2", "--r", 100_000_000],
             [
                 "--mode", "random", "--host", "gen:complete:m=4,n=4", "--r", 100_000_000,
-                "--budget", 10,
+                "--target", 5, "--budget", 10,
             ],
         ],
     )
     def test_out_of_memory_exit_2(self, tmp_path, args):
         # per-color union-find lists for 10^8 colors do not fit in 256 MiB
         # of address space: one error line and exit 2, not a traceback and
-        # the counterexample code
+        # the counterexample code (the sampler gets a target, since gy1's
+        # own, 8/10^8, is below 2 and rejected before any list is built)
         res = run_search_in_256_mib(tmp_path, args)
         assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: out of memory\n")
 
@@ -280,6 +281,8 @@ class TestBadInput:
             # no --target: the conjecture's own target (m + n)/r = 1/50 is below 2
             ["search", "--mode", "verify", "--check", "conjecture",
              "--host", "gen:complete:m=3,n=3", "--r", 300],
+            ["search", "--mode", "random", "--check", "conjecture",
+             "--host", "gen:complete:m=3,n=3", "--r", 300, "--budget", 10],
         ],
     )
     def test_exit_2_one_line(self, tmp_path, args):

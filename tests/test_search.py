@@ -788,8 +788,9 @@ class TestRandomSearch:
             with pytest.raises(ValueError, match="target must be at least 2"):
                 random_search(complete(2, 2), 2, target, cfg=SearchConfig(budget=10))
         # a theorem's own target, (m + n)/r, is named with the theorem
-        with pytest.raises(ValueError, match="^the conjecture target 1/50 must be at least 2$"):
-            exhaustive_verify(complete(3, 3), 300, checker=THEOREMS["conjecture"])
+        for run in (exhaustive_verify, random_search):
+            with pytest.raises(ValueError, match="^the conjecture target 1/50 must be at least 2$"):
+                run(complete(3, 3), 300, checker=THEOREMS["conjecture"], cfg=SearchConfig(budget=10))
 
     def test_budget_one(self):
         host = complete(3, 3)
