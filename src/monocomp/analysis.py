@@ -6,7 +6,7 @@ thresholds such as alpha^(1/3) n are irrational, so they are compared by
 cubing both sides as Fractions; no floats appear anywhere.
 
 The r2, conjecture and additive checks take their rule on r, degree
-hypothesis and target from the theorem registry ``search.THEOREMS``, so
+hypothesis and target from the theorem registry ``theorems.THEOREMS``, so
 ``analyze`` and ``search`` decide applicability with the same code.  The
 conjecture check's ``refined=True`` relaxation is analysis-only and
 record-only.
@@ -36,7 +36,7 @@ from .bigraph import (
     plane_counts,
     rat_str,
 )
-from .search import THEOREMS, Theorem
+from .theorems import THEOREMS, Theorem
 
 
 @dataclass(frozen=True)

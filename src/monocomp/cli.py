@@ -6,29 +6,25 @@ identical bytes.  Wall-clock timings and provenance go to the run manifest
 file instead.
 
 Exit codes: 0 done / holds / not applicable, 1 counterexample or violated
-conclusion, 2 bad input, unmet precondition or out of memory, 3 search
-budget exhausted, 4 internal error (an unexpected exception, never a verdict).
+conclusion, 2 bad input, unmet precondition, out of memory or a stdout
+closed before the output was written, 3 search budget exhausted, 4 internal
+error (an unexpected exception, never a verdict).
+
+Each subcommand imports only what it runs: the parser and ``gen`` need
+``bigraph``, ``constructions`` and ``theorems``; ``analyze`` loads
+``analysis`` and ``search``/``scan`` load ``search``, inside the command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .analysis import (
-    check_additive_theorem,
-    check_conjecture_instance,
-    check_corollary,
-    check_tetel_instance,
-    check_theorem_two_colors,
-    main_lemma_report,
-    parse_general_json,
-    stability_report,
-)
 from .bigraph import (
     GraphError,
     dumps_canonical,
@@ -36,17 +32,7 @@ from .bigraph import (
     parse_graph_json,
 )
 from .constructions import GEN_VARIANTS, InvalidSpec, construction_certificate, gen_spec
-from .search import (
-    _UNBOUNDED,
-    THEOREMS,
-    PreconditionViolated,
-    SearchConfig,
-    alpha_frontier,
-    exhaustive_verify,
-    exists_coloring_below,
-    min_max_mono_component,
-    random_search,
-)
+from .theorems import _UNBOUNDED, THEOREMS, PreconditionViolated
 
 _EXIT_OK = 0
 _EXIT_COUNTEREXAMPLE = 1
@@ -126,6 +112,17 @@ def _single_class(args):
 
 
 def cmd_analyze(args) -> tuple[dict, int, str, dict]:
+    from .analysis import (
+        check_additive_theorem,
+        check_conjecture_instance,
+        check_corollary,
+        check_tetel_instance,
+        check_theorem_two_colors,
+        main_lemma_report,
+        parse_general_json,
+        stability_report,
+    )
+
     if args.check in ("stability", "mainlemma"):
         g, r, text = _single_class(args)
         if args.check == "stability":
@@ -173,6 +170,14 @@ def cmd_analyze(args) -> tuple[dict, int, str, dict]:
 
 
 def cmd_search(args) -> tuple[dict, int, str, dict]:
+    from .search import (
+        SearchConfig,
+        exhaustive_verify,
+        exists_coloring_below,
+        min_max_mono_component,
+        random_search,
+    )
+
     if not args.host:
         raise GraphError(f"--mode {args.mode} needs --host")
     host, _col, text = _load_host(args.host)
@@ -203,6 +208,8 @@ def _parse_rational(text: str, flag: str) -> Fraction:
 
 
 def cmd_scan(args) -> tuple[dict, int, str, dict]:
+    from .search import SearchConfig, alpha_frontier
+
     if args.total_n is None:
         raise GraphError("frontier scan needs --total-n")
     alphas = [_parse_rational(a, "--alphas") for a in args.alphas.split(",") if a.strip()]
@@ -302,8 +309,18 @@ def main(argv=None) -> int:
     except Exception as exc:  # a defect: exit 1 would read as a counterexample
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_INTERNAL
-    sys.stdout.write(text)
-    sys.stdout.write("\n")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left before the verdict reached it, which exit 1 would
+        # report as a counterexample; devnull takes the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return _EXIT_INPUT
     elapsed = time.perf_counter() - started
     summary = {**summary, "exit_code": code}
     seed = getattr(args, "seed", None)  # gen and analyze take no seed

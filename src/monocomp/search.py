@@ -1,13 +1,8 @@
-"""Adversarial search over r-colorings of a host graph, and the theorem
-registry that ``analyze`` shares.
+"""Adversarial search over r-colorings of a host graph.
 
-``THEOREMS`` holds one :class:`Theorem` per per-instance theorem (gy1, r2,
-conjecture, additive): its rule on r, its exact degree hypothesis, its
-target order and which conclusion it draws.  ``analysis`` and the CLI read
-applicability and targets from here, so each hypothesis is written once (the
-conjecture's inequality, which r2 shares at r = 2, is
-``bigraph.meets_conjecture_degrees``), and ``Theorem.needs`` turns either
-conclusion into one integer rule that every checker reads.
+Each search runs one theorem of the registry ``theorems.THEOREMS``; its
+``Theorem.needs`` gives the conclusion as the one integer rule that every
+kernel here reads.
 
 Every union-find over a flat color assignment is the same list idiom: union
 by weight with no path compression, so a union is undone in O(1) by
@@ -66,9 +61,8 @@ import math
 import os
 import random
 from collections import deque
-from collections.abc import Callable
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -77,21 +71,25 @@ from .bigraph import (
     EdgeColoring,
     EmptyGraph,
     coloring_from_assignment,
-    degree_profile,
-    meets_conjecture_degrees,
     rat_str,
 )
 from .constructions import complete_minus_circulant
+# the registry's public names are importable from here too
+from .theorems import (
+    _UNBOUNDED,
+    THEOREMS,
+    AdditiveChecker,
+    ComponentTargetChecker,
+    PreconditionViolated,
+    Theorem,
+    _ceil_frac,
+    _theorem,
+)
 
-_UNBOUNDED = 1 << 62
 _RANDOM_BLOCK = 2048
 _PREFIX_DEPTH = 4
 _SYMMETRY_WORK = 1 << 16
 _DEAD_STATES = 1 << 18  # dead keys a walk keeps per split prefix (circ(9,9,2) r3: ~30 MB)
-
-
-class PreconditionViolated(Exception):
-    """The host does not meet the checker's degree precondition."""
 
 
 @dataclass
@@ -122,11 +120,6 @@ class SearchOutcome:
             "examined": self.examined,
             "witness": self.witness.to_json_dict() if self.witness else None,
         }
-
-
-def _ceil_frac(value) -> int:
-    f = Fraction(value)
-    return -((-f.numerator) // f.denominator)
 
 
 def _automorphisms(host: BipartiteGraph) -> list[list[int]]:
@@ -738,119 +731,6 @@ def min_max_mono_component(
                 hi, colors = t, found
     witness = coloring_from_assignment(host, r, colors)
     return SearchOutcome("MinMaxValue", lo - 1, witness, examined)
-
-
-# --- the theorem registry ---------------------------------------------------
-
-@dataclass(frozen=True)
-class Theorem:
-    """One per-instance theorem.  ``hypothesis(host, r)`` is why the host
-    misses the degree hypothesis, or None; ``target(m, n, r)`` is exact.
-    The conclusion is that some monochromatic component reaches the target
-    order, or with ``half_half`` that one holds half of each side;
-    ``needs`` gives either as one integer rule.
-    """
-
-    name: str
-    min_r: int
-    max_r: int | None
-    hypothesis: Callable[[BipartiteGraph, int], str | None]
-    target: Callable[[int, int, int], Fraction]
-    half_half: bool = False
-
-    def r_error(self, r: int) -> str | None:
-        """Why the theorem says nothing about ``r`` colors, or None."""
-        if self.max_r is not None and r != self.max_r:
-            return f"this check is for exactly {self.max_r} colors"
-        if r < self.min_r:
-            return f"need r >= {self.min_r}"
-        return None
-
-    def require(self, host: BipartiteGraph, r: int, hypothesis: bool = True) -> None:
-        """Raise PreconditionViolated unless the theorem speaks about r
-        colors and, with ``hypothesis``, the host meets its hypothesis."""
-        err = self.r_error(r) or (self.hypothesis(host, r) if hypothesis else None)
-        if err:
-            raise PreconditionViolated(err)
-
-    def needs(self, m: int, n: int, r: int) -> tuple[int, int, int]:
-        """The conclusion as (min X-count, min Y-count, min order): it holds
-        iff some monochromatic component meets all three.  Either the order
-        or both counts are 0; ``_packed`` turns it into the one
-        weight test the search kernels run."""
-        if self.half_half:
-            return (m + 1) // 2, (n + 1) // 2, 0
-        return 0, 0, _ceil_frac(self.target(m, n, r))
-
-
-def _no_hypothesis(host, r) -> None:
-    return None
-
-
-def _complete_host(host, r) -> str | None:
-    if host.is_complete():
-        return None
-    return "host is not a complete bipartite graph"
-
-
-def _conjecture_degrees(host, r) -> str | None:
-    if meets_conjecture_degrees(host, r):
-        return None
-    return f"minimum degrees do not strictly clear (1 - 1/{r + 1})"
-
-
-def _additive_degrees(host, r) -> str | None:
-    total = host.m + host.n
-    prof = degree_profile(host)
-    if host.n < host.m:
-        return "expected |Y| >= |X|"
-    if 4 * host.m <= total:
-        return "|X| must exceed a quarter of the vertices"
-    if 8 * prof.delta_xy < 8 * host.n - total:
-        return "delta(X,Y) below |Y| - (m+n)/8"
-    if 8 * prof.delta_yx < 8 * host.m - total:
-        return "delta(Y,X) below |X| - (m+n)/8"
-    return None
-
-
-def _per_color(m, n, r) -> Fraction:
-    return Fraction(m + n, r)
-
-
-# r2 is the conjecture at r = 2: strict 2/3 degrees, target (m+n)/2
-THEOREMS = {
-    thm.name: thm
-    for thm in (
-        Theorem("gy1", 1, None, _complete_host, _per_color),
-        Theorem("r2", 2, 2, _conjecture_degrees, _per_color),
-        Theorem("conjecture", 2, None, _conjecture_degrees, _per_color),
-        Theorem("additive", 2, 2, _additive_degrees, _per_color, half_half=True),
-    )
-}
-
-
-def ComponentTargetChecker(target=None, require_complete: bool = True) -> Theorem:
-    """The gy1 theorem, optionally with a fixed target and without its
-    complete-host hypothesis."""
-    thm = _theorem(None, target)
-    return thm if require_complete else replace(thm, hypothesis=_no_hypothesis)
-
-
-def AdditiveChecker() -> Theorem:
-    """The additive theorem."""
-    return THEOREMS["additive"]
-
-
-def _theorem(checker: Theorem | None, target) -> Theorem:
-    """The theorem a search runs: gy1 unless given; ``target`` overrides
-    gy1's target only, and below 2 raises ValueError."""
-    thm = THEOREMS["gy1"] if checker is None else checker
-    if target is None or thm.name != "gy1":
-        return thm
-    fixed = Fraction(target)
-    if fixed <= 1:  # its ceiling is below 2
-        raise ValueError("target must be at least 2")
-    return replace(thm, target=lambda m, n, r: fixed)
 
 
 def exhaustive_verify(

@@ -1,0 +1,144 @@
+"""The theorem registry that ``analyze`` and ``search`` share.
+
+``THEOREMS`` holds one :class:`Theorem` per per-instance theorem (gy1, r2,
+conjecture, additive): its rule on r, its exact degree hypothesis, its
+target order and which conclusion it draws.  ``analysis``, ``search`` and
+the CLI read applicability and targets from here, so each hypothesis is
+written once (the conjecture's inequality, which r2 shares at r = 2, is
+``bigraph.meets_conjecture_degrees``), and ``Theorem.needs`` turns either
+conclusion into one integer rule that every search kernel reads.
+
+This module depends on ``bigraph`` alone, so ``analyze`` loads the
+registry without the search engine.  It also holds ``_UNBOUNDED``, the
+default search budget, which the CLI parser reads for the same reason.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from fractions import Fraction
+
+from .bigraph import BipartiteGraph, degree_profile, meets_conjecture_degrees
+
+_UNBOUNDED = 1 << 62
+
+
+class PreconditionViolated(Exception):
+    """The host does not meet the checker's degree precondition."""
+
+
+def _ceil_frac(value) -> int:
+    f = Fraction(value)
+    return -((-f.numerator) // f.denominator)
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One per-instance theorem.  ``hypothesis(host, r)`` is why the host
+    misses the degree hypothesis, or None; ``target(m, n, r)`` is exact.
+    The conclusion is that some monochromatic component reaches the target
+    order, or with ``half_half`` that one holds half of each side;
+    ``needs`` gives either as one integer rule.
+    """
+
+    name: str
+    min_r: int
+    max_r: int | None
+    hypothesis: Callable[[BipartiteGraph, int], str | None]
+    target: Callable[[int, int, int], Fraction]
+    half_half: bool = False
+
+    def r_error(self, r: int) -> str | None:
+        """Why the theorem says nothing about ``r`` colors, or None."""
+        if self.max_r is not None and r != self.max_r:
+            return f"this check is for exactly {self.max_r} colors"
+        if r < self.min_r:
+            return f"need r >= {self.min_r}"
+        return None
+
+    def require(self, host: BipartiteGraph, r: int, hypothesis: bool = True) -> None:
+        """Raise PreconditionViolated unless the theorem speaks about r
+        colors and, with ``hypothesis``, the host meets its hypothesis."""
+        err = self.r_error(r) or (self.hypothesis(host, r) if hypothesis else None)
+        if err:
+            raise PreconditionViolated(err)
+
+    def needs(self, m: int, n: int, r: int) -> tuple[int, int, int]:
+        """The conclusion as (min X-count, min Y-count, min order): it holds
+        iff some monochromatic component meets all three.  Either the order
+        or both counts are 0; ``_packed`` turns it into the one
+        weight test the search kernels run."""
+        if self.half_half:
+            return (m + 1) // 2, (n + 1) // 2, 0
+        return 0, 0, _ceil_frac(self.target(m, n, r))
+
+
+def _no_hypothesis(host, r) -> None:
+    return None
+
+
+def _complete_host(host, r) -> str | None:
+    if host.is_complete():
+        return None
+    return "host is not a complete bipartite graph"
+
+
+def _conjecture_degrees(host, r) -> str | None:
+    if meets_conjecture_degrees(host, r):
+        return None
+    return f"minimum degrees do not strictly clear (1 - 1/{r + 1})"
+
+
+def _additive_degrees(host, r) -> str | None:
+    total = host.m + host.n
+    prof = degree_profile(host)
+    if host.n < host.m:
+        return "expected |Y| >= |X|"
+    if 4 * host.m <= total:
+        return "|X| must exceed a quarter of the vertices"
+    if 8 * prof.delta_xy < 8 * host.n - total:
+        return "delta(X,Y) below |Y| - (m+n)/8"
+    if 8 * prof.delta_yx < 8 * host.m - total:
+        return "delta(Y,X) below |X| - (m+n)/8"
+    return None
+
+
+def _per_color(m, n, r) -> Fraction:
+    return Fraction(m + n, r)
+
+
+# r2 is the conjecture at r = 2: strict 2/3 degrees, target (m+n)/2
+THEOREMS = {
+    thm.name: thm
+    for thm in (
+        Theorem("gy1", 1, None, _complete_host, _per_color),
+        Theorem("r2", 2, 2, _conjecture_degrees, _per_color),
+        Theorem("conjecture", 2, None, _conjecture_degrees, _per_color),
+        Theorem("additive", 2, 2, _additive_degrees, _per_color, half_half=True),
+    )
+}
+
+
+def ComponentTargetChecker(target=None, require_complete: bool = True) -> Theorem:
+    """The gy1 theorem, optionally with a fixed target and without its
+    complete-host hypothesis."""
+    thm = _theorem(None, target)
+    return thm if require_complete else replace(thm, hypothesis=_no_hypothesis)
+
+
+def AdditiveChecker() -> Theorem:
+    """The additive theorem."""
+    return THEOREMS["additive"]
+
+
+def _theorem(checker: Theorem | None, target) -> Theorem:
+    """The theorem a search runs: gy1 unless given; ``target`` overrides
+    gy1's target only, and below 2 raises ValueError."""
+    thm = THEOREMS["gy1"] if checker is None else checker
+    if target is None or thm.name != "gy1":
+        return thm
+    fixed = Fraction(target)
+    if fixed <= 1:  # its ceiling is below 2
+        raise ValueError("target must be at least 2")
+    return replace(thm, target=lambda m, n, r: fixed)

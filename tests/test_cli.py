@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -429,11 +430,11 @@ class TestSubcommandFlags:
 
 class TestColdStart:
     @staticmethod
-    def _loaded(*packages):
-        """The modules of ``packages`` that ``import monocomp.cli`` loads in
-        a fresh interpreter, as printed there."""
+    def _loaded(*packages, module="monocomp.cli"):
+        """The modules of ``packages`` that ``import <module>`` loads in a
+        fresh interpreter, as printed there."""
         code = (
-            "import sys, monocomp.cli\n"
+            f"import sys, {module}\n"
             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -450,6 +451,86 @@ class TestColdStart:
     def test_cli_import_leaves_hashlib_out(self):
         # only the manifest's input digest needs it, once the command has run
         assert self._loaded("hashlib", "_hashlib") == "[]\n"
+
+    def test_package_import_loads_no_submodule(self):
+        # every public name is lazy: a script pays only for what it uses
+        assert self._loaded("monocomp", module="monocomp") == "['monocomp']\n"
+
+    @pytest.mark.parametrize(
+        "args, needs, skips",
+        [
+            (["gen", "lower-bound"], "constructions", ("search", "analysis")),
+            (["analyze", "{file}", "--check", "r2"], "analysis", ("search",)),
+            (["analyze", "{file}", "--check", "stability"], "analysis", ("search",)),
+            (
+                ["analyze", "gen:lower-bound:r=2,t1=2,t2=2", "--check", "conjecture"],
+                "analysis",
+                ("search",),
+            ),
+            (
+                ["search", "--mode", "minmax", "--host", "gen:complete:m=3,n=3"],
+                "search",
+                ("analysis",),
+            ),
+            (
+                ["search", "--mode", "verify", "--check", "r2", "--host", "{file}"],
+                "search",
+                ("analysis",),
+            ),
+            (
+                ["scan", "--total-n", "16", "--alphas", "1/8", "--budget", "100"],
+                "search",
+                ("analysis",),
+            ),
+        ],
+        ids=[
+            "gen", "analyze-file-r2", "analyze-file-stability", "analyze-gen-conjecture",
+            "search-minmax", "search-verify", "scan",
+        ],
+    )
+    def test_command_loads_only_what_it_runs(self, tmp_path, args, needs, skips):
+        # ``python -m monocomp`` in a fresh interpreter, which prints the
+        # monocomp modules in sys.modules to stderr at exit
+        f = tmp_path / "g.json"
+        write_block_colored_k44mm(f)
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(lambda: print(sorted(m for m in sys.modules"
+            " if m.startswith('monocomp.')), file=sys.stderr))\n"
+            "runpy.run_module('monocomp', run_name='__main__', alter_sys=True)\n"
+        )
+        argv = ["--manifest", str(tmp_path / "manifest.json")]
+        argv += [str(f) if a == "{file}" else a for a in args]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        res = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+        )
+        assert res.returncode == 0, res.stderr
+        loaded = ast.literal_eval(res.stderr.splitlines()[-1])
+        assert f"monocomp.{needs}" in loaded
+        assert not {f"monocomp.{m}" for m in skips} & set(loaded)
+
+
+class TestClosedStdout:
+    def test_closed_stdout_exit_2(self, tmp_path):
+        # a reader that leaves early (``| head``) sees no verdict, so this
+        # is not exit 1, the counterexample code; 97,736 bytes of output
+        # overrun the 64 KiB pipe buffer
+        cmd = [
+            sys.executable, "-m", "monocomp", "--manifest", str(tmp_path / "manifest.json"),
+            "gen", "lower-bound", "--r", "2", "--t1", "40", "--t2", "40",
+        ]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        with subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env
+        ) as proc:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert "Traceback" not in err
+        assert (code, err) == (2, "error: stdout was closed before the output was written\n")
+        assert not (tmp_path / "manifest.json").exists()  # no outcome was delivered
 
 
 class TestScan:
