@@ -32,7 +32,9 @@ Smith, CP 2005).  Once an X-row is fully colored, the rest of the walk
 depends only on the row, the colors in use and, per color, the partition
 of Y into components with their packed weights, since the X-vertices
 still to come are untouched; a state whose subtree had no leaf is
-skipped when it recurs.  The earlier prefix with the same state is
+skipped when it recurs.  Each union-find size carries its component's
+Y-vertices as a bit mask below the packed weight, so a state's key is one
+int read off the roots.  The earlier prefix with the same state is
 lex-less, and extended by the same colors it would be a solution too, so
 no skipped subtree holds the lex-least solution.  So no cut changes a
 decision or a witness; only the node count moves.
@@ -89,7 +91,7 @@ from .theorems import (
 _RANDOM_BLOCK = 2048
 _PREFIX_DEPTH = 4
 _SYMMETRY_WORK = 1 << 16
-_DEAD_STATES = 1 << 18  # dead keys a walk keeps per split prefix (circ(9,9,2) r3: ~30 MB)
+_DEAD_STATES = 1 << 18  # dead keys a walk keeps per split prefix (circ(9,9,2) r3: ~29 MB)
 
 
 @dataclass
@@ -409,28 +411,34 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
 
     The search is an iterative depth-first walk on one rollback union-find
     per color, inlined: ``parents[c]``/``sizes[c]`` with no path
-    compression, sizes holding packed weights, and at each depth the root
-    that its union attached, or -1.  New colors appear in increasing order
-    along the edges.  ``lex`` (``_lex_schedule``) holds, per depth, the
-    positions that become comparable there for each automorphism perm, and
-    the walk keeps ``assign`` lex-at-most its image ``assign[perm[k]]``
-    with colors renamed by first appearance.  The lex-least coloring meets
-    every such order (see the module docstring), so only the node count
-    changes.  Only the generators still tied do any work: ``sat[g]`` is the
-    depth at which generator g became strictly less on this path, and
+    compression, and at each depth the root that its union attached, or -1.
+    A size is the packed weight above one bit per Y-vertex with edges,
+    (weight << S) | ymask: masks of disjoint components add without carry,
+    so a union and its undo carry the component's Y-vertices too.  New
+    colors appear in increasing order along the edges, so a walk uses at
+    most min(r, edges) colors and sizes its tables by that.  ``lex``
+    (``_lex_schedule``) holds, per depth, the positions that become
+    comparable there for each automorphism perm, and the walk keeps
+    ``assign`` lex-at-most its image ``assign[perm[k]]`` with colors
+    renamed by first appearance.  The lex-least coloring meets every such
+    order (see the module docstring), so only the node count changes.
+    Only the generators still tied do any work: ``sat[g]`` is the depth at
+    which generator g became strictly less on this path, and
     ``states[slot]`` its renaming after that slot's depth (color to name,
     the next name last), so neither needs an undo.  A color that breaks an
     order is cut like one that meets the rule, as a node, and ``merged``
     undoes its union.
 
     Past the split depth P = min(``_PREFIX_DEPTH``, edges), each depth d
-    where a new X-row starts keys its state: the row, ``top[d]`` and, per
-    color up to it, each Y-slot's class index by first Y-vertex, then the
-    classes' packed weights (``bytes`` when the weights sum below 256 and
-    r <= 256, so every entry fits, else a tuple).  A key in ``dead`` skips
-    the subtree (the color that led there still counts as a node); a
-    subtree that ends before any leaf was yielded adds its key while
-    ``dead`` holds fewer than ``_DEAD_STATES`` keys, which bounds the
+    where a new X-row starts keys its state as one int: a nonzero header
+    for the row and ``top[d]``, then, per color up to it, the size of each
+    component holding a Y-vertex, in order of its least Y-vertex, in
+    fixed-width fields.  Each component is found at the lowest Y bit not
+    yet covered, so equal keys mean the same row, the same ``top[d]`` and,
+    per color, the same partition of Y with the same weights.  A key in
+    ``dead`` skips the subtree (the color that led there still counts as a
+    node); a subtree that ends before any leaf was yielded adds its key
+    while ``dead`` holds fewer than ``_DEAD_STATES`` keys, which bounds the
     walk's memory on searches of many millions of nodes.  The row is
     part of the key: states at different rows can be equal, and their
     futures differ.  ``dead`` is emptied at each backtrack above P, so a
@@ -443,15 +451,20 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     the prefix left them."""
     weight, threshold, need_x = rule
     schedule, num_gens, num_slots = lex
-    parents = [list(range(len(weights))) for _ in range(r)]
-    sizes = [list(weights) for _ in range(r)]
-    split = min(_PREFIX_DEPTH, len(ends))
+    r = min(r, len(ends))  # a canonical walk opens at most one new color per edge
     ys = sorted({b for _, b in ends})
+    shift = len(ys)  # Y-vertex ys[j] owns bit j of each packed size, below the weight
+    every_y = (1 << shift) - 1
+    bit = {b: 1 << j for j, b in enumerate(ys)}
+    packed = [w << shift | bit.get(v, 0) for v, w in enumerate(weights)]
+    threshold <<= shift
+    parents = [list(range(len(weights))) for _ in range(r)]
+    sizes = [packed[:] for _ in range(r)]
+    split = min(_PREFIX_DEPTH, len(ends))
     # the depths past the split where a new X-row starts
     row_start = [split < d < stop and ends[d][0] != ends[d - 1][0] for d in range(stop + 1)]
-    pack = bytes if sum(weights) < 256 and r <= 256 else tuple  # bounds every key entry
+    width = max(sum(packed), len(weights) * r).bit_length()  # fits any size and the header
     dead = set()
-    mark = [-1] * len(weights)
     keys = [None] * (stop + 1)
     yielded = False
     start = len(prefix)
@@ -465,6 +478,7 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     sat = [done] * num_gens
     states = [None] * num_slots
     identity = [list(range(c)) + [-1] * (r - c) + [c] for c in range(r)]
+    raised = [min(r - 1, c + 1) for c in range(r)]  # top after choosing top color c
     nodes = -start
     idx = 0
     while idx >= start or nodes < 0:  # nodes < 0 while the prefix replays
@@ -508,7 +522,7 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
             size = sizes[c]
             merged_size = size[a] + size[b]
             # an order target (need_x 0) takes no % per cut
-            if merged_size >= threshold and (not need_x or merged_size % weight >= need_x):
+            if merged_size >= threshold and (not need_x or (merged_size >> shift) % weight >= need_x):
                 merged[idx] = -1
                 continue
             if size[a] < size[b]:
@@ -542,23 +556,17 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
             if broken:  # merged[idx] undoes the union at the next color
                 continue
         idx += 1
-        top[idx] = top[idx - 1] if c < top[idx - 1] else min(r - 1, c + 1)
+        top[idx] = top[idx - 1] if c < top[idx - 1] else raised[c]
         if row_start[idx]:
-            key = [ends[idx][0], top[idx]]
+            key = ends[idx][0] * r + top[idx] + 1
             for parent, size in zip(parents, sizes[:top[idx] + 1]):
-                roots = []  # by first Y-vertex; mark[root] is the index
-                for v in ys:
+                rest = every_y  # Y-vertices not yet in a component
+                while rest:  # components by least Y-vertex
+                    v = ys[(rest & -rest).bit_length() - 1]
                     while parent[v] != v:
                         v = parent[v]
-                    i = mark[v]
-                    if i < 0:
-                        i = mark[v] = len(roots)
-                        roots.append(v)
-                    key.append(i)
-                for v in roots:
-                    key.append(size[v])
-                    mark[v] = -1
-            key = pack(key)
+                    key = key << width | size[v]
+                    rest &= ~size[v]
             if key in dead:  # merged[idx - 1] undoes the union at the next color
                 idx -= 1
                 continue

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -128,6 +129,23 @@ class TestExistsBelow:
     def test_empty_host(self):
         with pytest.raises(EmptyGraph):
             exists_coloring_below(from_edge_list(2, 2, []), 2, 2)
+
+    def test_colors_beyond_the_edges_cost_nothing(self):
+        # a canonical walk opens at most one color per edge, so its tables
+        # are sized by min(r, edges), however large r is
+        host = complete(2, 2)
+        outcomes = []
+        for r in (4, 5, 3000):
+            tracemalloc.start()
+            try:
+                below = exists_coloring_below(host, r, 2).to_json_dict()
+                minmax = min_max_mono_component(host, r)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, (r, peak)
+            outcomes.append((below, minmax.value, minmax.examined, minmax.witness.edges()))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_agrees_with_naive_enumeration(self):
         rng = random.Random(23)
@@ -321,8 +339,14 @@ class TestDeadStates:
             # isolated vertices lift the packed weights to 256 and more
             (_padded(complete(7, 3), 7, 250), 2),
             (_padded(complete(4, 2), 4, 260), 3),
+            # Y-vertex 0 is isolated, so the Y-vertices with edges start at slot m + 1
+            (from_edge_list(5, 4, [(x, y + 1) for x, y in complete(5, 3).edges()]), 2),
+            # at the last row start one component can hold every vertex but
+            # the last row's, weight 8 of 9: its packed size fills its field
+            (complete(6, 3), 2),
         ],
-        ids=["k53r2", "k73r2", "c551r2", "c662r2", "rows9r2", "k73padded-r2", "k42padded-r3"],
+        ids=["k53r2", "k73r2", "c551r2", "c662r2", "rows9r2", "k73padded-r2", "k42padded-r3",
+             "k53-y0-isolated-r2", "k63r2"],
     )
     def test_matches_mirror(self, monkeypatch, host, r):
         # one CPU: the tasks of two workers run in order in this process
@@ -330,7 +354,8 @@ class TestDeadStates:
         runs = list(itertools.product((0, 2, host.edge_count), (1, 2)))
         edges = host.edges()
         order = len({x for x, _ in edges}) + len({y for _, y in edges})  # isolated vertices aside
-        moved = self._check(monkeypatch, host, r, range(2, order + 2), runs)
+        # None: half-half (K = m + 1) through exhaustive_verify
+        moved = self._check(monkeypatch, host, r, [*range(2, order + 2), None], runs)
         assert moved or r == 3
 
     def test_full_record_takes_no_more_keys(self, monkeypatch):
