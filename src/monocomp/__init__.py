@@ -43,7 +43,6 @@ _EXPORTS = {
     ),
     "constructions": (
         "Certificate",
-        "ConstructionSpec",
         "InvalidSpec",
         "blowup",
         "complete_minus_circulant",

@@ -70,12 +70,6 @@ class Verdict:
         return out
 
 
-def _largest_component_or_none(host, col):
-    if host.edge_count == 0:
-        return None
-    return largest_mono_component(host, col)
-
-
 def _validate_coloring(host: BipartiteGraph, col: EdgeColoring, r: int) -> None:
     if col.r != r:
         raise ColoringMismatch(f"coloring has {col.r} colors, expected {r}")
@@ -97,7 +91,7 @@ def _registry_theorem(
 
 def _largest_verdict(check, host, col, applicable, target, detail=None) -> Verdict:
     """Verdict whose conclusion is "the largest component reaches target"."""
-    witness = _largest_component_or_none(host, col)
+    witness = largest_mono_component(host, col) if host.edge_count else None
     achieved = witness.order if witness is not None else 0
     return Verdict(
         check=check,
@@ -199,14 +193,6 @@ def _above_cuberoot(d: Fraction, bound: Fraction, scale: int) -> bool:
     return d**3 > bound * scale**3
 
 
-def _at_most_cuberoot(d, bound: Fraction, scale: int) -> bool:
-    """d <= bound^(1/3) * scale, exactly (bound >= 0)."""
-    d = Fraction(d)
-    if d <= 0:
-        return True
-    return d**3 <= bound * scale**3
-
-
 def _exceptional(degs: list[int], avg: Fraction, bound: Fraction, scale: int) -> list[int]:
     """Indices v with avg - degs[v] > bound^(1/3) * scale, exactly; the test
     runs once per distinct degree."""
@@ -298,7 +284,7 @@ def stability_report(
     defect_y = sum(ydegs[y] for y in exc_y) - len(exc_y) * avg_yx
     star = _largest_double_star_in_class(g, 0, planes).order
     case_i = star * r >= m + n
-    case_ii = _at_most_cuberoot(len(exc_x), alpha, m) and _at_most_cuberoot(
+    case_ii = not _above_cuberoot(len(exc_x), alpha, m) and not _above_cuberoot(
         len(exc_y), beta, n
     )
     return StabilityReport(
@@ -387,10 +373,10 @@ def main_lemma_report(g: BipartiteGraph, r: int) -> MainComponentsReport:
 
     flag_a = all(comp.order * r < m + n for comp in top)
     flag_b = all(
-        _at_most_cuberoot(avg_yx - len(comp.xs), beta, m) for comp in top
+        not _above_cuberoot(avg_yx - len(comp.xs), beta, m) for comp in top
     )
     flag_c = all(
-        _at_most_cuberoot(avg_xy - len(comp.ys), alpha, n) for comp in top
+        not _above_cuberoot(avg_xy - len(comp.ys), alpha, n) for comp in top
     )
     covered_x = set()
     covered_y = set()
@@ -399,8 +385,8 @@ def main_lemma_report(g: BipartiteGraph, r: int) -> MainComponentsReport:
         covered_y.update(comp.ys)
     z_x = tuple(x for x in range(m) if x not in covered_x)
     z_y = tuple(y for y in range(n) if y not in covered_y)
-    flag_d = _at_most_cuberoot(len(z_x), alpha, m)
-    flag_e = _at_most_cuberoot(len(z_y), beta, n)
+    flag_d = not _above_cuberoot(len(z_x), alpha, m)
+    flag_e = not _above_cuberoot(len(z_y), beta, n)
     return MainComponentsReport(
         components=top,
         z_x=z_x,

@@ -21,6 +21,7 @@ would misclassify them.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -247,20 +248,20 @@ def from_edge_list(m: int, n: int, edges) -> BipartiteGraph:
 
     The pairs are grouped by x and each row is built once; a duplicate
     leaves fewer set bits than pairs, which the graph's edge count check
-    rejects.  Any bad pair sends the whole list through the per-pair loop,
-    so the error is the one for the first bad pair in input order."""
+    rejects.  On any error :func:`_check_triples` raises the error for the
+    first bad pair in input order, or, if no pair is bad, the build's own."""
     edges = list(edges)
     try:
         ys_of = [[] for _ in range(m)]
         for x, y in edges:
             if not (0 <= x < m and 0 <= y < n):
-                break
+                raise IndexError  # named by _check_triples
             ys_of[x].append(y)
-        else:
-            return BipartiteGraph(m, n, tuple(map(mask_of, ys_of)), len(edges))
-    except (GraphError, TypeError, ValueError, IndexError):
-        pass
-    return _coloring_per_triple(m, n, 1, ((x, y, 0) for x, y in edges)).classes[0]
+        return BipartiteGraph(m, n, tuple(map(mask_of, ys_of)), len(edges))
+    except (GraphError, TypeError, ValueError, IndexError) as exc:
+        error = exc
+    _check_triples(m, n, 1, ((x, y, 0) for x, y in edges))
+    raise error
 
 
 def complete(m: int, n: int) -> BipartiteGraph:
@@ -382,32 +383,39 @@ def coloring_from_triples(m: int, n: int, r: int, triples) -> EdgeColoring:
     """Build an EdgeColoring from (x, y, color) triples.
 
     Like :func:`from_edge_list`: the triples are grouped by color and x,
-    and each class row is built once.  Any bad triple, a duplicate within or
-    across colors included, sends the whole list through the per-triple
-    loop, so the error is the one for the first bad triple in input order."""
+    and each class row is built once.  A color gets its per-x lists at its
+    first triple, and the unused colors share one empty class, so a
+    coloring costs its edges plus one slot per color.  On any error, a
+    duplicate within or across colors included, :func:`_check_triples`
+    raises the error for the first bad triple in input order, or, if no
+    triple is bad, the build's own."""
     triples = list(triples)
     try:
-        ys_of = [[[] for _ in range(m)] for _ in range(r)]
+        ys_of = [None] * r
         for x, y, c in triples:
             if not (0 <= c < r and 0 <= x < m and 0 <= y < n):
-                break
-            ys_of[c][x].append(y)
-        else:
-            classes = tuple(
-                BipartiteGraph(m, n, tuple(map(mask_of, per_x)), sum(map(len, per_x)))
-                for per_x in ys_of
-            )
-            return EdgeColoring(r, classes)
-    except (GraphError, TypeError, ValueError, IndexError):
-        pass
-    return _coloring_per_triple(m, n, r, triples)
+                raise IndexError  # named by _check_triples
+            per_x = ys_of[c]
+            if per_x is None:
+                per_x = ys_of[c] = [[] for _ in range(m)]
+            per_x[x].append(y)
+        empty = BipartiteGraph(m, n, (0,) * m, 0)
+        classes = tuple(
+            empty if per_x is None
+            else BipartiteGraph(m, n, tuple(map(mask_of, per_x)), sum(map(len, per_x)))
+            for per_x in ys_of
+        )
+        return EdgeColoring(r, classes)
+    except (GraphError, TypeError, ValueError, IndexError) as exc:
+        error = exc
+    _check_triples(m, n, r, triples)
+    raise error
 
 
-def _coloring_per_triple(m: int, n: int, r: int, triples) -> EdgeColoring:
-    """The per-triple loop: one check and one OR per triple, so the error
-    raised is the one for the first bad triple in input order."""
-    rows = [[0] * m for _ in range(r)]
-    counts = [0] * r
+def _check_triples(m: int, n: int, r: int, triples) -> None:
+    """The per-triple checks: raise the error for the first bad triple in
+    input order, or return if none is bad.  Called outside the builders'
+    ``except`` blocks, so the error carries no context."""
     seen = [0] * m
     for x, y, c in triples:
         if not (0 <= c < r):
@@ -418,12 +426,7 @@ def _coloring_per_triple(m: int, n: int, r: int, triples) -> EdgeColoring:
         if seen[x] & bit:
             raise DuplicateEdge(f"edge ({x}, {y}) given twice")
         seen[x] |= bit
-        rows[c][x] |= bit
-        counts[c] += 1
-    classes = tuple(
-        BipartiteGraph(m, n, tuple(rows[c]), counts[c]) for c in range(r)
-    )
-    return EdgeColoring(r, classes)
+        operator.index(c)  # a color that is no integer: TypeError, as in the build
 
 
 def coloring_from_assignment(host: BipartiteGraph, r: int, colors) -> EdgeColoring:

@@ -31,7 +31,7 @@ from .bigraph import (
     graph_json,
     parse_graph_json,
 )
-from .constructions import GEN_VARIANTS, InvalidSpec, construction_certificate, gen_spec
+from .constructions import GEN_VARIANTS, InvalidSpec, construction_certificate, gen_build
 from .theorems import _UNBOUNDED, THEOREMS, PreconditionViolated
 
 _EXIT_OK = 0
@@ -79,7 +79,7 @@ def _load_host(source: str):
             for item in parts[2].split(","):
                 key, _, value = item.partition("=")
                 params[key.strip()] = int(value)
-        host, col = gen_spec(parts[1], params).build()
+        host, col = gen_build(parts[1], params)
         return host, col, dumps_canonical(graph_json(host, col))
     with open(source, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -91,7 +91,7 @@ def _load_host(source: str):
 
 def cmd_gen(args) -> tuple[dict, int, str, dict]:
     params = {key: getattr(args, key) for key in GEN_VARIANTS[args.variant][1]}
-    host, col = gen_spec(args.variant, params).build()
+    host, col = gen_build(args.variant, params)
     cert = construction_certificate(host, col)
     graph_doc = graph_json(host, col)
     doc = {"graph": graph_doc, "certificate": cert.to_json_dict()}

@@ -19,10 +19,8 @@ from .bigraph import (
     complete,
     degree_profile,
     from_rows,
-    graph_components,
     largest_double_star,
     largest_mono_component,
-    uncolored_largest_double_star,
 )
 
 
@@ -58,12 +56,9 @@ def construction_certificate(
     """Certificate computed from scratch; uncolored hosts count as one color."""
     prof = degree_profile(host)
     if col is None:
-        comps = graph_components(host)
-        largest = max((c.order for c in comps), default=0)
-        star = uncolored_largest_double_star(host).order if host.edge_count else 0
-    else:
-        largest = largest_mono_component(host, col).order if host.edge_count else 0
-        star = largest_double_star(host, col).order if host.edge_count else 0
+        col = EdgeColoring(1, (host,))
+    largest = largest_mono_component(host, col).order if host.edge_count else 0
+    star = largest_double_star(host, col).order if host.edge_count else 0
     return Certificate(
         delta_xy=prof.delta_xy,
         delta_yx=prof.delta_yx,
@@ -132,11 +127,6 @@ def lower_bound_construction(
     if t1 < 1 or t2 < 1:
         raise InvalidSpec("need t1, t2 >= 1")
     k = r + 1
-    pattern_rows = []
-    for i in range(k):
-        # drop the edge of cyclic color r at this row: j = (r - i) mod k
-        pattern_rows.append(((1 << k) - 1) ^ (1 << ((r - i) % k)))
-    pattern_host = from_rows(k, k, pattern_rows)
     pattern_col = coloring_from_triples(
         k,
         k,
@@ -148,7 +138,7 @@ def lower_bound_construction(
             if (i + j) % k != r
         ),
     )
-    host, col = blowup(pattern_host, pattern_col, t1, t2)
+    host, col = blowup(pattern_col.union_host(), pattern_col, t1, t2)
     cert = construction_certificate(host, col)
     if cert.delta_xy * (r + 1) != r * host.n or cert.delta_yx * (r + 1) != r * host.m:
         raise CertificateError("minimum degrees off the (1 - 1/(r+1)) boundary")
@@ -226,52 +216,32 @@ def complete_minus_circulant(m: int, n: int, d: int) -> BipartiteGraph:
     return host
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Parameters naming one generator invocation (CLI and file use)."""
-
-    variant: str
-    r: int = 0
-    t1: int = 1
-    t2: int = 1
-    k: int = 0
-    m: int = 0
-    n: int = 0
-    d: int = 0
-
-    def build(self) -> tuple[BipartiteGraph, EdgeColoring | None]:
-        if self.variant == "cyclic":
-            return cyclic_one_factorization(self.k)
-        if self.variant == "lower-bound":
-            return lower_bound_construction(self.r, self.t1, self.t2)
-        if self.variant == "double-star-gap":
-            return double_star_gap_construction(self.r, self.t1, self.t2)
-        if self.variant == "circulant":
-            return complete_minus_circulant(self.m, self.n, self.d), None
-        raise InvalidSpec(f"unknown construction variant {self.variant!r}")
+def _circulant(m: int, n: int, d: int = 0) -> tuple[BipartiteGraph, None]:
+    return complete_minus_circulant(m, n, d), None
 
 
 # each `gen` variant: the generator it runs and the parameters it reads;
-# complete is the circulant with ConstructionSpec's default d = 0
+# complete is the circulant with d = 0
 GEN_VARIANTS = {
-    "cyclic": ("cyclic", ("k",)),
-    "lower-bound": ("lower-bound", ("r", "t1", "t2")),
-    "double-star-gap": ("double-star-gap", ("r", "t1", "t2")),
-    "circulant": ("circulant", ("m", "n", "d")),
-    "complete": ("circulant", ("m", "n")),
+    "cyclic": (cyclic_one_factorization, ("k",)),
+    "lower-bound": (lower_bound_construction, ("r", "t1", "t2")),
+    "double-star-gap": (double_star_gap_construction, ("r", "t1", "t2")),
+    "circulant": (_circulant, ("m", "n", "d")),
+    "complete": (_circulant, ("m", "n")),
 }
 
 
-def gen_spec(variant: str, params: dict) -> ConstructionSpec:
-    """The spec of a ``GEN_VARIANTS`` variant; any other variant, or a
-    parameter the variant does not read or misses, raises InvalidSpec."""
+def gen_build(variant: str, params: dict) -> tuple[BipartiteGraph, EdgeColoring | None]:
+    """The (host, coloring-or-None) pair of a ``GEN_VARIANTS`` variant; any
+    other variant, or a parameter the variant does not read or misses,
+    raises InvalidSpec."""
     if variant not in GEN_VARIANTS:
         raise InvalidSpec(f"unknown construction variant {variant!r}")
-    name, keys = GEN_VARIANTS[variant]
+    build, keys = GEN_VARIANTS[variant]
     extra = sorted(set(params) - set(keys))
     if extra:
         raise InvalidSpec(f"{variant} takes {', '.join(keys)}, not {', '.join(extra)}")
     missing = [key for key in keys if key not in params]
     if missing:
         raise InvalidSpec(f"{variant} needs {', '.join(missing)}")
-    return ConstructionSpec(name, **params)
+    return build(**params)

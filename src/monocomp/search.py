@@ -76,17 +76,7 @@ from .bigraph import (
     rat_str,
 )
 from .constructions import complete_minus_circulant
-# the registry's public names are importable from here too
-from .theorems import (
-    _UNBOUNDED,
-    THEOREMS,
-    AdditiveChecker,
-    ComponentTargetChecker,
-    PreconditionViolated,
-    Theorem,
-    _ceil_frac,
-    _theorem,
-)
+from .theorems import _UNBOUNDED, Theorem, _ceil_frac, _theorem
 
 _RANDOM_BLOCK = 2048
 _PREFIX_DEPTH = 4
@@ -624,7 +614,7 @@ def _prefix_depth(num_edges: int, r: int, workers: int) -> int:
 
 
 @contextmanager
-def _below_probe(host: BipartiteGraph, r: int, cfg: SearchConfig, workers: int, packing=(0, 0, 2)):
+def _below_probe(host: BipartiteGraph, r: int, workers: int, packing=(0, 0, 2)):
     """Yield ``probe(need, budget)``: the lex-least r-coloring of the host
     with no monochromatic component meeting ``need`` (``Theorem.needs``,
     of the same kind as ``packing``: an order target, or half-half), as
@@ -670,7 +660,7 @@ def _decide_below(host, r, need, cfg: SearchConfig, workers: int, what="target")
     with the lex-least witness, AllSatisfy, or BudgetExhausted with
     budget + 1; ``examined`` is the walk's node count.  After the host and
     r, an order target below 2 raises ValueError, naming it as ``what``."""
-    with _below_probe(host, r, cfg, workers, need) as probe:
+    with _below_probe(host, r, workers, need) as probe:
         _require_target(need, what)
         colors, examined = probe(need, cfg.budget)
     if colors is not None:
@@ -726,7 +716,7 @@ def min_max_mono_component(
     ``workers``."""
     cfg = cfg or SearchConfig()
     lo, hi, colors, examined = 2, host.m + host.n + 1, None, 0
-    with _below_probe(host, r, cfg, workers) as probe:
+    with _below_probe(host, r, workers) as probe:
         while lo < hi or colors is None:  # every coloring stays below m + n + 1
             t = (lo + hi) // 2 if lo < hi else hi
             found, nodes = probe((0, 0, t), cfg.budget - examined)

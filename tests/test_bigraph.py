@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from monocomp import (
     EmptyGraph,
     GraphError,
     IndexOutOfRange,
+    coloring_from_assignment,
     coloring_from_triples,
     complete,
     degree_profile,
@@ -619,8 +621,40 @@ class TestFirstBadEdge:
             from_edge_list(2, 2, [(0, 0.5)])
         with pytest.raises(TypeError):
             coloring_from_triples(2, 2, 2, [(0, 0, 0), (0, 1, 1.0)])
+        with pytest.raises(TypeError):
+            coloring_from_triples(2, 2, 2, [(0, 0, 1.0), (5, 5, 0)])
         with pytest.raises(DuplicateEdge):
             from_edge_list(2, 2, [(0, 0), (0, 0), (1.0, 1)])
+
+    def test_no_bad_triple_keeps_the_build_error(self):
+        # with no bad triple the grouped build's own error is raised; no
+        # raised error carries another as its context
+        with pytest.raises(ColoringMismatch, match="need at least one color") as info:
+            coloring_from_triples(2, 2, 0, [])
+        assert info.value.__context__ is None
+        with pytest.raises(IndexOutOfRange, match="negative side size") as info:
+            from_edge_list(-1, 2, [])
+        assert info.value.__context__ is None
+        with pytest.raises(DuplicateEdge) as info:
+            coloring_from_triples(2, 2, 2, [(0, 0, 0), (1, 1, 1), (0, 0, 1)])
+        assert info.value.__context__ is None
+
+
+class TestWitnessCost:
+    def test_unused_colors_share_one_class(self):
+        # a 4-edge coloring with r = 3000 pays one slot per color, not one
+        # class and one list per X-vertex for each of them
+        host, colors = complete(2, 2), [0, 1, 1, 0]
+        coloring_from_assignment(host, 3000, colors)  # warm-up
+        tracemalloc.start()
+        try:
+            col = coloring_from_assignment(host, 3000, colors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10, peak
+        small = coloring_from_assignment(host, 4, colors)
+        assert col.to_json_dict()["edges"] == small.to_json_dict()["edges"]
 
 
 class TestConjectureDegrees:

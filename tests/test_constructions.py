@@ -18,7 +18,7 @@ from monocomp import (
     meets_conjecture_degrees,
     mono_components,
 )
-from monocomp.constructions import ConstructionSpec, InvalidSpec
+from monocomp.constructions import InvalidSpec, gen_build
 
 import oracles
 
@@ -188,9 +188,9 @@ class TestCertificates:
         assert cert.largest_double_star == 6
 
     def test_spec_dispatch(self):
-        host, col = ConstructionSpec(variant="cyclic", k=3).build()
+        host, col = gen_build("cyclic", {"k": 3})
         assert host == complete(3, 3) and col.r == 3
-        host2, col2 = ConstructionSpec(variant="circulant", m=4, n=4, d=1).build()
+        host2, col2 = gen_build("circulant", {"m": 4, "n": 4, "d": 1})
         assert col2 is None and host2.edge_count == 12
         with pytest.raises(InvalidSpec):
-            ConstructionSpec(variant="nope").build()
+            gen_build("nope", {})
