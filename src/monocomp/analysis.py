@@ -14,7 +14,6 @@ record-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigraph import (
@@ -25,7 +24,9 @@ from .bigraph import (
     EdgeColoring,
     GraphError,
     IndexOutOfRange,
+    Record,
     _largest_double_star_in_class,
+    _set_field,
     coloring_from_triples,
     column_planes,
     degree_profile,
@@ -39,8 +40,7 @@ from .bigraph import (
 from .theorems import THEOREMS, Theorem
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one theorem check on one instance.
 
     ``holds`` is evaluated even when ``applicable`` is false (the sharpness
@@ -52,9 +52,27 @@ class Verdict:
     applicable: bool
     holds: bool
     target: Fraction
-    witness: object | None = None
-    margin: Fraction = Fraction(0)
-    detail: dict | None = None
+    witness: object | None
+    margin: Fraction
+    detail: dict | None
+
+    def __init__(
+        self,
+        check: str,
+        applicable: bool,
+        holds: bool,
+        target: Fraction,
+        witness: object | None = None,
+        margin: Fraction = Fraction(0),
+        detail: dict | None = None,
+    ):
+        _set_field(self, "check", check)
+        _set_field(self, "applicable", applicable)
+        _set_field(self, "holds", holds)
+        _set_field(self, "target", target)
+        _set_field(self, "witness", witness)
+        _set_field(self, "margin", margin)
+        _set_field(self, "detail", detail)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -209,8 +227,7 @@ def density_deficiency(g: BipartiteGraph, r: int) -> Fraction:
     return delta if delta > 0 else Fraction(0)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     """Either a double star of order (m+n)/r exists (case i) or all but a few
     exceptional vertices have near-average degrees (case ii)."""
 
@@ -226,6 +243,34 @@ class StabilityReport:
     double_star_order: int
     case_i: bool
     case_ii: bool
+
+    def __init__(
+        self,
+        delta: Fraction,
+        alpha: Fraction,
+        beta: Fraction,
+        exceptional_x: tuple[int, ...],
+        exceptional_y: tuple[int, ...],
+        k_x: int,
+        k_y: int,
+        defect_x: Fraction,
+        defect_y: Fraction,
+        double_star_order: int,
+        case_i: bool,
+        case_ii: bool,
+    ):
+        _set_field(self, "delta", delta)
+        _set_field(self, "alpha", alpha)
+        _set_field(self, "beta", beta)
+        _set_field(self, "exceptional_x", exceptional_x)
+        _set_field(self, "exceptional_y", exceptional_y)
+        _set_field(self, "k_x", k_x)
+        _set_field(self, "k_y", k_y)
+        _set_field(self, "defect_x", defect_x)
+        _set_field(self, "defect_y", defect_y)
+        _set_field(self, "double_star_order", double_star_order)
+        _set_field(self, "case_i", case_i)
+        _set_field(self, "case_ii", case_ii)
 
     @property
     def dichotomy(self) -> bool:
@@ -303,8 +348,7 @@ def stability_report(
     )
 
 
-@dataclass(frozen=True)
-class MainComponentsReport:
+class MainComponentsReport(Record):
     """The r largest components of a sparse-deficiency class and the five
     structural properties they must satisfy when no component reaches
     (m + n)/r."""
@@ -322,6 +366,36 @@ class MainComponentsReport:
     delta: Fraction
     alpha: Fraction
     beta: Fraction
+
+    def __init__(
+        self,
+        components: tuple[Component, ...],
+        z_x: tuple[int, ...],
+        z_y: tuple[int, ...],
+        a: bool,
+        b: bool,
+        c: bool,
+        d: bool,
+        e: bool,
+        precondition_ok: bool,
+        hypothesis_ok: bool,
+        delta: Fraction,
+        alpha: Fraction,
+        beta: Fraction,
+    ):
+        _set_field(self, "components", components)
+        _set_field(self, "z_x", z_x)
+        _set_field(self, "z_y", z_y)
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "c", c)
+        _set_field(self, "d", d)
+        _set_field(self, "e", e)
+        _set_field(self, "precondition_ok", precondition_ok)
+        _set_field(self, "hypothesis_ok", hypothesis_ok)
+        _set_field(self, "delta", delta)
+        _set_field(self, "alpha", alpha)
+        _set_field(self, "beta", beta)
 
     @property
     def all_properties(self) -> bool:
@@ -406,8 +480,7 @@ def main_lemma_report(g: BipartiteGraph, r: int) -> MainComponentsReport:
 
 # --- general graphs and the bipartition reduction --------------------------
 
-@dataclass(frozen=True)
-class GeneralGraph:
+class GeneralGraph(Record):
     """Simple undirected graph with a total r-edge-coloring."""
 
     n: int
@@ -415,23 +488,29 @@ class GeneralGraph:
     edges: tuple[tuple[int, int], ...]
     colors: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(
+        self, n: int, r: int, edges: tuple[tuple[int, int], ...], colors: tuple[int, ...]
+    ):
+        _set_field(self, "n", n)
+        _set_field(self, "r", r)
+        _set_field(self, "edges", edges)
+        _set_field(self, "colors", colors)
+        if n < 1:
             raise IndexOutOfRange("need at least one vertex")
-        if self.r < 1:
+        if r < 1:
             raise ColoringMismatch("need at least one color")
-        if len(self.edges) != len(self.colors):
+        if len(edges) != len(colors):
             raise ColoringMismatch("coloring must be total on the edges")
         seen = set()
-        for (u, v), c in zip(self.edges, self.colors):
+        for (u, v), c in zip(edges, colors):
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < v < n):
                 raise IndexOutOfRange(f"edge ({u}, {v}) not normalized in range")
             if (u, v) in seen:
                 raise DuplicateEdge(f"edge ({u}, {v}) given twice")
-            if not (0 <= c < self.r):
-                raise ColoringMismatch(f"color {c} outside [0, {self.r})")
+            if not (0 <= c < r):
+                raise ColoringMismatch(f"color {c} outside [0, {r})")
             seen.add((u, v))
 
     def min_degree(self) -> int:
@@ -480,10 +559,13 @@ def parse_general_json(data: dict) -> GeneralGraph:
     return general_from_edge_list(n, r, triples)
 
 
-@dataclass(frozen=True)
-class GeneralComponent:
+class GeneralComponent(Record):
     color: int
     vertices: tuple[int, ...]
+
+    def __init__(self, color: int, vertices: tuple[int, ...]):
+        _set_field(self, "color", color)
+        _set_field(self, "vertices", vertices)
 
     @property
     def order(self) -> int:
@@ -519,8 +601,7 @@ def general_mono_components(gg: GeneralGraph) -> list[GeneralComponent]:
     return out
 
 
-@dataclass(frozen=True)
-class BipartitionReduction:
+class BipartitionReduction(Record):
     """A split of a general graph avoiding one color across the cut.
 
     ``side_a[i]`` is the original vertex playing X-index i in the induced
@@ -532,6 +613,20 @@ class BipartitionReduction:
     side_b: tuple[int, ...]
     host: BipartiteGraph
     coloring: EdgeColoring
+
+    def __init__(
+        self,
+        avoided_color: int,
+        side_a: tuple[int, ...],
+        side_b: tuple[int, ...],
+        host: BipartiteGraph,
+        coloring: EdgeColoring,
+    ):
+        _set_field(self, "avoided_color", avoided_color)
+        _set_field(self, "side_a", side_a)
+        _set_field(self, "side_b", side_b)
+        _set_field(self, "host", host)
+        _set_field(self, "coloring", coloring)
 
     def to_json_dict(self) -> dict:
         return {

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -107,8 +106,59 @@ def rat_str(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+# a frozen Record's __init__ stores each field with this, past its __setattr__
+_set_field = object.__setattr__
+
+
+class Record:
+    """Base of the result classes: value equality, a field-by-field repr,
+    and, unless a subclass is declared with ``frozen=False``, immutability
+    and a hash.
+
+    A subclass lists its fields as class annotations, in constructor
+    order after those of the class it extends, and writes its own
+    ``__init__``; a frozen one stores each field with ``_set_field``,
+    since assignment raises ``AttributeError``.  Equal
+    means the same class with equal fields, and a frozen record hashes its
+    field tuple.  Pickling and ``copy`` fill the instance dict directly, so
+    they need no support here.  (``dataclasses`` would write the same
+    methods, but importing it loads ``inspect`` and ``ast``, which no
+    command otherwise needs.)
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BipartiteGraph(Record):
     """Simple (X,Y)-bipartite graph with |X| = m, |Y| = n.
 
     ``rows[x]`` is the neighborhood of x as a bitmask over Y.  Instances are
@@ -120,17 +170,21 @@ class BipartiteGraph:
     rows: tuple[int, ...]
     edge_count: int
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise IndexOutOfRange(f"negative side size ({self.m}, {self.n})")
-        if len(self.rows) != self.m:
+    def __init__(self, m: int, n: int, rows: tuple[int, ...], edge_count: int):
+        _set_field(self, "m", m)
+        _set_field(self, "n", n)
+        _set_field(self, "rows", rows)
+        _set_field(self, "edge_count", edge_count)
+        if m < 0 or n < 0:
+            raise IndexOutOfRange(f"negative side size ({m}, {n})")
+        if len(rows) != m:
             raise IndexOutOfRange("row count does not match m")
         total = 0
-        for x, row in enumerate(self.rows):
-            if row >> self.n:
-                raise IndexOutOfRange(f"row {x} has a neighbor outside [0, {self.n})")
+        for x, row in enumerate(rows):
+            if row >> n:
+                raise IndexOutOfRange(f"row {x} has a neighbor outside [0, {n})")
             total += row.bit_count()
-        if total != self.edge_count:
+        if total != edge_count:
             raise GraphError("edge_count does not match adjacency rows")
 
     def degree(self, x: int) -> int:
@@ -272,14 +326,27 @@ def complete(m: int, n: int) -> BipartiteGraph:
     return BipartiteGraph(m, n, (full,) * m, m * n)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(Record):
     """Exact minimum and average degrees in both directions."""
 
     delta_xy: int
     delta_yx: int
     avg_xy: Fraction
     avg_yx: Fraction
+
+    def __init__(self, delta_xy: int, delta_yx: int, avg_xy: Fraction, avg_yx: Fraction):
+        _set_field(self, "delta_xy", delta_xy)
+        _set_field(self, "delta_yx", delta_yx)
+        _set_field(self, "avg_xy", avg_xy)
+        _set_field(self, "avg_yx", avg_yx)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "delta_xy": self.delta_xy,
+            "delta_yx": self.delta_yx,
+            "avg_xy": rat_str(self.avg_xy),
+            "avg_yx": rat_str(self.avg_yx),
+        }
 
 
 def degree_profile(g: BipartiteGraph) -> DegreeProfile:
@@ -295,8 +362,7 @@ def degree_profile(g: BipartiteGraph) -> DegreeProfile:
     )
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(Record):
     """A partition of a host's edges into r color classes.
 
     ``classes[c]`` is a BipartiteGraph on the same vertex sets holding
@@ -308,23 +374,31 @@ class EdgeColoring:
     r: int
     classes: tuple[BipartiteGraph, ...]
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, r: int, classes: tuple[BipartiteGraph, ...]):
+        _set_field(self, "r", r)
+        _set_field(self, "classes", classes)
+        if r < 1:
             raise ColoringMismatch("need at least one color")
-        if len(self.classes) != self.r:
+        if len(classes) != r:
             raise ColoringMismatch("class count does not match r")
-        m, n = self.classes[0].m, self.classes[0].n
-        for cls in self.classes:
-            if (cls.m, cls.n) != (m, n):
+        m, n = classes[0].m, classes[0].n
+        for cls in classes:
+            if cls.m != m or cls.n != n:
                 raise ColoringMismatch("color classes disagree on (m, n)")
+        live = self._live()
         for x in range(m):
             seen = 0
-            for cls in self.classes:
+            for cls in live:
                 row = cls.rows[x]
                 if seen & row:
                     y = (seen & row).bit_length() - 1
                     raise DuplicateEdge(f"edge ({x}, {y}) appears in two colors")
                 seen |= row
+
+    def _live(self) -> list[BipartiteGraph]:
+        """The classes that have edges: the unused colors of a witness share
+        one empty class, so per-row walks skip them and cost O(r + edges)."""
+        return [cls for cls in self.classes if cls.edge_count]
 
     @property
     def m(self) -> int:
@@ -337,7 +411,7 @@ class EdgeColoring:
     def union_host(self) -> BipartiteGraph:
         """The underlying host graph (union of the classes)."""
         rows = [0] * self.m
-        for cls in self.classes:
+        for cls in self._live():
             for x, row in enumerate(cls.rows):
                 rows[x] |= row
         return from_rows(self.m, self.n, rows)
@@ -345,9 +419,10 @@ class EdgeColoring:
     def validate_against(self, host: BipartiteGraph) -> None:
         if (host.m, host.n) != (self.m, self.n):
             raise ColoringMismatch("host and coloring disagree on (m, n)")
+        live = self._live()
         for x in range(self.m):
             merged = 0
-            for cls in self.classes:
+            for cls in live:
                 merged |= cls.rows[x]
             if merged != host.rows[x]:
                 raise ColoringMismatch(f"colors do not cover exactly row {x}")
@@ -363,12 +438,15 @@ class EdgeColoring:
         return sorted(
             (x, y, c)
             for c, cls in enumerate(self.classes)
+            if cls.edge_count
             for x, row in enumerate(cls.rows)
             for y in bit_indices(row)
         )
 
     def transpose(self) -> "EdgeColoring":
-        return EdgeColoring(self.r, tuple(cls.transpose() for cls in self.classes))
+        empty = BipartiteGraph(self.n, self.m, (0,) * self.n, 0)
+        classes = tuple(cls.transpose() if cls.edge_count else empty for cls in self.classes)
+        return EdgeColoring(self.r, classes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -439,13 +517,17 @@ def coloring_from_assignment(host: BipartiteGraph, r: int, colors) -> EdgeColori
     )
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """A maximal connected set of one color class (order >= 2)."""
 
     color: int
     xs: tuple[int, ...]
     ys: tuple[int, ...]
+
+    def __init__(self, color: int, xs: tuple[int, ...], ys: tuple[int, ...]):
+        _set_field(self, "color", color)
+        _set_field(self, "xs", xs)
+        _set_field(self, "ys", ys)
 
     @property
     def order(self) -> int:
@@ -464,14 +546,19 @@ class Component:
         }
 
 
-@dataclass(frozen=True)
-class DoubleStar:
+class DoubleStar(Record):
     """Two stars joined by the edge (center_x, center_y) in one color."""
 
     color: int
     center_x: int
     center_y: int
     order: int
+
+    def __init__(self, color: int, center_x: int, center_y: int, order: int):
+        _set_field(self, "color", color)
+        _set_field(self, "center_x", center_x)
+        _set_field(self, "center_y", center_y)
+        _set_field(self, "order", order)
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,11 +9,11 @@ bug, not bad input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bigraph import (
     BipartiteGraph,
     EdgeColoring,
+    Record,
+    _set_field,
     bit_indices,
     coloring_from_triples,
     complete,
@@ -32,14 +32,21 @@ class CertificateError(Exception):
     """A generated object failed its recomputed self-check."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Recomputed facts about a generated (host, coloring) pair."""
 
     delta_xy: int
     delta_yx: int
     largest_component: int
     largest_double_star: int
+
+    def __init__(
+        self, delta_xy: int, delta_yx: int, largest_component: int, largest_double_star: int
+    ):
+        _set_field(self, "delta_xy", delta_xy)
+        _set_field(self, "delta_yx", delta_yx)
+        _set_field(self, "largest_component", largest_component)
+        _set_field(self, "largest_double_star", largest_double_star)
 
     def to_json_dict(self) -> dict:
         return {

@@ -64,7 +64,6 @@ import os
 import random
 from collections import deque
 from contextlib import closing, contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -72,6 +71,7 @@ from .bigraph import (
     BipartiteGraph,
     EdgeColoring,
     EmptyGraph,
+    Record,
     coloring_from_assignment,
     rat_str,
 )
@@ -84,26 +84,34 @@ _SYMMETRY_WORK = 1 << 16
 _DEAD_STATES = 1 << 18  # dead keys a walk keeps per split prefix (circ(9,9,2) r3: ~29 MB)
 
 
-@dataclass
-class SearchConfig:
+class SearchConfig(Record, frozen=False):
     """Knobs shared by the search operations."""
 
-    seed: int = 0
-    budget: int = _UNBOUNDED
+    seed: int
+    budget: int
 
-    def __post_init__(self):
-        if self.budget < 1:
+    def __init__(self, seed: int = 0, budget: int = _UNBOUNDED):
+        self.seed = seed
+        self.budget = budget
+        if budget < 1:
             raise ValueError("budget must be >= 1")
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(Record, frozen=False):
     """Result of one search run."""
 
     kind: str
     value: int | None
     witness: EdgeColoring | None
     examined: int
+
+    def __init__(
+        self, kind: str, value: int | None, witness: EdgeColoring | None, examined: int
+    ):
+        self.kind = kind
+        self.value = value
+        self.witness = witness
+        self.examined = examined
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,10 +16,15 @@ default search budget, which the CLI parser reads for the same reason.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bigraph import BipartiteGraph, degree_profile, meets_conjecture_degrees
+from .bigraph import (
+    BipartiteGraph,
+    Record,
+    _set_field,
+    degree_profile,
+    meets_conjecture_degrees,
+)
 
 _UNBOUNDED = 1 << 62
 
@@ -33,8 +38,7 @@ def _ceil_frac(value) -> int:
     return -((-f.numerator) // f.denominator)
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(Record):
     """One per-instance theorem.  ``hypothesis(host, r)`` is why the host
     misses the degree hypothesis, or None; ``target(m, n, r)`` is exact.
     The conclusion is that some monochromatic component reaches the target
@@ -47,7 +51,23 @@ class Theorem:
     max_r: int | None
     hypothesis: Callable[[BipartiteGraph, int], str | None]
     target: Callable[[int, int, int], Fraction]
-    half_half: bool = False
+    half_half: bool
+
+    def __init__(
+        self,
+        name: str,
+        min_r: int,
+        max_r: int | None,
+        hypothesis: Callable[[BipartiteGraph, int], str | None],
+        target: Callable[[int, int, int], Fraction],
+        half_half: bool = False,
+    ):
+        _set_field(self, "name", name)
+        _set_field(self, "min_r", min_r)
+        _set_field(self, "max_r", max_r)
+        _set_field(self, "hypothesis", hypothesis)
+        _set_field(self, "target", target)
+        _set_field(self, "half_half", half_half)
 
     def r_error(self, r: int) -> str | None:
         """Why the theorem says nothing about ``r`` colors, or None."""
@@ -124,7 +144,9 @@ def ComponentTargetChecker(target=None, require_complete: bool = True) -> Theore
     """The gy1 theorem, optionally with a fixed target and without its
     complete-host hypothesis."""
     thm = _theorem(None, target)
-    return thm if require_complete else replace(thm, hypothesis=_no_hypothesis)
+    if require_complete:
+        return thm
+    return Theorem(thm.name, thm.min_r, thm.max_r, _no_hypothesis, thm.target, thm.half_half)
 
 
 def AdditiveChecker() -> Theorem:
@@ -141,4 +163,6 @@ def _theorem(checker: Theorem | None, target) -> Theorem:
     fixed = Fraction(target)
     if fixed <= 1:  # its ceiling is below 2
         raise ValueError("target must be at least 2")
-    return replace(thm, target=lambda m, n, r: fixed)
+    return Theorem(
+        thm.name, thm.min_r, thm.max_r, thm.hypothesis, lambda m, n, r: fixed, thm.half_half
+    )

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -125,6 +126,15 @@ class TestDegreeProfile:
         assert prof.avg_xy * g.m == prof.avg_yx * g.n == g.edge_count
         assert 0 <= prof.delta_xy <= prof.avg_xy <= g.n or g.edge_count == 0
         assert 0 <= prof.delta_yx <= prof.avg_yx <= g.m or g.edge_count == 0
+
+    def test_json_dict(self):
+        prof = degree_profile(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 2)]))
+        data = prof.to_json_dict()
+        assert data == {"delta_xy": 1, "delta_yx": 1, "avg_xy": "3/2", "avg_yx": "1"}
+        # the same text as the fields rendered with str, as a dataclass
+        # ``asdict`` dump with ``default=str`` gives
+        fields = {f: getattr(prof, f) for f in ("delta_xy", "delta_yx", "avg_xy", "avg_yx")}
+        assert json.dumps(data, sort_keys=True) == json.dumps(fields, sort_keys=True, default=str)
 
 
 class TestComponents:
@@ -655,6 +665,24 @@ class TestWitnessCost:
         assert peak < 256 << 10, peak
         small = coloring_from_assignment(host, 4, colors)
         assert col.to_json_dict()["edges"] == small.to_json_dict()["edges"]
+
+    def test_row_walks_skip_empty_classes(self):
+        # 2 edges on 2000 rows at r = 2000: validation, the edge list, the
+        # union and the transpose walk the two classes that have edges, not
+        # all r classes row by row (about 3 s when they did)
+        host = from_edge_list(2000, 2, [(0, 0), (1999, 1)])
+        started = time.perf_counter()
+        col = coloring_from_assignment(host, 2000, [0, 1999])
+        col.validate_against(host)
+        union = col.union_host()
+        data = col.to_json_dict()
+        flipped = col.transpose()
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.25, elapsed
+        assert union == host
+        assert data["edges"] == [[0, 0, 0], [1999, 1, 1999]]
+        assert flipped.edges() == [(0, 0, 0), (1, 1999, 1999)]
+        assert flipped.transpose() == col
 
 
 class TestConjectureDegrees:

@@ -452,6 +452,10 @@ class TestColdStart:
         # only the manifest's input digest needs it, once the command has run
         assert self._loaded("hashlib", "_hashlib") == "[]\n"
 
+    def test_cli_import_leaves_dataclasses_out(self):
+        # the result classes are plain: ``dataclasses`` would load ``inspect``
+        assert self._loaded("dataclasses", "inspect") == "[]\n"
+
     def test_package_import_loads_no_submodule(self):
         # every public name is lazy: a script pays only for what it uses
         assert self._loaded("monocomp", module="monocomp") == "['monocomp']\n"
@@ -490,13 +494,15 @@ class TestColdStart:
     )
     def test_command_loads_only_what_it_runs(self, tmp_path, args, needs, skips):
         # ``python -m monocomp`` in a fresh interpreter, which prints the
-        # monocomp modules in sys.modules to stderr at exit
+        # monocomp modules in sys.modules, and dataclasses and inspect if
+        # loaded, to stderr at exit
         f = tmp_path / "g.json"
         write_block_colored_k44mm(f)
         code = (
             "import atexit, runpy, sys\n"
             "atexit.register(lambda: print(sorted(m for m in sys.modules"
-            " if m.startswith('monocomp.')), file=sys.stderr))\n"
+            " if m.startswith('monocomp.') or m in ('dataclasses', 'inspect')),"
+            " file=sys.stderr))\n"
             "runpy.run_module('monocomp', run_name='__main__', alter_sys=True)\n"
         )
         argv = ["--manifest", str(tmp_path / "manifest.json")]
@@ -509,6 +515,7 @@ class TestColdStart:
         loaded = ast.literal_eval(res.stderr.splitlines()[-1])
         assert f"monocomp.{needs}" in loaded
         assert not {f"monocomp.{m}" for m in skips} & set(loaded)
+        assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 class TestClosedStdout:

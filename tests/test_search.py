@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +19,7 @@ from monocomp import (
     EmptyGraph,
     PreconditionViolated,
     SearchConfig,
+    Theorem,
     alpha_frontier,
     check_additive_theorem,
     check_conjecture_instance,
@@ -570,8 +570,8 @@ class TestParallelDeterminism:
 
 # the additive conclusion for any r and host: without the hypothesis
 # counterexamples are reachable
-ANY_HALF_HALF = replace(
-    THEOREMS["additive"], min_r=1, max_r=None, hypothesis=lambda host, r: None
+ANY_HALF_HALF = Theorem(
+    "additive", 1, None, lambda host, r: None, THEOREMS["additive"].target, half_half=True
 )
 
 
