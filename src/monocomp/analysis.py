@@ -26,10 +26,10 @@ from .bigraph import (
     IndexOutOfRange,
     Record,
     _largest_double_star_in_class,
-    _set_field,
     coloring_from_triples,
     column_planes,
     degree_profile,
+    fields_json,
     graph_components,
     json_int,
     largest_mono_component,
@@ -52,39 +52,14 @@ class Verdict(Record):
     applicable: bool
     holds: bool
     target: Fraction
-    witness: object | None
-    margin: Fraction
-    detail: dict | None
-
-    def __init__(
-        self,
-        check: str,
-        applicable: bool,
-        holds: bool,
-        target: Fraction,
-        witness: object | None = None,
-        margin: Fraction = Fraction(0),
-        detail: dict | None = None,
-    ):
-        _set_field(self, "check", check)
-        _set_field(self, "applicable", applicable)
-        _set_field(self, "holds", holds)
-        _set_field(self, "target", target)
-        _set_field(self, "witness", witness)
-        _set_field(self, "margin", margin)
-        _set_field(self, "detail", detail)
+    witness: object | None = None
+    margin: Fraction = Fraction(0)
+    detail: dict | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "check": self.check,
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "target": rat_str(self.target),
-            "margin": rat_str(self.margin),
-            "witness": self.witness.to_json_dict() if self.witness is not None else None,
-        }
-        if self.detail is not None:
-            out["detail"] = self.detail
+        out = fields_json(self)
+        if self.detail is None:
+            del out["detail"]
         return out
 
 
@@ -227,6 +202,18 @@ def density_deficiency(g: BipartiteGraph, r: int) -> Fraction:
     return delta if delta > 0 else Fraction(0)
 
 
+def _thresholds(g: BipartiteGraph, r: int, delta: Fraction) -> tuple[Fraction, ...]:
+    """The stability and main-lemma bounds alpha = (m + n) delta / (r^2 n)
+    and beta = (m + n) delta / (r^2 m), then the average degrees e/m, e/n."""
+    m, n = g.m, g.n
+    return (
+        Fraction(m + n, r**2 * n) * delta,
+        Fraction(m + n, r**2 * m) * delta,
+        Fraction(g.edge_count, m),
+        Fraction(g.edge_count, n),
+    )
+
+
 class StabilityReport(Record):
     """Either a double star of order (m+n)/r exists (case i) or all but a few
     exceptional vertices have near-average degrees (case ii)."""
@@ -244,54 +231,12 @@ class StabilityReport(Record):
     case_i: bool
     case_ii: bool
 
-    def __init__(
-        self,
-        delta: Fraction,
-        alpha: Fraction,
-        beta: Fraction,
-        exceptional_x: tuple[int, ...],
-        exceptional_y: tuple[int, ...],
-        k_x: int,
-        k_y: int,
-        defect_x: Fraction,
-        defect_y: Fraction,
-        double_star_order: int,
-        case_i: bool,
-        case_ii: bool,
-    ):
-        _set_field(self, "delta", delta)
-        _set_field(self, "alpha", alpha)
-        _set_field(self, "beta", beta)
-        _set_field(self, "exceptional_x", exceptional_x)
-        _set_field(self, "exceptional_y", exceptional_y)
-        _set_field(self, "k_x", k_x)
-        _set_field(self, "k_y", k_y)
-        _set_field(self, "defect_x", defect_x)
-        _set_field(self, "defect_y", defect_y)
-        _set_field(self, "double_star_order", double_star_order)
-        _set_field(self, "case_i", case_i)
-        _set_field(self, "case_ii", case_ii)
-
     @property
     def dichotomy(self) -> bool:
         return self.case_i or self.case_ii
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta": rat_str(self.delta),
-            "alpha": rat_str(self.alpha),
-            "beta": rat_str(self.beta),
-            "exceptional_x": list(self.exceptional_x),
-            "exceptional_y": list(self.exceptional_y),
-            "k_x": self.k_x,
-            "k_y": self.k_y,
-            "defect_x": rat_str(self.defect_x),
-            "defect_y": rat_str(self.defect_y),
-            "double_star_order": self.double_star_order,
-            "case_i": self.case_i,
-            "case_ii": self.case_ii,
-            "dichotomy": self.dichotomy,
-        }
+        return {**fields_json(self), "dichotomy": self.dichotomy}
 
 
 def stability_report(
@@ -314,10 +259,7 @@ def stability_report(
         delta = Fraction(delta)
         if delta < density_deficiency(g, r):
             raise ValueError("delta below the deficiency forced by e(g)")
-    alpha = Fraction(m + n, r**2 * n) * delta
-    beta = Fraction(m + n, r**2 * m) * delta
-    avg_xy = Fraction(g.edge_count, m)
-    avg_yx = Fraction(g.edge_count, n)
+    alpha, beta, avg_xy, avg_yx = _thresholds(g, r, delta)
 
     planes = column_planes(g.rows)
     xdegs = [row.bit_count() for row in g.rows]
@@ -367,36 +309,6 @@ class MainComponentsReport(Record):
     alpha: Fraction
     beta: Fraction
 
-    def __init__(
-        self,
-        components: tuple[Component, ...],
-        z_x: tuple[int, ...],
-        z_y: tuple[int, ...],
-        a: bool,
-        b: bool,
-        c: bool,
-        d: bool,
-        e: bool,
-        precondition_ok: bool,
-        hypothesis_ok: bool,
-        delta: Fraction,
-        alpha: Fraction,
-        beta: Fraction,
-    ):
-        _set_field(self, "components", components)
-        _set_field(self, "z_x", z_x)
-        _set_field(self, "z_y", z_y)
-        _set_field(self, "a", a)
-        _set_field(self, "b", b)
-        _set_field(self, "c", c)
-        _set_field(self, "d", d)
-        _set_field(self, "e", e)
-        _set_field(self, "precondition_ok", precondition_ok)
-        _set_field(self, "hypothesis_ok", hypothesis_ok)
-        _set_field(self, "delta", delta)
-        _set_field(self, "alpha", alpha)
-        _set_field(self, "beta", beta)
-
     @property
     def all_properties(self) -> bool:
         return self.a and self.b and self.c and self.d and self.e
@@ -433,8 +345,7 @@ def main_lemma_report(g: BipartiteGraph, r: int) -> MainComponentsReport:
     if g.edge_count == 0:
         raise GraphError("main lemma needs at least one edge")
     delta = density_deficiency(g, r)
-    alpha = Fraction(m + n, r**2 * n) * delta
-    beta = Fraction(m + n, r**2 * m) * delta
+    alpha, beta, avg_xy, avg_yx = _thresholds(g, r, delta)
     precondition_ok = delta <= min(
         Fraction(n, 64 * r**4 * (m + n)), Fraction(m, 64 * r * (m + n))
     )
@@ -442,8 +353,6 @@ def main_lemma_report(g: BipartiteGraph, r: int) -> MainComponentsReport:
     hypothesis_ok = all(comp.order * r < m + n for comp in comps)
     ranked = sorted(comps, key=lambda comp: (-comp.order, comp.min_x))
     top = tuple(ranked[:r])
-    avg_xy = Fraction(g.edge_count, m)
-    avg_yx = Fraction(g.edge_count, n)
 
     flag_a = all(comp.order * r < m + n for comp in top)
     flag_b = all(
@@ -488,13 +397,8 @@ class GeneralGraph(Record):
     edges: tuple[tuple[int, int], ...]
     colors: tuple[int, ...]
 
-    def __init__(
-        self, n: int, r: int, edges: tuple[tuple[int, int], ...], colors: tuple[int, ...]
-    ):
-        _set_field(self, "n", n)
-        _set_field(self, "r", r)
-        _set_field(self, "edges", edges)
-        _set_field(self, "colors", colors)
+    def _check(self):
+        n, r, edges, colors = self.n, self.r, self.edges, self.colors
         if n < 1:
             raise IndexOutOfRange("need at least one vertex")
         if r < 1:
@@ -563,41 +467,41 @@ class GeneralComponent(Record):
     color: int
     vertices: tuple[int, ...]
 
-    def __init__(self, color: int, vertices: tuple[int, ...]):
-        _set_field(self, "color", color)
-        _set_field(self, "vertices", vertices)
-
     @property
     def order(self) -> int:
         return len(self.vertices)
 
     def to_json_dict(self) -> dict:
-        return {"color": self.color, "order": self.order, "vertices": list(self.vertices)}
+        return {**fields_json(self), "order": self.order}
 
 
 def general_mono_components(gg: GeneralGraph) -> list[GeneralComponent]:
     """Monochromatic components of a general graph, by (color, min vertex)."""
+    return [comp for c in range(gg.r) for comp in _color_components(gg, c)]
+
+
+def _color_components(gg: GeneralGraph, c: int) -> list[GeneralComponent]:
+    """The components of color ``c`` alone, by min vertex."""
+    adj: dict[int, list[int]] = {}
+    for (u, v), col in zip(gg.edges, gg.colors):
+        if col != c:
+            continue
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
     out = []
-    for c in range(gg.r):
-        adj: dict[int, list[int]] = {}
-        for (u, v), col in zip(gg.edges, gg.colors):
-            if col != c:
-                continue
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        seen: set[int] = set()
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            stack = [start]
-            comp = {start}
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(GeneralComponent(color=c, vertices=tuple(sorted(comp))))
+    seen: set[int] = set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        stack = [start]
+        comp = {start}
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        out.append(GeneralComponent(color=c, vertices=tuple(sorted(comp))))
     return out
 
 
@@ -613,20 +517,6 @@ class BipartitionReduction(Record):
     side_b: tuple[int, ...]
     host: BipartiteGraph
     coloring: EdgeColoring
-
-    def __init__(
-        self,
-        avoided_color: int,
-        side_a: tuple[int, ...],
-        side_b: tuple[int, ...],
-        host: BipartiteGraph,
-        coloring: EdgeColoring,
-    ):
-        _set_field(self, "avoided_color", avoided_color)
-        _set_field(self, "side_a", side_a)
-        _set_field(self, "side_b", side_b)
-        _set_field(self, "host", host)
-        _set_field(self, "coloring", coloring)
 
     def to_json_dict(self) -> dict:
         return {
@@ -648,11 +538,7 @@ def bipartition_avoiding_color(
     when both fail.  The returned split never cuts an edge of the avoided
     color and its induced coloring uses at most r - 1 colors.
     """
-    pieces = [
-        list(comp.vertices)
-        for comp in general_mono_components(gg)
-        if comp.color == color
-    ]
+    pieces = [list(comp.vertices) for comp in _color_components(gg, color)]
     covered = {v for piece in pieces for v in piece}
     pieces.extend([v] for v in range(gg.n) if v not in covered)
     pieces.sort(key=lambda p: (-len(p), p[0]))

@@ -106,35 +106,52 @@ def rat_str(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-# a frozen Record's __init__ stores each field with this, past its __setattr__
-_set_field = object.__setattr__
-
-
 class Record:
-    """Base of the result classes: value equality, a field-by-field repr,
-    and, unless a subclass is declared with ``frozen=False``, immutability
-    and a hash.
+    """Base of the result classes: a constructor, value equality, a
+    field-by-field repr, and, unless a subclass is declared with
+    ``frozen=False``, immutability and a hash.
 
-    A subclass lists its fields as class annotations, in constructor
-    order after those of the class it extends, and writes its own
-    ``__init__``; a frozen one stores each field with ``_set_field``,
-    since assignment raises ``AttributeError``.  Equal
-    means the same class with equal fields, and a frozen record hashes its
-    field tuple.  Pickling and ``copy`` fill the instance dict directly, so
-    they need no support here.  (``dataclasses`` would write the same
-    methods, but importing it loads ``inspect`` and ``ast``, which no
-    command otherwise needs.)
+    A subclass lists its fields as class annotations, after those of the
+    class it extends, with any class-body value as the field's default;
+    ``_fields`` maps each field to its annotation, in constructor order.
+    ``__init_subclass__`` writes the ``__init__`` from them (over any in the
+    class body), one ``def`` run through ``exec`` as
+    ``collections.namedtuple`` writes ``__new__``: it stores each field with
+    ``object.__setattr__`` and ends with ``self._check()`` if the class has
+    one.  The defaults are deleted from the class, so a deleted field of a
+    mutable record is gone; a subclass that adds no field keeps its
+    parent's ``__init__``.  Equal means the same class with equal fields,
+    and a frozen record hashes its field tuple.  Pickling and ``copy`` fill
+    the instance dict directly, so they need no support here.
+    (``dataclasses`` would write the same methods, but importing it loads
+    ``inspect`` and ``ast``, which no command otherwise needs.)
     """
 
-    _fields: tuple[str, ...] = ()
+    _fields: dict[str, str] = {}
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
         if not frozen:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__
             cls.__hash__ = None
+        own = cls.__dict__.get("__annotations__")
+        if not own:
+            return
+        cls._fields = {**cls._fields, **own}
+        defaults = {f: cls.__dict__[f] for f in own if f in cls.__dict__}
+        for f in defaults:
+            delattr(cls, f)
+        cls._defaults = {**cls._defaults, **defaults}
+        params = [f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in cls._fields]
+        body = [f"_set(self, {f!r}, {f})" for f in cls._fields]
+        if hasattr(cls, "_check"):
+            body.append("self._check()")
+        namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
+        exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -158,6 +175,23 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def fields_json(record: Record) -> dict:
+    """The fields of ``record`` as a JSON dict: a field annotated
+    ``Fraction`` as its :func:`rat_str` text, a tuple as a list and a
+    record as its own ``to_json_dict()``."""
+    out = {}
+    for f, annotation in record._fields.items():
+        value = getattr(record, f)
+        if annotation == "Fraction":
+            value = rat_str(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, Record):
+            value = value.to_json_dict()
+        out[f] = value
+    return out
+
+
 class BipartiteGraph(Record):
     """Simple (X,Y)-bipartite graph with |X| = m, |Y| = n.
 
@@ -170,11 +204,8 @@ class BipartiteGraph(Record):
     rows: tuple[int, ...]
     edge_count: int
 
-    def __init__(self, m: int, n: int, rows: tuple[int, ...], edge_count: int):
-        _set_field(self, "m", m)
-        _set_field(self, "n", n)
-        _set_field(self, "rows", rows)
-        _set_field(self, "edge_count", edge_count)
+    def _check(self):
+        m, n, rows = self.m, self.n, self.rows
         if m < 0 or n < 0:
             raise IndexOutOfRange(f"negative side size ({m}, {n})")
         if len(rows) != m:
@@ -184,7 +215,7 @@ class BipartiteGraph(Record):
             if row >> n:
                 raise IndexOutOfRange(f"row {x} has a neighbor outside [0, {n})")
             total += row.bit_count()
-        if total != edge_count:
+        if total != self.edge_count:
             raise GraphError("edge_count does not match adjacency rows")
 
     def degree(self, x: int) -> int:
@@ -334,19 +365,8 @@ class DegreeProfile(Record):
     avg_xy: Fraction
     avg_yx: Fraction
 
-    def __init__(self, delta_xy: int, delta_yx: int, avg_xy: Fraction, avg_yx: Fraction):
-        _set_field(self, "delta_xy", delta_xy)
-        _set_field(self, "delta_yx", delta_yx)
-        _set_field(self, "avg_xy", avg_xy)
-        _set_field(self, "avg_yx", avg_yx)
-
     def to_json_dict(self) -> dict:
-        return {
-            "delta_xy": self.delta_xy,
-            "delta_yx": self.delta_yx,
-            "avg_xy": rat_str(self.avg_xy),
-            "avg_yx": rat_str(self.avg_yx),
-        }
+        return fields_json(self)
 
 
 def degree_profile(g: BipartiteGraph) -> DegreeProfile:
@@ -374,9 +394,8 @@ class EdgeColoring(Record):
     r: int
     classes: tuple[BipartiteGraph, ...]
 
-    def __init__(self, r: int, classes: tuple[BipartiteGraph, ...]):
-        _set_field(self, "r", r)
-        _set_field(self, "classes", classes)
+    def _check(self):
+        r, classes = self.r, self.classes
         if r < 1:
             raise ColoringMismatch("need at least one color")
         if len(classes) != r:
@@ -524,11 +543,6 @@ class Component(Record):
     xs: tuple[int, ...]
     ys: tuple[int, ...]
 
-    def __init__(self, color: int, xs: tuple[int, ...], ys: tuple[int, ...]):
-        _set_field(self, "color", color)
-        _set_field(self, "xs", xs)
-        _set_field(self, "ys", ys)
-
     @property
     def order(self) -> int:
         return len(self.xs) + len(self.ys)
@@ -538,12 +552,7 @@ class Component(Record):
         return self.xs[0]
 
     def to_json_dict(self) -> dict:
-        return {
-            "color": self.color,
-            "order": self.order,
-            "xs": list(self.xs),
-            "ys": list(self.ys),
-        }
+        return {**fields_json(self), "order": self.order}
 
 
 class DoubleStar(Record):
@@ -554,19 +563,8 @@ class DoubleStar(Record):
     center_y: int
     order: int
 
-    def __init__(self, color: int, center_x: int, center_y: int, order: int):
-        _set_field(self, "color", color)
-        _set_field(self, "center_x", center_x)
-        _set_field(self, "center_y", center_y)
-        _set_field(self, "order", order)
-
     def to_json_dict(self) -> dict:
-        return {
-            "color": self.color,
-            "center_x": self.center_x,
-            "center_y": self.center_y,
-            "order": self.order,
-        }
+        return fields_json(self)
 
 
 def graph_components(g: BipartiteGraph, color: int = 0) -> list[Component]:

@@ -13,11 +13,11 @@ from .bigraph import (
     BipartiteGraph,
     EdgeColoring,
     Record,
-    _set_field,
     bit_indices,
     coloring_from_triples,
     complete,
     degree_profile,
+    fields_json,
     from_rows,
     largest_double_star,
     largest_mono_component,
@@ -40,21 +40,8 @@ class Certificate(Record):
     largest_component: int
     largest_double_star: int
 
-    def __init__(
-        self, delta_xy: int, delta_yx: int, largest_component: int, largest_double_star: int
-    ):
-        _set_field(self, "delta_xy", delta_xy)
-        _set_field(self, "delta_yx", delta_yx)
-        _set_field(self, "largest_component", largest_component)
-        _set_field(self, "largest_double_star", largest_double_star)
-
     def to_json_dict(self) -> dict:
-        return {
-            "delta_xy": self.delta_xy,
-            "delta_yx": self.delta_yx,
-            "largest_component": self.largest_component,
-            "largest_double_star": self.largest_double_star,
-        }
+        return fields_json(self)
 
 
 def construction_certificate(

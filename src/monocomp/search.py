@@ -73,6 +73,7 @@ from .bigraph import (
     EmptyGraph,
     Record,
     coloring_from_assignment,
+    fields_json,
     rat_str,
 )
 from .constructions import complete_minus_circulant
@@ -87,13 +88,11 @@ _DEAD_STATES = 1 << 18  # dead keys a walk keeps per split prefix (circ(9,9,2) r
 class SearchConfig(Record, frozen=False):
     """Knobs shared by the search operations."""
 
-    seed: int
-    budget: int
+    seed: int = 0
+    budget: int = _UNBOUNDED
 
-    def __init__(self, seed: int = 0, budget: int = _UNBOUNDED):
-        self.seed = seed
-        self.budget = budget
-        if budget < 1:
+    def _check(self):
+        if self.budget < 1:
             raise ValueError("budget must be >= 1")
 
 
@@ -105,21 +104,8 @@ class SearchOutcome(Record, frozen=False):
     witness: EdgeColoring | None
     examined: int
 
-    def __init__(
-        self, kind: str, value: int | None, witness: EdgeColoring | None, examined: int
-    ):
-        self.kind = kind
-        self.value = value
-        self.witness = witness
-        self.examined = examined
-
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "examined": self.examined,
-            "witness": self.witness.to_json_dict() if self.witness else None,
-        }
+        return fields_json(self)
 
 
 def _automorphisms(host: BipartiteGraph) -> list[list[int]]:

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .bigraph import (
     BipartiteGraph,
     Record,
-    _set_field,
     degree_profile,
     meets_conjecture_degrees,
 )
@@ -51,23 +50,7 @@ class Theorem(Record):
     max_r: int | None
     hypothesis: Callable[[BipartiteGraph, int], str | None]
     target: Callable[[int, int, int], Fraction]
-    half_half: bool
-
-    def __init__(
-        self,
-        name: str,
-        min_r: int,
-        max_r: int | None,
-        hypothesis: Callable[[BipartiteGraph, int], str | None],
-        target: Callable[[int, int, int], Fraction],
-        half_half: bool = False,
-    ):
-        _set_field(self, "name", name)
-        _set_field(self, "min_r", min_r)
-        _set_field(self, "max_r", max_r)
-        _set_field(self, "hypothesis", hypothesis)
-        _set_field(self, "target", target)
-        _set_field(self, "half_half", half_half)
+    half_half: bool = False
 
     def r_error(self, r: int) -> str | None:
         """Why the theorem says nothing about ``r`` colors, or None."""

@@ -454,7 +454,8 @@ class TestColdStart:
 
     def test_cli_import_leaves_dataclasses_out(self):
         # the result classes are plain: ``dataclasses`` would load ``inspect``
-        assert self._loaded("dataclasses", "inspect") == "[]\n"
+        # and ``ast``, and ``Record`` writes each constructor without either
+        assert self._loaded("dataclasses", "inspect", "ast") == "[]\n"
 
     def test_package_import_loads_no_submodule(self):
         # every public name is lazy: a script pays only for what it uses
@@ -494,14 +495,14 @@ class TestColdStart:
     )
     def test_command_loads_only_what_it_runs(self, tmp_path, args, needs, skips):
         # ``python -m monocomp`` in a fresh interpreter, which prints the
-        # monocomp modules in sys.modules, and dataclasses and inspect if
-        # loaded, to stderr at exit
+        # monocomp modules in sys.modules, and dataclasses, inspect and ast
+        # if loaded, to stderr at exit
         f = tmp_path / "g.json"
         write_block_colored_k44mm(f)
         code = (
             "import atexit, runpy, sys\n"
             "atexit.register(lambda: print(sorted(m for m in sys.modules"
-            " if m.startswith('monocomp.') or m in ('dataclasses', 'inspect')),"
+            " if m.startswith('monocomp.') or m in ('dataclasses', 'inspect', 'ast')),"
             " file=sys.stderr))\n"
             "runpy.run_module('monocomp', run_name='__main__', alter_sys=True)\n"
         )
@@ -515,7 +516,7 @@ class TestColdStart:
         loaded = ast.literal_eval(res.stderr.splitlines()[-1])
         assert f"monocomp.{needs}" in loaded
         assert not {f"monocomp.{m}" for m in skips} & set(loaded)
-        assert not {"dataclasses", "inspect"} & set(loaded)
+        assert not {"dataclasses", "inspect", "ast"} & set(loaded)
 
 
 class TestClosedStdout:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import monocomp
+from monocomp.bigraph import Record
 
 # every name ``monocomp`` exports, with the module that defines it
 PUBLIC = {
@@ -87,6 +88,26 @@ def test_no_unused_top_level_import():
                     if bound not in read:
                         unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+def test_records_write_no_constructor():
+    # ``Record`` writes each subclass's ``__init__`` from its annotations, over
+    # any written in the class body; a hand-written one, or a store through
+    # ``_set_field``, restates the fields
+    found = []
+    for path in sorted(Path(monocomp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "_set_field" in {a.name for a in node.names}:
+                found.append(f"{path.name}: imports _set_field")
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and "__init__" in {
+                f.name for f in node.body if isinstance(f, ast.FunctionDef)
+            }:
+                module = importlib.import_module(f"monocomp.{path.stem}")
+                if issubclass(getattr(module, node.name), Record):
+                    found.append(f"{path.name}: {node.name}.__init__")
+    assert found == []
 
 
 def test_submodule_attribute_after_bare_import():

@@ -1,7 +1,9 @@
 """The result classes share ``bigraph.Record``: value equality and repr, and,
 except for ``SearchConfig`` and ``SearchOutcome``, immutability and a hash.
-Each class writes its own ``__init__``; these tests pin its fields,
-keywords, defaults and checks, and that records survive pickle and copy."""
+``Record`` writes each class's ``__init__`` from its annotated fields; these
+tests pin the generator on records declared here, and each class's fields,
+keywords, defaults, checks and JSON, and that records survive pickle and
+copy."""
 
 import copy
 import inspect
@@ -103,6 +105,62 @@ CASES = {
     ),
 }
 MUTABLE = {SearchConfig, SearchOutcome}
+EDGES = [[0, 0, 0], [0, 1, 1], [1, 2, 0]]
+COMPONENT_JSON = {"color": 0, "order": 4, "xs": [0, 1], "ys": [1, 2]}
+COLORING_JSON = {"m": 2, "n": 3, "r": 2, "edges": EDGES}
+# to_json_dict of each CASES record that has one; Theorem and SearchConfig have none
+JSON = {
+    BipartiteGraph: {"m": 2, "n": 3, "edges": [[0, 0], [0, 1], [1, 2]]},
+    DegreeProfile: {"delta_xy": 1, "delta_yx": 1, "avg_xy": "3/2", "avg_yx": "1"},
+    EdgeColoring: COLORING_JSON,
+    Component: COMPONENT_JSON,
+    DoubleStar: {"color": 1, "center_x": 0, "center_y": 2, "order": 5},
+    Certificate: {
+        "delta_xy": 3, "delta_yx": 3, "largest_component": 4, "largest_double_star": 4,
+    },
+    SearchOutcome: {
+        "kind": "Counterexample", "value": 3, "examined": 12, "witness": COLORING_JSON,
+    },
+    Verdict: {
+        "check": "r2",
+        "applicable": True,
+        "holds": False,
+        "target": "7/2",
+        "margin": "-1/2",
+        "witness": COMPONENT_JSON,
+    },
+    StabilityReport: {
+        "delta": "1/8",
+        "alpha": "1/4",
+        "beta": "1/4",
+        "exceptional_x": [0],
+        "exceptional_y": [],
+        "k_x": 1,
+        "k_y": 0,
+        "defect_x": "1/2",
+        "defect_y": "0",
+        "double_star_order": 6,
+        "case_i": True,
+        "case_ii": False,
+        "dichotomy": True,
+    },
+    MainComponentsReport: {
+        "components": [COMPONENT_JSON],
+        "z_x": [1],
+        "z_y": [],
+        "flags": {"a": True, "b": True, "c": False, "d": True, "e": True},
+        "precondition_ok": True,
+        "hypothesis_ok": False,
+        "delta": "0",
+        "alpha": "1/8",
+        "beta": "1/8",
+    },
+    GeneralGraph: {"n": 3, "r": 2, "edges": [[0, 1, 0], [1, 2, 1]]},
+    GeneralComponent: {"color": 1, "order": 2, "vertices": [0, 2]},
+    BipartitionReduction: {
+        "avoided_color": 2, "side_a": [0, 1], "side_b": [0, 1, 2], "induced": COLORING_JSON,
+    },
+}
 IDS = [cls.__name__ for cls in CASES]
 
 
@@ -169,6 +227,87 @@ class TestRecord:
             if cls not in MUTABLE:
                 with pytest.raises(AttributeError):
                     setattr(twin, next(iter(CASES[cls])), 0)
+
+    def test_json_dict(self, cls):
+        # Fraction fields print as "p/q" text, tuples as lists, records nested
+        obj = cls(**CASES[cls])
+        if cls in JSON:
+            assert obj.to_json_dict() == JSON[cls]
+        else:
+            assert not hasattr(obj, "to_json_dict")
+
+
+class TestGeneratedConstructor:
+    """The ``__init__`` that ``Record`` writes, on records declared here."""
+
+    def test_default_value(self):
+        class Pair(Record):
+            a: int
+            b: tuple = ()
+
+        assert Pair(1).b == () and Pair(1, (2,)) == Pair(b=(2,), a=1)
+        assert "b" not in Pair.__dict__
+        with pytest.raises(TypeError):
+            Pair()
+
+    def test_check_sees_the_fields_and_raises(self):
+        class Interval(Record):
+            lo: int
+            hi: int
+
+            def _check(self):
+                if self.lo > self.hi:
+                    raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+        assert Interval(1, 2).hi == 2
+        with pytest.raises(ValueError, match=r"empty interval \[3, 2\]"):
+            Interval(3, 2)
+
+    def test_subclass_fields_follow_the_parents(self):
+        class Interval(Record):
+            lo: int
+            hi: int = 9
+
+            def _check(self):
+                if self.lo > self.hi:
+                    raise ValueError("empty interval")
+
+        class Tagged(Interval):
+            tag: str = "t"
+
+        params = inspect.signature(Tagged).parameters
+        assert list(params) == list(Tagged._fields) == ["lo", "hi", "tag"]
+        assert [p.default for p in params.values()][1:] == [9, "t"]
+        assert repr(Tagged(1, tag="u")).endswith(".Tagged(lo=1, hi=9, tag='u')")
+        with pytest.raises(ValueError, match="empty interval"):
+            Tagged(10)
+
+    def test_subclass_without_fields_keeps_the_constructor(self):
+        class Interval(Record):
+            lo: int
+            hi: int
+
+            def _check(self):
+                if self.lo > self.hi:
+                    raise ValueError("empty interval")
+
+        class Named(Interval):
+            def width(self):
+                return self.hi - self.lo
+
+        assert Named.__init__ is Interval.__init__
+        assert Named(2, 5).width() == 3 and Named._fields == Interval._fields
+        with pytest.raises(ValueError, match="empty interval"):
+            Named(5, 2)
+
+    def test_deleted_default_field_is_gone(self):
+        class Knobs(Record, frozen=False):
+            seed: int = 7
+
+        knobs = Knobs()
+        assert knobs.seed == 7
+        del knobs.seed
+        assert not hasattr(knobs, "seed")
 
 
 def test_defaults():
