@@ -538,7 +538,15 @@ def bipartition_avoiding_color(
     when both fail.  The returned split never cuts an edge of the avoided
     color and its induced coloring uses at most r - 1 colors.
     """
-    pieces = [list(comp.vertices) for comp in _color_components(gg, color)]
+    return _bipartition(gg, color, _color_components(gg, color), min_side)
+
+
+def _bipartition(
+    gg: GeneralGraph, color: int, comps: list[GeneralComponent], min_side: int
+) -> BipartitionReduction | None:
+    """``bipartition_avoiding_color`` given ``comps``, the components of
+    ``color`` by min vertex."""
+    pieces = [list(comp.vertices) for comp in comps]
     covered = {v for piece in pieces for v in piece}
     pieces.extend([v] for v in range(gg.n) if v not in covered)
     pieces.sort(key=lambda p: (-len(p), p[0]))
@@ -633,7 +641,8 @@ def check_corollary(gg: GeneralGraph, r: int, variant: str = "general") -> Verdi
             avoided = c
             break
     if avoided is not None:
-        reduction = bipartition_avoiding_color(gg, avoided, min_side)
+        own = [comp for comp in comps if comp.color == avoided]
+        reduction = _bipartition(gg, avoided, own, min_side)
         if reduction is None:
             detail["reduction"] = None
         else:

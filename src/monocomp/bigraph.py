@@ -114,8 +114,8 @@ class Record:
     A subclass lists its fields as class annotations, after those of the
     class it extends, with any class-body value as the field's default;
     ``_fields`` maps each field to its annotation, in constructor order.
-    ``__init_subclass__`` writes the ``__init__`` from them (over any in the
-    class body), one ``def`` run through ``exec`` as
+    ``__init_subclass__`` writes the ``__init__`` from them (a class body
+    that defines one raises TypeError), one ``def`` run through ``exec`` as
     ``collections.namedtuple`` writes ``__new__``: it stores each field with
     ``object.__setattr__`` and ends with ``self._check()`` if the class has
     one.  The defaults are deleted from the class, so a deleted field of a
@@ -132,6 +132,8 @@ class Record:
 
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__} defines __init__, which Record writes")
         if not frozen:
             cls.__setattr__ = object.__setattr__
             cls.__delattr__ = object.__delattr__

@@ -4,17 +4,16 @@ Each search runs one theorem of the registry ``theorems.THEOREMS``; its
 ``Theorem.needs`` gives the conclusion as the one integer rule that every
 kernel here reads.
 
-Every union-find over a flat color assignment is the same list idiom: union
-by weight with no path compression, so a union is undone in O(1) by
-resetting the attached root.  Every kernel reads one packed instance
-(``_packed``): an X-vertex weighs 1 and a Y-vertex K, so a component of
-x X- and y Y-vertices weighs x + K y.  K = 1 for an order target;
-K = m + 1 for half-half, whose conclusion is one threshold plus one ``%``.
-Exhaustive search is one iterative walk, ``_walk_below``, for both
-conclusions: it colors the edges in sorted (x, y) order on one parent/size
-list pair per color, keeps the root each depth attached, so backtracking
-never recomputes components, and cuts a branch the moment a partial color
-class meets the conclusion (components only grow).  It both enumerates the
+Every kernel reads one packed instance (``_packed``): an X-vertex weighs 1
+and a Y-vertex K, so a component of x X- and y Y-vertices weighs x + K y.
+K = 1 for an order target; K = m + 1 for half-half, whose conclusion is one
+threshold plus one ``%``.  Exhaustive search is one iterative walk,
+``_walk_below``, for both conclusions: it colors the edges in sorted (x, y)
+order on one rollback union-find per color (union by weight with no path
+compression, so a union is undone in O(1) by resetting the attached root),
+keeps the root each depth attached, so backtracking never recomputes
+components, and cuts a branch the moment a partial color class meets the
+conclusion (components only grow).  It both enumerates the
 split prefixes and runs the task under each.  Color canonicalization forces
 new colors to appear in increasing order along the edge sequence, cutting
 the tree by up to r!, and the walk breaks the host's own symmetry with
@@ -52,9 +51,11 @@ from its derived seed, whoever executes it, and blocks are generated
 lazily, so the default unbounded budget costs no memory.
 A sample is one ``randbytes`` call mapped to colors by a byte table, with
 exact rejection when r does not divide 256 (``random_search`` has the rule).
-Each block checks its samples on one packed-weight union-find for all r
-colors (color c at offset c(m+n), r(m+n) slots), undone after each sample,
-so a check costs O(edges) for any r.
+A sample is checked bit-parallel (``_sample_meets``), one color at a time
+until one holds a component meeting the conclusion: the color's edges are
+one E-bit mask, each X-row's Y-mask is read off it in chunks of at most 8
+edges through tables built once per search (``_row_chunks``), and rows
+whose Y-masks meet merge.  Its memory is O(edges), whatever r.
 """
 
 from __future__ import annotations
@@ -365,7 +366,7 @@ def _lex_schedule(perms, num_edges):
 
 def _packed(host: BipartiteGraph, need: tuple[int, int, int]):
     """The host and ``need`` (``Theorem.needs``) as the packed instance
-    every union-find here reads: (ends, weights, rule), each edge as
+    every kernel here reads: (ends, weights, rule), each edge as
     (x, m + y) in sorted (x, y) order, each slot's weight, and
     (K, threshold, need_x).  A component of x X- and y Y-vertices weighs
     w = x + K y and meets ``need`` iff w >= threshold and w % K >= need_x.
@@ -754,63 +755,95 @@ def _child_seed(seed: int, block: int) -> int:
     return mixed ^ (mixed >> 31)
 
 
-def _sample_holds(ends, total, colors, rule, parent, size) -> bool:
+def _row_chunks(ends):
+    """The chunk table of ``_sample_meets`` for ``_packed``'s ``ends``: per
+    run of at most 8 edges of one X-row (contiguous in sorted (x, y) order),
+    (shift, width mask, table, whether the run ends its row).  Edge i is bit
+    E - 1 - i of a color's E-bit mask, so the run of edges [a, b) is the
+    mask's bits from E - b up, and ``table[v]`` is the Y-mask (bit m + y for
+    Y-vertex y) of the run's edges whose bits are set in v: one OR each."""
+    num = len(ends)
+    chunks, lo = [], 0
+    while lo < num:
+        hi = lo
+        while hi < num and ends[hi][0] == ends[lo][0]:
+            hi += 1
+        for b in range(hi, lo, -8):
+            ybits = [1 << ends[i][1] for i in range(b - 1, max(lo, b - 8) - 1, -1)]
+            table = [0] * (1 << len(ybits))
+            for v in range(1, len(table)):
+                table[v] = table[v & (v - 1)] | ybits[(v & -v).bit_length() - 1]
+            chunks.append((num - b, len(table) - 1, table, b - 8 <= lo))
+        lo = hi
+    return tuple(chunks)
+
+
+def _sample_meets(colors, onehot, chunks, rule) -> bool:
     """True iff some monochromatic component of the flat assignment
-    ``colors`` meets ``rule`` (``_packed``).  ``parent``/``size`` are one
-    rollback union-find over r copies of ``_packed``'s ``total`` slots,
-    color c at offset c * total, sizes holding packed weights.  The unions
-    are undone before returning, so the lists serve the next sample."""
+    ``colors`` (one color per edge of ``_packed``'s ``ends``) meets ``rule``
+    (``_packed``).  Each color is one E-bit edge mask: for ``bytes`` colors,
+    ``int(colors.translate(onehot[c]), 2)`` in color order, where
+    ``onehot[c]`` maps byte c to ``b"1"`` and every other byte to ``b"0"``;
+    for a list, one pass over it.  ``chunks`` (``_row_chunks``) reads each
+    X-row's Y-mask off the mask, and rows whose Y-masks meet merge into one
+    component (x count, Y-mask), checked as it grows: the rule is monotone,
+    so the scan stops at the first component that meets it."""
     weight, threshold, need_x = rule
-    trail = []
-    holds = False
-    for (a, b), c in zip(ends, colors):
-        a += c * total
-        b += c * total
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a == b:
-            continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        w = size[a] = size[a] + size[b]
-        trail.append(b)
-        if w >= threshold and w % weight >= need_x:
-            holds = True
-            break
-    for b in reversed(trail):
-        a = parent[b]
-        parent[b] = b
-        size[a] -= size[b]
-    return holds
+    if colors.__class__ is bytes:  # each color's table, parsed below: no generator per sample
+        per_color = onehot
+    else:
+        per_color, bit = {}, 1 << len(colors)
+        for c in colors:
+            bit >>= 1
+            per_color[c] = per_color.get(c, 0) | bit
+        per_color = per_color.values()
+    for mask in per_color:
+        if mask.__class__ is bytes:
+            mask = int(colors.translate(mask), 2)
+            if not mask:  # a color the sample does not use
+                continue
+        comps, ys = [], 0
+        for shift, width, table, row_end in chunks:
+            ys |= table[mask >> shift & width]
+            if row_end and ys:
+                x, rest = 1, []
+                for cx, cy in comps:
+                    if cy & ys:
+                        x += cx
+                        ys |= cy
+                    else:
+                        rest.append((cx, cy))
+                if x >= need_x and x + weight * ys.bit_count() >= threshold:
+                    return True
+                rest.append((x, ys))
+                comps, ys = rest, 0
+    return False
 
 
 def _random_task(args):
     """Draw (by the rule in ``random_search``) and check one block of
-    samples of ``_packed``'s (ends, weights, rule) on one union-find allocated
-    for the block.  Returns (offset-of-first-violation or None,
+    samples on ``_sample_meets``, given ``_row_chunks``'s tables and
+    ``_packed``'s rule.  Returns (offset-of-first-violation or None,
     colors-of-that-violation or None)."""
-    ends, weights, rule, r, seed, block_index, count = args
+    chunks, rule, num_edges, r, seed, block_index, count = args
     rng = random.Random(_child_seed(seed, block_index))
-    total = len(weights)
-    dsu = list(range(r * total)), weights * r
     keep = 256 - 256 % r  # bytes from keep up would bias b mod r: they read 255
     table = bytes(b % r if b < keep else 255 for b in range(256))
+    zeros = b"0" * 256
+    onehot = [zeros[:c] + b"1" + zeros[c + 1:] for c in range(min(r, 256))]
     for i in range(count):
         if r > 256:
-            colors = [rng.randrange(r) for _ in ends]
+            colors = [rng.randrange(r) for _ in range(num_edges)]
         else:
-            colors = rng.randbytes(len(ends)).translate(table)
+            colors = rng.randbytes(num_edges).translate(table)
         if 0 < keep < 256 and 255 in colors:  # 255 is a color only at r = 256
             missing, fill = colors.count(255), b""
             while len(fill) < missing:  # k getrandbits(8) are the top bytes of randbytes(4k)
                 draws = rng.randbytes(4 * (missing - len(fill)))[3::4]
                 fill += draws.translate(table).replace(b"\xff", b"")
-            fill = iter(fill)
-            colors = [c if c != 255 else next(fill) for c in colors]
-        if not _sample_holds(ends, total, colors, rule, *dsu):
+            parts = colors.split(b"\xff")  # the k-th rejected byte takes fill[k]
+            colors = b"".join([part + fill[k:k + 1] for k, part in enumerate(parts)])
+        if not _sample_meets(colors, onehot, chunks, rule):
             return i, tuple(colors)
     return None, None
 
@@ -843,12 +876,13 @@ def random_search(
     thm = _theorem(checker, target)
     thm.require(host, r, hypothesis=False)
     need = thm.needs(host.m, host.n, r)
-    packed = _packed(host, need)
+    ends, _, rule = _packed(host, need)
     _require_target(need, _target_name(thm, host, r))
+    chunks = _row_chunks(ends)  # once per search: every block reads the same tables
     budget = cfg.budget
     num_blocks = -(-budget // _RANDOM_BLOCK)
     blocks = (
-        (*packed, r, cfg.seed, index, min(_RANDOM_BLOCK, budget - index * _RANDOM_BLOCK))
+        (chunks, rule, len(ends), r, cfg.seed, index, min(_RANDOM_BLOCK, budget - index * _RANDOM_BLOCK))
         for index in range(num_blocks)
     )
     workers = min(workers, os.cpu_count() or 1) if num_blocks > 1 else 1

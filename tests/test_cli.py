@@ -197,12 +197,30 @@ class TestSearch:
         ],
     )
     def test_out_of_memory_exit_2(self, tmp_path, args):
-        # per-color union-find lists for 10^8 colors do not fit in 256 MiB
-        # of address space: one error line and exit 2, not a traceback and
-        # the counterexample code (the sampler gets a target, since gy1's
-        # own, 8/10^8, is below 2 and rejected before any list is built)
+        # per-color lists for 10^8 colors do not fit in 256 MiB of address
+        # space: one error line and exit 2, not a traceback and the
+        # counterexample code.  Min-max fills union-find lists per color;
+        # the sampler's check holds no per-color list, but its first
+        # sample is a counterexample, and the witness coloring keeps one
+        # class slot per color (the sampler gets a target, since gy1's own,
+        # 8/10^8, is below 2 and rejected before any sample is drawn)
         res = run_search_in_256_mib(tmp_path, args)
         assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: out of memory\n")
+
+    def test_sampler_memory_does_not_grow_with_r(self, tmp_path):
+        # 3,000 samples (two blocks) of K_{4,4} at r = 10^8 in 256 MiB: the
+        # check holds no per-color list.  Target 2 holds on a sample iff
+        # some color has an edge, so every sample of the oracle stream
+        # holds and no witness is built
+        args = ["--mode", "random", "--host", "gen:complete:m=4,n=4", "--r", 100_000_000,
+                "--target", 2, "--budget", 3000]
+        res = run_search_in_256_mib(tmp_path, args)
+        assert (res.returncode, res.stderr) == (0, "")
+        stream = oracles.sample_colors(0, 0, 16, 100_000_000, 2048)
+        stream += oracles.sample_colors(0, 1, 16, 100_000_000, 952)
+        assert len(stream) == 3000 and all(stream)
+        out = json.loads(res.stdout)
+        assert (out["kind"], out["examined"], out["witness"]) == ("AllSatisfy", 3000, None)
 
     def test_split_prefixes_are_streamed(self, tmp_path, monkeypatch, capsys):
         # 2^20 split prefixes at a forced depth of 20: streamed, the prefix

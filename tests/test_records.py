@@ -300,6 +300,19 @@ class TestGeneratedConstructor:
         with pytest.raises(ValueError, match="empty interval"):
             Named(5, 2)
 
+    def test_own_constructor_is_refused(self):
+        with pytest.raises(TypeError, match=r"\.Point defines __init__, which Record writes"):
+            class Point(Record):
+                x: int
+
+                def __init__(self, x):
+                    object.__setattr__(self, "x", x)
+
+        with pytest.raises(TypeError, match=r"\.Named defines __init__"):
+            class Named(Record):
+                def __init__(self):
+                    pass
+
     def test_deleted_default_field_is_gone(self):
         class Knobs(Record, frozen=False):
             seed: int = 7

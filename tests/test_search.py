@@ -10,6 +10,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from monocomp import search
 from monocomp import (
@@ -860,12 +862,13 @@ class TestSampleDraw:
         host = complete(5, 10)
         drawn = []
 
-        def record(ends, total, colors, rule, *dsu):
+        def record(colors, *tables):
             drawn.append(tuple(colors))
             return True
 
-        monkeypatch.setattr(search, "_sample_holds", record)
-        args = (*search._packed(host, (0, 0, 2)), r, 11, block, 2048)
+        monkeypatch.setattr(search, "_sample_meets", record)
+        ends, _, rule = search._packed(host, (0, 0, 2))
+        args = (search._row_chunks(ends), rule, len(ends), r, 11, block, 2048)
         assert search._random_task(args) == (None, None)
         assert drawn == oracles.sample_colors(11, block, 50, r, 2048)
         counts = Counter(itertools.chain.from_iterable(drawn))
@@ -876,15 +879,60 @@ class TestSampleDraw:
         assert all((r * counts[c] - draws) ** 2 <= 25 * draws * (r - 1) for c in range(r))
 
 
+def onehot(r):
+    """The sampler's per-color byte tables: byte c reads b"1", others b"0"."""
+    return [bytes(49 if b == c else 48 for b in range(256)) for c in range(min(r, 256))]
+
+
+@st.composite
+def sampled_instances(draw):
+    """A host with m <= 7 (some rows left empty) and n <= 7, up to 20
+    (rows of two or three 8-edge chunks) or above 30, a colored sample over
+    a few of r colors, and a rule: an order target or half-half."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.one_of(st.integers(1, 7), st.integers(9, 20), st.integers(31, 40)))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    empty = set(rng.sample(range(m), rng.randint(0, m - 1)))
+    density = rng.choice([0.2, 0.6, 1.0])
+    edges = [(x, y) for x in range(m) if x not in empty for y in range(n) if rng.random() < density]
+    assume(edges)
+    host = from_edge_list(m, n, edges)
+    r = draw(st.sampled_from([1, 2, 3, 5, 9, 17, 300]))
+    palette = rng.sample(range(r), rng.randint(1, min(r, 6)))
+    colors = rng.choices(palette, [rng.random() for _ in palette], k=len(edges))
+    half_half = draw(st.booleans())
+    need = ((m + 1) // 2, (n + 1) // 2, 0) if half_half else (0, 0, draw(st.integers(2, m + n + 1)))
+    return host, r, colors, need
+
+
+class TestSampleKernel:
+    @given(sampled_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracles(self, instance):
+        # the bit-parallel check against plain BFS, on list colorings and,
+        # for r <= 256, on the byte strings the sampler draws
+        host, r, colors, (need_x, need_y, order) = instance
+        m, n, edges = host.m, host.n, host.edges()
+        if order:
+            want = oracles.max_mono_order(m, n, edges, colors, r) >= order
+        else:
+            want = oracles.has_half_half(m, n, edges, colors, r)
+        ends, _, rule = search._packed(host, (need_x, need_y, order))
+        chunks = search._row_chunks(ends)
+        assert search._sample_meets(colors, None, chunks, rule) == want
+        if r <= 256:
+            assert search._sample_meets(bytes(colors), onehot(r), chunks, rule) == want
+
+
 class TestCheckersAgree:
     def test_fast_paths_match_reference(self):
-        # the sampler's kernel, called through each theorem's rule, against
-        # the BFS oracles and the analysis verdicts (bitmask component
-        # sweep).  Odd sides tell ceil(m/2) from floor(m/2), 7/2 is a
-        # fractional target, and one union-find serves every sample of a
-        # host, r and rule, as in a block, so a missed undo shows up.  The
-        # star at x = 0 forms components with many Y- and too few
-        # X-vertices, whose packed weight clears the half-half threshold
+        # the sampler's kernel, called through each theorem's rule on byte
+        # and list colorings, against the BFS oracles and the analysis
+        # verdicts (bitmask component sweep).  Odd sides tell ceil(m/2)
+        # from floor(m/2), 7/2 is a fractional target, and one set of chunk
+        # tables serves every sample of a host, as in a block.  The star at
+        # x = 0 forms components with many Y- and too few X-vertices, whose
+        # packed weight clears the half-half threshold
         rng = random.Random(61)
         hosts = [
             complete_minus_circulant(4, 4, 1),
@@ -911,8 +959,8 @@ class TestCheckersAgree:
             ]
             for thm, verdict in cases:
                 t = thm.target(m, n, r)
-                ends, weights, rule = search._packed(host, thm.needs(m, n, r))
-                dsu = list(range(r * (m + n))), weights * r
+                ends, _, rule = search._packed(host, thm.needs(m, n, r))
+                chunks = search._row_chunks(ends)
 
                 def oracle(colors):
                     if thm.half_half:
@@ -922,8 +970,9 @@ class TestCheckersAgree:
                 for _ in range(60):
                     weights = [rng.random() for _ in range(r)]
                     colors = rng.choices(range(r), weights, k=len(edges))
-                    got = search._sample_holds(ends, m + n, colors, rule, *dsu)
+                    got = search._sample_meets(bytes(colors), onehot(r), chunks, rule)
                     assert got == oracle(colors)
+                    assert search._sample_meets(colors, None, chunks, rule) == got
                     if verdict is not None:
                         col = coloring_from_triples(
                             m, n, r, [(x, y, c) for (x, y), c in zip(edges, colors)]
