@@ -61,6 +61,7 @@ _EXPORTS = {
         "check_additive_theorem",
         "check_conjecture_instance",
         "check_corollary",
+        "check_instance",
         "check_tetel_instance",
         "check_theorem_two_colors",
         "general_from_edge_list",

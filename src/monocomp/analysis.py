@@ -5,11 +5,11 @@ or a structured report, always computed in exact arithmetic.  Cube-root
 thresholds such as alpha^(1/3) n are irrational, so they are compared by
 cubing both sides as Fractions; no floats appear anywhere.
 
-The r2, conjecture and additive checks take their rule on r, degree
-hypothesis and target from the theorem registry ``theorems.THEOREMS``, so
-``analyze`` and ``search`` decide applicability with the same code.  The
-conjecture check's ``refined=True`` relaxation is analysis-only and
-record-only.
+``check_instance`` checks any theorem of the registry
+``theorems.THEOREMS`` and takes everything but the conclusion's kernel
+from there: the rule on r, the degree hypothesis, the target and the
+recorded detail.  So ``analyze`` and ``search`` decide applicability with
+the same code, and each named checker is one call of it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .bigraph import (
     _largest_double_star_in_class,
     coloring_from_triples,
     column_planes,
-    degree_profile,
     fields_json,
     graph_components,
     json_int,
@@ -69,112 +68,64 @@ def _validate_coloring(host: BipartiteGraph, col: EdgeColoring, r: int) -> None:
     col.validate_against(host)
 
 
-def _registry_theorem(
-    name: str, host: BipartiteGraph, col: EdgeColoring, r: int
-) -> Theorem:
-    """The registry theorem ``name``, once ``col`` is a valid r-coloring of
-    ``host`` and the theorem speaks about r colors."""
-    thm = THEOREMS[name]
+def check_instance(
+    thm: Theorem, host: BipartiteGraph, col: EdgeColoring, r: int
+) -> Verdict:
+    """Check the per-instance theorem ``thm`` on an r-colored host: whether
+    the host meets its hypothesis and whether its conclusion holds.  Raises
+    ColoringMismatch when ``thm`` says nothing about r colors or ``col`` is
+    not an r-coloring of ``host``."""
     err = thm.r_error(r)
     if err:
         raise ColoringMismatch(err)
     _validate_coloring(host, col, r)
-    return thm
-
-
-def _largest_verdict(check, host, col, applicable, target, detail=None) -> Verdict:
-    """Verdict whose conclusion is "the largest component reaches target"."""
-    witness = largest_mono_component(host, col) if host.edge_count else None
-    achieved = witness.order if witness is not None else 0
+    m, n = host.m, host.n
+    applicable = thm.hypothesis(host, r) is None
+    target = thm.target(m, n, r)
+    if thm.half_half:
+        need_x, need_y, _ = thm.needs(m, n, r)
+        comps = mono_components(host, col)
+        qualifying = [c for c in comps if len(c.xs) >= need_x and len(c.ys) >= need_y]
+        # the first of the largest, in (color, smallest X-index) order
+        witness = max(qualifying, key=lambda c: c.order, default=None)
+        best = witness or max(comps, key=lambda c: c.order, default=None)
+    else:
+        witness = best = largest_mono_component(host, col) if host.edge_count else None
+    achieved = best.order if best is not None else 0
     return Verdict(
-        check=check,
+        check=thm.name,
         applicable=applicable,
-        holds=achieved >= target,
+        holds=witness is not None if thm.half_half else achieved >= target,
         target=target,
         witness=witness,
         margin=achieved - target,
-        detail=detail,
+        detail=thm.detail(m, n, r) if thm.detail else None,
     )
 
 
 def check_theorem_two_colors(host: BipartiteGraph, col: EdgeColoring) -> Verdict:
     """Two colors: strict 2/3 minimum degrees (the conjecture's at r = 2)
     force a component of order at least (m + n)/2."""
-    thm = _registry_theorem("r2", host, col, col.r)
-    return _largest_verdict(
-        "r2", host, col, thm.hypothesis(host, 2) is None, thm.target(host.m, host.n, 2)
-    )
+    return check_instance(THEOREMS["r2"], host, col, col.r)
 
 
-def check_conjecture_instance(
-    host: BipartiteGraph, col: EdgeColoring, r: int, refined: bool = False
-) -> Verdict:
+def check_conjecture_instance(host: BipartiteGraph, col: EdgeColoring, r: int) -> Verdict:
     """General r: strict (1 - 1/(r+1)) degrees aim at a component of order
-    (m + n)/r.
-
-    ``refined=True`` relaxes the degree bounds to weak inequalities as long
-    as equality does not hold on both sides.  No theorem backs that mode; it
-    records, never certifies.
-    """
-    thm = _registry_theorem("conjecture", host, col, r)
-    target = thm.target(host.m, host.n, r)
-    if not refined:
-        applicable = thm.hypothesis(host, r) is None
-        return _largest_verdict("conjecture", host, col, applicable, target)
-    prof = degree_profile(host)
-    lhs_x = prof.delta_xy * (r + 1)
-    lhs_y = prof.delta_yx * (r + 1)
-    applicable = (
-        lhs_x >= r * host.n
-        and lhs_y >= r * host.m
-        and not (lhs_x == r * host.n and lhs_y == r * host.m)
-    )
-    return _largest_verdict(
-        "conjecture-refined", host, col, applicable, target, {"recorded_only": True}
-    )
+    (m + n)/r."""
+    return check_instance(THEOREMS["conjecture"], host, col, r)
 
 
 def check_tetel_instance(host: BipartiteGraph, col: EdgeColoring, r: int) -> Verdict:
-    """All r: degrees within a (m/n)^3 / (128 r^5) sliver of complete force a
-    component of order (m + n)/r.  The theorem has m <= n, so when m > n the
-    sides are swapped by exchanging m with n and delta(X,Y) with delta(Y,X)
-    of the host's own degree profile; nothing is transposed."""
-    if r < 2:
-        raise ColoringMismatch("need r >= 2")
-    _validate_coloring(host, col, r)
-    prof = degree_profile(host)
-    m, n, delta_xy, delta_yx = host.m, host.n, prof.delta_xy, prof.delta_yx
-    if m > n:
-        m, n, delta_xy, delta_yx = n, m, delta_yx, delta_xy
-    gamma = Fraction(m**3, 128 * r**5 * n**3)
-    applicable = delta_xy > (1 - gamma) * n and delta_yx > (1 - gamma) * m
-    return _largest_verdict(
-        "tetel", host, col, applicable, Fraction(m + n, r), {"gamma": rat_str(gamma)}
-    )
+    """All r: degrees within a (m/n)^3 / (128 r^5) sliver of complete, sides
+    swapped when m > n, force a component of order (m + n)/r."""
+    return check_instance(THEOREMS["tetel"], host, col, r)
 
 
 def check_additive_theorem(host: BipartiteGraph, col: EdgeColoring) -> Verdict:
     """Two colors, additive degrees: with N = m + n total vertices,
     |Y| >= |X| > N/4, delta(X,Y) >= |Y| - N/8 and delta(Y,X) >= |X| - N/8
     force a component holding half of each side."""
-    thm = _registry_theorem("additive", host, col, col.r)
-    applicable = thm.hypothesis(host, 2) is None
-    target = thm.target(host.m, host.n, 2)
-    need_x, need_y, _ = thm.needs(host.m, host.n, 2)
-    comps = mono_components(host, col)
-    qualifying = [c for c in comps if len(c.xs) >= need_x and len(c.ys) >= need_y]
-    # the first of the largest, in (color, smallest X-index) order
-    witness = max(qualifying, key=lambda c: c.order, default=None)
-    best = witness or max(comps, key=lambda c: c.order, default=None)
-    achieved = best.order if best is not None else 0
-    return Verdict(
-        check="additive",
-        applicable=applicable,
-        holds=witness is not None,
-        target=target,
-        witness=witness,
-        margin=achieved - target,
-    )
+    return check_instance(THEOREMS["additive"], host, col, col.r)
 
 
 # --- stability machinery ---------------------------------------------------

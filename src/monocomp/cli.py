@@ -113,11 +113,8 @@ def _single_class(args):
 
 def cmd_analyze(args) -> tuple[dict, int, str, dict]:
     from .analysis import (
-        check_additive_theorem,
-        check_conjecture_instance,
         check_corollary,
-        check_tetel_instance,
-        check_theorem_two_colors,
+        check_instance,
         main_lemma_report,
         parse_general_json,
         stability_report,
@@ -154,16 +151,7 @@ def cmd_analyze(args) -> tuple[dict, int, str, dict]:
         host, col, text = _load_host(args.file)
         if col is None:
             raise GraphError(f"--check {args.check} needs a colored graph")
-        if args.check == "r2":
-            verdict = check_theorem_two_colors(host, col)
-        elif args.check == "conjecture":
-            verdict = check_conjecture_instance(
-                host, col, args.r or col.r, refined=args.refined
-            )
-        elif args.check == "tetel":
-            verdict = check_tetel_instance(host, col, args.r or col.r)
-        else:
-            verdict = check_additive_theorem(host, col)
+        verdict = check_instance(THEOREMS[args.check], host, col, args.r or col.r)
     doc = verdict.to_json_dict()
     code = _EXIT_OK if (not verdict.applicable or verdict.holds) else _EXIT_COUNTEREXAMPLE
     return doc, code, text, {"check": args.check, "holds": verdict.holds}
@@ -262,14 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument(
         "--check",
         required=True,
-        choices=["r2", "conjecture", "tetel", "additive", "stability", "mainlemma", "corollary"],
+        choices=[*sorted(THEOREMS), "stability", "mainlemma", "corollary"],
     )
     ana.add_argument("--r", type=int, default=0, help="colors (default: from file)")
     ana.add_argument("--color", type=int, default=0, help="class for per-class reports")
     ana.add_argument(
         "--variant", default="seven-eighths", choices=["general", "seven-eighths"]
     )
-    ana.add_argument("--refined", action="store_true", help="record-only refined degrees")
 
     sea = add_sub("search", cmd_search, help="adversarial search over colorings")
     sea.add_argument(

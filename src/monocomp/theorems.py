@@ -1,9 +1,10 @@
 """The theorem registry that ``analyze`` and ``search`` share.
 
-``THEOREMS`` holds one :class:`Theorem` per per-instance theorem (gy1, r2,
-conjecture, additive): its rule on r, its exact degree hypothesis, its
-target order and which conclusion it draws.  ``analysis``, ``search`` and
-the CLI read applicability and targets from here, so each hypothesis is
+``THEOREMS`` holds one :class:`Theorem` per per-instance statement (gy1,
+r2, conjecture, its record-only refined reading, tetel, additive): its rule
+on r, its exact degree hypothesis, its target order, which conclusion it
+draws and what its verdict records besides.  ``analysis.check_instance``,
+``search`` and the CLI read all of it from here, so each hypothesis is
 written once (the conjecture's inequality, which r2 shares at r = 2, is
 ``bigraph.meets_conjecture_degrees``), and ``Theorem.needs`` turns either
 conclusion into one integer rule that every search kernel reads.
@@ -23,6 +24,7 @@ from .bigraph import (
     Record,
     degree_profile,
     meets_conjecture_degrees,
+    rat_str,
 )
 
 _UNBOUNDED = 1 << 62
@@ -42,7 +44,8 @@ class Theorem(Record):
     misses the degree hypothesis, or None; ``target(m, n, r)`` is exact.
     The conclusion is that some monochromatic component reaches the target
     order, or with ``half_half`` that one holds half of each side;
-    ``needs`` gives either as one integer rule.
+    ``needs`` gives either as one integer rule.  ``detail(m, n, r)``, if
+    set, is what a verdict records besides.
     """
 
     name: str
@@ -51,6 +54,7 @@ class Theorem(Record):
     hypothesis: Callable[[BipartiteGraph, int], str | None]
     target: Callable[[int, int, int], Fraction]
     half_half: bool = False
+    detail: Callable[[int, int, int], dict] | None = None
 
     def r_error(self, r: int) -> str | None:
         """Why the theorem says nothing about ``r`` colors, or None."""
@@ -93,6 +97,33 @@ def _conjecture_degrees(host, r) -> str | None:
     return f"minimum degrees do not strictly clear (1 - 1/{r + 1})"
 
 
+def _refined_degrees(host, r) -> str | None:
+    # weak degrees, strict on one side; no theorem backs this reading, so
+    # its verdicts record, never certify
+    prof = degree_profile(host)
+    gaps = (prof.delta_xy * (r + 1) - r * host.n, prof.delta_yx * (r + 1) - r * host.m)
+    if min(gaps) >= 0 and max(gaps) > 0:
+        return None
+    return f"minimum degrees do not clear (1 - 1/{r + 1}), one side strictly"
+
+
+def _tetel_gamma(m, n, r) -> Fraction:
+    """gamma = (m/n)^3 / (128 r^5), the sides swapped when m > n."""
+    m, n = min(m, n), max(m, n)
+    return Fraction(m**3, 128 * r**5 * n**3)
+
+
+def _tetel_degrees(host, r) -> str | None:
+    # the side swap moves gamma only: each side still pairs its own degree
+    # with the other side's order.  Once gamma * max(m, n) <= 1 this forces
+    # a complete host
+    slack = 1 - _tetel_gamma(host.m, host.n, r)
+    prof = degree_profile(host)
+    if prof.delta_xy > slack * host.n and prof.delta_yx > slack * host.m:
+        return None
+    return "minimum degrees do not strictly clear (1 - gamma)"
+
+
 def _additive_degrees(host, r) -> str | None:
     total = host.m + host.n
     prof = degree_profile(host)
@@ -118,6 +149,14 @@ THEOREMS = {
         Theorem("gy1", 1, None, _complete_host, _per_color),
         Theorem("r2", 2, 2, _conjecture_degrees, _per_color),
         Theorem("conjecture", 2, None, _conjecture_degrees, _per_color),
+        Theorem(
+            "conjecture-refined", 2, None, _refined_degrees, _per_color,
+            detail=lambda m, n, r: {"recorded_only": True},
+        ),
+        Theorem(
+            "tetel", 2, None, _tetel_degrees, _per_color,
+            detail=lambda m, n, r: {"gamma": rat_str(_tetel_gamma(m, n, r))},
+        ),
         Theorem("additive", 2, 2, _additive_degrees, _per_color, half_half=True),
     )
 }

@@ -79,8 +79,8 @@ COMMANDS = [
     ["analyze", "{d}/k44mm_block.json", "--check", "conjecture"],
     ["analyze", "{d}/cyc4.json", "--check", "conjecture"],
     ["analyze", "{d}/lb.json", "--check", "conjecture", "--r", "3"],
-    ["analyze", "{d}/lb.json", "--check", "conjecture", "--refined"],
-    ["analyze", "{d}/k44mm_block.json", "--check", "conjecture", "--refined"],
+    ["analyze", "{d}/lb.json", "--check", "conjecture-refined"],
+    ["analyze", "{d}/k44mm_block.json", "--check", "conjecture-refined"],
     ["analyze", "{d}/lb.json", "--check", "tetel"],
     ["analyze", "{d}/cyc4.json", "--check", "tetel"],
     ["analyze", "{d}/dsg.json", "--check", "tetel"],
@@ -151,6 +151,11 @@ COMMANDS = [
      "--seed", "7"],
     ["search", "--mode", "random", "--check", "additive", "--host",
      "gen:circulant:m=8,n=8,d=2", "--r", "2", "--budget", "10000", "--seed", "7"],
+    # registry checks first offered by one more subcommand
+    ["analyze", "{d}/cyc4.json", "--check", "gy1"],
+    ["analyze", "{d}/lb.json", "--check", "gy1"],
+    ["search", "--mode", "verify", "--check", "tetel", "--host", _K33],
+    ["search", "--mode", "verify", "--check", "tetel", "--host", _K44MM],
 ]
 
 

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monocomp import (
+    THEOREMS,
     ColoringMismatch,
     EdgeColoring,
     bipartition_avoiding_color,
     check_additive_theorem,
     check_conjecture_instance,
     check_corollary,
+    check_instance,
     check_tetel_instance,
     check_theorem_two_colors,
     coloring_from_triples,
@@ -100,7 +102,7 @@ class TestConjecture:
 
     def test_refined_mode_records(self):
         host, col = lower_bound_construction(2, 1, 1)
-        v = check_conjecture_instance(host, col, 2, refined=True)
+        v = check_instance(THEOREMS["conjecture-refined"], host, col, 2)
         # equality on both sides: even the refined reading stays out
         assert not v.applicable
         assert v.detail == {"recorded_only": True}
@@ -129,6 +131,28 @@ class TestTetel:
         host = complete(5, 3)
         v = check_tetel_instance(host, single_color(host, r=2), 2)
         assert v.applicable and v.holds
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_small_hosts_meet_it_only_when_complete(self, data):
+        # with m <= n, gamma * n <= m / (128 r^5) < 1 here, so the strict
+        # delta(X,Y) > (1 - gamma) n leaves no edge out, and likewise for Y
+        m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        r = data.draw(st.sampled_from([2, 3]))
+        cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+        missing = data.draw(st.sets(cells, max_size=3) | st.sets(cells, max_size=m * n))
+        host = from_edge_list(
+            m, n, [(x, y) for x in range(m) for y in range(n) if (x, y) not in missing]
+        )
+        assert (THEOREMS["tetel"].hypothesis(host, r) is None) == host.is_complete()
+
+    def test_first_square_host_it_allows_incomplete(self):
+        # r = 2: gamma = 1/4096, so K_{n,n} minus one edge meets the
+        # hypothesis from n = 4097 on and not before
+        for n, meets in ((4096, False), (4097, True)):
+            full = (1 << n) - 1
+            host = from_rows(n, n, [full ^ 1 if x == 0 else full for x in range(n)])
+            assert (THEOREMS["tetel"].hypothesis(host, 2) is None) == meets
 
 
 def tetel_oracle(host, col, r):

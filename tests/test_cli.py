@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocomp import complete_minus_circulant, coloring_from_triples, dumps_canonical, graph_json
+from monocomp import (
+    check_instance,
+    coloring_from_triples,
+    complete_minus_circulant,
+    dumps_canonical,
+    graph_json,
+    parse_graph_json,
+)
 from monocomp import THEOREMS, cli, search
 from monocomp.cli import main
 
@@ -117,6 +124,29 @@ class TestAnalyze:
     def test_missing_file_exit_2(self, tmp_path):
         res = run_cli(["analyze", tmp_path / "nope.json", "--check", "r2"], tmp_path)
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("check", ["r2", "additive"])
+    def test_two_color_check_refuses_other_r(self, tmp_path, check):
+        # --r is read by every registry check, not only by the general-r ones
+        f = tmp_path / "g.json"
+        write_block_colored_k44mm(f)
+        res = run_cli(["analyze", f, "--check", check, "--r", 3], tmp_path)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: this check is for exactly 2 colors\n"
+
+    @pytest.mark.parametrize("name", sorted(THEOREMS))
+    def test_every_registry_theorem_is_one_check(self, tmp_path, name, capsys):
+        # both subcommands accept each registry name, and analyze prints
+        # exactly the verdict of check_instance
+        f = tmp_path / "g.json"
+        write_block_colored_k44mm(f)
+        parser = cli.build_parser()
+        assert parser.parse_args(["search", "--mode", "verify", "--check", name]).check == name
+        host, col = parse_graph_json(json.loads(f.read_text()))
+        want = check_instance(THEOREMS[name], host, col, 2)
+        code = main(["--manifest", os.devnull, "analyze", str(f), "--check", name])
+        assert code == (0 if not want.applicable or want.holds else 1)
+        assert capsys.readouterr().out == dumps_canonical(want.to_json_dict()) + "\n"
 
     def test_corollary_general_input(self, tmp_path):
         f = tmp_path / "gg.json"

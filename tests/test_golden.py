@@ -26,7 +26,7 @@ def test_golden_stdout_and_exit_codes(tmp_path):
         for entry in golden["commands"]
         if run_command(entry["argv"], tmp_path) != (entry["exit"], entry["stdout"])
     ]
-    assert len(golden["commands"]) == 78
+    assert len(golden["commands"]) == 82
     assert mismatches == []
 
 

@@ -31,7 +31,7 @@ PUBLIC = {
     "analysis": [
         "BipartitionReduction", "GeneralGraph", "MainComponentsReport", "StabilityReport",
         "Verdict", "bipartition_avoiding_color", "check_additive_theorem",
-        "check_conjecture_instance", "check_corollary", "check_tetel_instance",
+        "check_conjecture_instance", "check_corollary", "check_instance", "check_tetel_instance",
         "check_theorem_two_colors", "general_from_edge_list", "general_mono_components",
         "main_lemma_report", "stability_report",
     ],
@@ -49,7 +49,7 @@ DEFINED_IN = [(name, module) for module, names in PUBLIC.items() for name in nam
 
 def test_all_is_the_public_list():
     assert sorted(monocomp.__all__) == sorted(name for name, _ in DEFINED_IN)
-    assert len(DEFINED_IN) == 60
+    assert len(DEFINED_IN) == 61
 
 
 @pytest.mark.parametrize("name, module", DEFINED_IN)

@@ -57,6 +57,7 @@ CASES = {
         hypothesis=ADDITIVE.hypothesis,
         target=ADDITIVE.target,
         half_half=ADDITIVE.half_half,
+        detail=ADDITIVE.detail,
     ),
     SearchConfig: dict(seed=7, budget=100),
     SearchOutcome: dict(kind="Counterexample", value=3, witness=COLORING, examined=12),

@@ -991,7 +991,7 @@ class TestCheckersAgree:
 
 class TestTheoremRegistry:
     def test_rules_on_r(self):
-        assert [THEOREMS[name].r_error(2) for name in THEOREMS] == [None] * 4
+        assert [THEOREMS[name].r_error(2) for name in THEOREMS] == [None] * 6
         assert THEOREMS["gy1"].r_error(0) == "need r >= 1"
         assert THEOREMS["conjecture"].r_error(1) == "need r >= 2"
         assert THEOREMS["r2"].r_error(3) == THEOREMS["additive"].r_error(3)
