@@ -25,14 +25,13 @@ from .bigraph import (
     GraphError,
     IndexOutOfRange,
     Record,
+    _class_components,
     _largest_double_star_in_class,
     coloring_from_triples,
     column_planes,
     fields_json,
     graph_components,
     json_int,
-    largest_mono_component,
-    mono_components,
     plane_counts,
     rat_str,
 )
@@ -82,15 +81,14 @@ def check_instance(
     m, n = host.m, host.n
     applicable = thm.hypothesis(host, r) is None
     target = thm.target(m, n, r)
+    comps = _class_components(col)
+    # max keeps the first of the largest, in (color, smallest X-index) order
+    witness = best = max(comps, key=lambda c: c.order, default=None)
     if thm.half_half:
         need_x, need_y, _ = thm.needs(m, n, r)
-        comps = mono_components(host, col)
         qualifying = [c for c in comps if len(c.xs) >= need_x and len(c.ys) >= need_y]
-        # the first of the largest, in (color, smallest X-index) order
         witness = max(qualifying, key=lambda c: c.order, default=None)
-        best = witness or max(comps, key=lambda c: c.order, default=None)
-    else:
-        witness = best = largest_mono_component(host, col) if host.edge_count else None
+        best = witness or best
     achieved = best.order if best is not None else 0
     return Verdict(
         check=thm.name,

@@ -6,12 +6,15 @@ bitmask over Y, which keeps neighborhood unions, component sweeps and degree
 counts cheap even when a side has a few thousand vertices.
 
 Every loop over the set bits of a mask goes through :func:`bit_indices`,
-which walks down from the top set bit and reads only wide, dense masks from
-their binary digits.  The row builders (:func:`from_edge_list`,
+and every mask built from a list of indices through :func:`mask_of`.  Both
+follow one density rule: a mask of width w is sparse while it has at most
+w // ``SPARSE_RATIO`` set bits.  A sparse mask is read or built one set bit
+at a time, each big-int step a pass over the mask; a dense one is read or
+built through its binary digits in C, one pass over the width whatever the
+number of set bits.  The row builders (:func:`from_edge_list`,
 :func:`coloring_from_triples`, the sparse :meth:`BipartiteGraph.transpose`)
-group their edges by row and build each row once with :func:`mask_of`, not
-one OR per edge: on a row of 20,000 bits each big-int step costs a pass over
-the row, whatever the number of set bits.
+group their edges by row and build each row once, and the component sweep
+(:func:`graph_components`) builds each round's new X-vertices the same way.
 
 Every threshold predicate is exact (integers and fractions.Fraction, never
 floats): the extremal examples sit exactly on their bounds, so rounding
@@ -23,6 +26,7 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
+from itertools import compress, count
 
 
 class GraphError(Exception):
@@ -45,53 +49,102 @@ class EmptyGraph(GraphError):
     """The operation needs at least one edge (or one vertex per side)."""
 
 
-# where bit_indices stops walking and scans: see its docstring
-WIDE_BITS = 8192
-DENSE_RATIO = 64
+# a mask of width w is sparse while it has at most w // SPARSE_RATIO set
+# bits; one with at most UNCOUNTED_STEPS set bits is read and built bit by bit
+# without a count or a width check (see bit_indices and mask_of)
+SPARSE_RATIO = 32
+UNCOUNTED_STEPS = 8
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+# the scan's indices below 4096, built once, so that reading them allocates
+# no int (about 140 kB)
+_POSITIONS = tuple(range(4096))
 
 
 def bit_indices(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending.
 
-    The walk reads the top set bit (``bit_length``) and clears it, so each
-    step works on a mask no wider than the bits still left; the list is
-    then reversed.  Its cost grows with set bits times width, while
-    ``str.find`` over the binary digits costs a pass over the width plus a
-    call per set bit.  The walk ties or wins up to 8192 bits at every
-    density; past that the scan wins from about one set bit in 64.  So a
-    mask wider than ``WIDE_BITS`` stops walking after width / ``DENSE_RATIO``
-    set bits and the scan reads the rest: a sparse wide row pays for no
-    count.  Microseconds per random mask, walk / scan, on a shared 2-core
-    x86 host under Python 3.11:
+    The walk reads the top set bit (``bit_length``) and clears it: a few
+    passes over the mask for each set bit.  The scan reads the binary
+    digits once with ``compress`` in C: a pass over the width, whatever the
+    number of set bits.  So the first ``UNCOUNTED_STEPS`` set bits are
+    walked, and only a mask with bits left is counted (``bit_count``, a
+    pass over the width): a sparse rest is walked on, a dense one scanned.
+    A row of a few set bits never pays for the count, however wide.
 
-        width    1/1024       1/128        1/64         1/16
-        1024     0.24 / 1.9   1.3 / 3.3    2.5 / 4.2    9.6 / 19
-        8192     2.9 / 18     19 / 29      32 / 48      121 / 117
-        16384    6.9 / 31     49 / 60      110 / 97     432 / 274
-        32768    15 / 58      83 / 107     245 / 175    915 / 489
+    Microseconds per random mask, walk / scan / this function, on a shared
+    2-core x86 host under Python 3.11 (the lower of two runs, +-30 %):
+
+        density      64 bits       1024 bits     4096 bits     20000 bits
+        1/1024   0.35/2.2/0.69  0.52/15/0.66    1.4/40/1.1      6/430/7
+        1/64     0.26/1.8/0.42   2.3/12/2.6      10/42/11     90/440/110
+        1/32     0.36/1.9/0.52   4.3/13/9.7      29/57/52    290/590/490
+        1/16     0.87/2.8/1.2     12/17/16       42/47/50    350/520/640
+        1/4       2.7/3.1/3.2     32/21/25      180/80/72   1700/520/600
+        1/2       3.3/2.0/3.3     63/20/25      270/81/88   2500/670/640
+        1          6.0/2.9/3.9   130/23/22      600/71/82   5200/810/720
+
+    The walk still wins up to about one set bit in 16; ``SPARSE_RATIO`` is
+    32 because :func:`mask_of` shares it, and its OR loses from about 1/64
+    on wide rows.
     """
-    width = mask.bit_length()
     out = []
-    for _ in range(width // DENSE_RATIO if width > WIDE_BITS else width):
+    for _ in range(UNCOUNTED_STEPS):
         if not mask:
             break
         i = mask.bit_length() - 1
         out.append(i)
         mask ^= 1 << i
+    if mask and mask.bit_count() * SPARSE_RATIO > mask.bit_length():
+        out.reverse()
+        # byte i of the digits is bit i of the mask
+        return _true_indices(bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)) + out
+    while mask:
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
     out.reverse()
-    if mask:
-        bits = bin(mask)[:1:-1]  # bits[i] is bit i of the mask
-        low = []
-        i = bits.find("1")
-        while i != -1:
-            low.append(i)
-            i = bits.find("1", i + 1)
-        out[:0] = low
     return out
 
 
-def mask_of(indices) -> int:
-    """The mask with bit i set for each i in ``indices`` (repeats collapse)."""
+def _true_indices(flags) -> list[int]:
+    """Indices of the true items of the sequence ``flags``, ascending, read
+    by ``compress`` in C."""
+    out = list(compress(_POSITIONS, flags))
+    out += compress(count(len(_POSITIONS)), flags[len(_POSITIONS) :])
+    return out
+
+
+def mask_of(indices: list[int]) -> int:
+    """The mask with bit i set for each i in the list ``indices`` (repeats
+    collapse).
+
+    The density rule of :func:`bit_indices` in reverse.  Up to
+    ``UNCOUNTED_STEPS`` indices, or a sparse list (at most width //
+    ``SPARSE_RATIO`` indices, the width being the largest index plus one),
+    are ORed in one at a time, each OR a pass over the mask built so far.
+    More set their digits in a width-long buffer that is parsed once.  Both
+    ways raise ValueError on a negative index and TypeError on one that is
+    no integer.  Microseconds per shuffled random index list, OR / buffer /
+    this function, measured as for :func:`bit_indices`:
+
+        density      64 bits       1024 bits     4096 bits     20000 bits
+        1/1024   0.21/1.6/0.39  0.34/3.6/0.23  0.52/12/0.56    4.7/56/7.1
+        1/64     0.27/1.4/0.32   1.7/5.3/2.5    7.9/15/12      96/65/97
+        1/32     0.28/1.1/0.49   2.8/6.9/3.4     15/18/18     200/84/210
+        1/16     0.58/1.2/0.42   4.9/6.8/6.7     31/23/25    400/120/120
+        1/4       1.3/3.4/2.1     23/18/22      180/71/69   1500/310/320
+        1/2       2.4/2.8/2.9     44/31/31     260/120/120  3200/580/590
+        1         4.7/4.6/4.7     99/58/56     480/210/230  7000/1800/1700
+    """
+    if len(indices) > UNCOUNTED_STEPS:
+        width = max(indices) + 1
+        if len(indices) * SPARSE_RATIO > width:
+            if min(indices) < 0:
+                raise ValueError("negative shift count")  # as the OR path says
+            digits = bytearray(b"0") * width
+            for i in indices:
+                digits[i] = 49  # ord("1")
+            return int(digits[::-1], 2)
     mask = 0
     for i in indices:
         mask |= 1 << i
@@ -576,20 +629,21 @@ def graph_components(g: BipartiteGraph, color: int = 0) -> list[Component]:
     smallest X-index.
     """
     rows = g.rows
-    remaining = sum(1 << x for x, row in enumerate(rows) if row)
+    remaining = mask_of(_true_indices(rows))
     comps = []
     while remaining:
         xbit = remaining & -remaining
         remaining ^= xbit
         comp_x, comp_y = xbit, rows[xbit.bit_length() - 1]
         while True:
-            grew = sum(1 << x for x in bit_indices(remaining) if rows[x] & comp_y)
+            grew = [x for x in bit_indices(remaining) if rows[x] & comp_y]
             if not grew:
                 break
-            remaining ^= grew
-            comp_x |= grew
+            grown = mask_of(grew)
+            remaining ^= grown
+            comp_x |= grown
             new_y = comp_y
-            for x in bit_indices(grew):
+            for x in grew:
                 new_y |= rows[x]
             if new_y == comp_y:
                 break
@@ -603,6 +657,12 @@ def graph_components(g: BipartiteGraph, color: int = 0) -> list[Component]:
 def mono_components(host: BipartiteGraph, col: EdgeColoring) -> list[Component]:
     """Monochromatic components, ordered by (color, smallest X-index)."""
     col.validate_against(host)
+    return _class_components(col)
+
+
+def _class_components(col: EdgeColoring) -> list[Component]:
+    """:func:`mono_components` of a coloring already validated against its
+    host."""
     out = []
     for c, cls in enumerate(col.classes):
         out.extend(graph_components(cls, color=c))

@@ -505,6 +505,23 @@ class TestCorollary:
         assert v.holds  # single color spans everything anyway
 
 
+@pytest.mark.parametrize("name", sorted(THEOREMS))
+def test_check_instance_validates_once(monkeypatch, name):
+    # one check reads the coloring against its host once, whatever the
+    # conclusion's kernel
+    thm = THEOREMS[name]
+    r = thm.max_r or max(thm.min_r, 2)
+    host = complete_minus_circulant(6, 6, 1)
+    col = coloring_from_triples(6, 6, r, [(x, y, (x + 2 * y) % r) for x, y in host.edges()])
+    calls = []
+    validate = EdgeColoring.validate_against
+    monkeypatch.setattr(
+        EdgeColoring, "validate_against", lambda self, h: calls.append(h) or validate(self, h)
+    )
+    check_instance(thm, host, col, r)
+    assert calls == [host]
+
+
 class TestInvariance:
     CHECKS = [
         lambda host, col: check_theorem_two_colors(host, col),

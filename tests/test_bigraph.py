@@ -22,6 +22,7 @@ from monocomp import (
     dumps_canonical,
     from_edge_list,
     from_rows,
+    graph_components,
     graph_json,
     largest_double_star,
     largest_mono_component,
@@ -33,7 +34,7 @@ from monocomp import (
 )
 from monocomp.analysis import parse_general_json
 from monocomp import bigraph
-from monocomp.bigraph import DENSE_RATIO, WIDE_BITS, bit_indices
+from monocomp.bigraph import SPARSE_RATIO, UNCOUNTED_STEPS, bit_indices, mask_of
 from monocomp.constructions import (
     complete_minus_circulant,
     cyclic_one_factorization,
@@ -177,6 +178,28 @@ class TestComponents:
             )
             ref = sorted(oracles.bfs_components(host.m, host.n, col.classes[c].edges()))
             assert mine == ref
+
+    @staticmethod
+    def check_against_bfs(g):
+        comps = graph_components(g)
+        assert [c.min_x for c in comps] == sorted(c.min_x for c in comps)
+        mine = sorted((frozenset(c.xs), frozenset(c.ys)) for c in comps)
+        assert mine == sorted(oracles.bfs_components(g.m, g.n, g.edges()))
+
+    # rows and X-masks from 63 to 601 bits wide, most of them dense, so
+    # bit_indices and mask_of take both of their ways
+    @pytest.mark.parametrize("k", [63, 64, 65, 300])
+    def test_two_block_against_bfs_oracle(self, k):
+        self.check_against_bfs(two_block(k))
+
+    @pytest.mark.parametrize(
+        "build,args",
+        [(lower_bound_construction, (2, 40, 20)), (double_star_gap_construction, (3, 20, 30))],
+    )
+    def test_constructions_against_bfs_oracle(self, build, args):
+        host, col = build(*args)
+        for g in (host, *col.classes):
+            self.check_against_bfs(g)
 
     @given(colored_graphs())
     @settings(max_examples=40, deadline=None)
@@ -472,8 +495,8 @@ class TestTranspose:
 
     @pytest.mark.parametrize("m,n", [(3, 30_000), (30_000, 3)])
     def test_rows_wider_than_the_walk_switch(self, m, n):
-        # a handful of edges: the set-bit walk, on rows (or columns) of
-        # 30,000 bits, past bit_indices' WIDE_BITS
+        # a handful of edges: rows (or columns) of 30,000 bits that
+        # bit_indices walks without counting and mask_of builds by ORs
         rng = random.Random(m)
         cells = {(rng.randrange(m), rng.randrange(n)) for _ in range(6)}
         cells |= {(0, 0), (m - 1, n - 1)}
@@ -496,6 +519,13 @@ def set_bits(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def scans(mask):
+    """Whether bit_indices reads ``mask`` with the digit scan: set bits are
+    left after its UNCOUNTED_STEPS walk steps, and they are dense."""
+    rest = set_bits(mask)[:-UNCOUNTED_STEPS]
+    return bool(rest) and len(rest) * SPARSE_RATIO > rest[-1] + 1
+
+
 class TestBitIndices:
     def test_zero(self):
         assert bit_indices(0) == []
@@ -516,34 +546,144 @@ class TestBitIndices:
         assert bit_indices(mask) == positions
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_against_bit_tests(self, data):
-        # widths on both sides of WIDE_BITS and counts on both sides of
-        # width // DENSE_RATIO, the edges of both included
-        width = data.draw(
-            st.one_of(st.integers(1, 30_000), st.sampled_from([WIDE_BITS, WIDE_BITS + 1, 30_000]))
-        )
-        most_walked = max(width // DENSE_RATIO, 1)
+        # counts on both sides of the uncounted walk and of the density
+        # switch, widths from one bit to past the scan's index table
+        width = data.draw(st.one_of(st.integers(1, 30_000), st.sampled_from([1, 4096, 4097])))
+        sparse_most = UNCOUNTED_STEPS + width // SPARSE_RATIO
         count = data.draw(
             st.one_of(
                 st.integers(1, width),
-                st.sampled_from([most_walked, min(most_walked + 1, width)]),
+                st.sampled_from(
+                    [UNCOUNTED_STEPS, UNCOUNTED_STEPS + 1, sparse_most, sparse_most + 1, width]
+                ).map(lambda c: max(1, min(c, width))),
             )
         )
         mask, positions = mask_with(width, count, data.draw(st.integers(0, 2**32 - 1)))
         assert bit_indices(mask) == set_bits(mask) == positions
 
-    @pytest.mark.parametrize("width", [WIDE_BITS - 1, WIDE_BITS, WIDE_BITS + 1, 30_000])
+    @pytest.mark.parametrize("width", [8191, 8192, 8193, 30_000])
     @pytest.mark.parametrize("extra", [0, 1, 100])
     def test_at_the_switch(self, monkeypatch, width, extra):
-        # the binary-digit scan runs exactly for a mask wider than WIDE_BITS
-        # with more than width // DENSE_RATIO set bits
-        count = width // DENSE_RATIO + extra
-        mask, positions = mask_with(width, count, width + extra)
-        scans = []
-        monkeypatch.setattr(bigraph, "bin", lambda v: scans.append(v) or bin(v), raising=False)
-        assert bit_indices(mask) == set_bits(mask) == positions
-        assert bool(scans) == (width > WIDE_BITS and extra > 0)
+        # the set bits left after the walk, ``width`` wide, are read by the
+        # scan exactly when more than width // SPARSE_RATIO of them remain,
+        # whether the walked bits sit right above them or far away; 8192 is
+        # a multiple of SPARSE_RATIO, so the widths straddle the rule's edge
+        rest, positions = mask_with(width, width // SPARSE_RATIO + extra, width + extra)
+        bins = []
+        monkeypatch.setattr(bigraph, "bin", lambda v: bins.append(v) or bin(v), raising=False)
+        for start in (width, 40_000):
+            walked = list(range(start, start + UNCOUNTED_STEPS))
+            mask = rest | mask_of(walked)
+            bins.clear()
+            assert bit_indices(mask) == set_bits(mask) == positions + walked
+            assert bins == ([rest] if extra else [])
+            assert scans(mask) == bool(extra)
+
+    @given(st.integers(1, 40_000), st.integers(1, UNCOUNTED_STEPS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_few_bits_are_walked(self, width, count, seed):
+        # a mask with at most UNCOUNTED_STEPS set bits, however wide, is read
+        # by the walk alone: never counted, never scanned
+        count = min(count, width)
+        mask, positions = mask_with(width, count, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bigraph, "bin", lambda v: pytest.fail("scanned"), raising=False)
+            assert bit_indices(mask) == positions
+
+    @given(st.integers(1, 20_000), st.sampled_from([0.001, 0.02, 0.04, 0.3, 1.0]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_scan_rule(self, width, density, seed):
+        rng = random.Random(seed)
+        count = max(1, min(width, round(width * density)))
+        mask, positions = mask_with(width, count, rng.randrange(2**32))
+        bins = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bigraph, "bin", lambda v: bins.append(v) or bin(v), raising=False)
+            assert bit_indices(mask) == positions
+        assert bool(bins) == scans(mask)
+
+
+def or_reference(indices):
+    mask = 0
+    for i in set(indices):
+        mask += 2**i
+    return mask
+
+
+def buffered(indices):
+    """Whether mask_of sets the digits of ``indices`` in a buffer instead of
+    ORing them in."""
+    return len(indices) > UNCOUNTED_STEPS and len(indices) * SPARSE_RATIO > max(indices) + 1
+
+
+class TestMaskOf:
+    def test_empty(self):
+        assert mask_of([]) == 0
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip(self, data):
+        # counts on both sides of UNCOUNTED_STEPS and of the density switch,
+        # drawn with repeats and in any order
+        width = data.draw(st.integers(1, 30_000))
+        sparse_most = width // SPARSE_RATIO
+        count = data.draw(
+            st.one_of(
+                st.integers(1, 2 * width),
+                st.sampled_from(
+                    [UNCOUNTED_STEPS, UNCOUNTED_STEPS + 1, sparse_most, sparse_most + 1]
+                ).map(lambda c: max(c, 1)),
+            )
+        )
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        indices = [rng.randrange(width) for _ in range(count - 1)] + [width - 1]
+        rng.shuffle(indices)
+        if data.draw(st.booleans()):
+            indices += indices[: rng.randrange(len(indices) + 1)]
+        mask = mask_of(indices)
+        assert mask == or_reference(indices)
+        assert bit_indices(mask) == sorted(set(indices))
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            [3],
+            list(range(UNCOUNTED_STEPS)),
+            list(range(UNCOUNTED_STEPS + 1)),
+            # nine indices, widths 288 = 9 * SPARSE_RATIO (sparse) and 287
+            list(range(0, 9 * SPARSE_RATIO - 40, SPARSE_RATIO)) + [9 * SPARSE_RATIO - 1],
+            list(range(0, 9 * SPARSE_RATIO - 40, SPARSE_RATIO)) + [9 * SPARSE_RATIO - 2],
+            [5] * 100,
+            [0, 4095] * 100,
+        ],
+    )
+    def test_path(self, monkeypatch, indices):
+        buffers = []
+        monkeypatch.setattr(
+            bigraph, "bytearray", lambda v: buffers.append(v) or bytearray(v), raising=False
+        )
+        assert mask_of(indices) == or_reference(indices)
+        assert bool(buffers) == buffered(indices)
+
+    @pytest.mark.parametrize(
+        "filler",
+        [[], list(range(UNCOUNTED_STEPS)), list(range(0, 100_000, 1000)), list(range(100))],
+        ids=["alone", "few", "sparse", "dense"],
+    )
+    @pytest.mark.parametrize(
+        "bad,error",
+        [(-1, ValueError), (-5000, ValueError), (1.5, TypeError), (150.5, TypeError),
+         ("3", TypeError), (None, TypeError)],
+    )
+    @pytest.mark.parametrize("first", [True, False])
+    def test_bad_indices(self, filler, bad, error, first):
+        # the OR path and the buffer raise alike, so the row builders can
+        # name the first bad edge either way
+        with pytest.raises(error):
+            mask_of([bad, *filler] if first else [*filler, bad])
 
 
 def inject_faults(rng, good, faults, make):
