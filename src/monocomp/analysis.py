@@ -28,11 +28,9 @@ from .bigraph import (
     _class_components,
     _largest_double_star_in_class,
     coloring_from_triples,
-    column_planes,
     fields_json,
     graph_components,
     json_int,
-    plane_counts,
     rat_str,
 )
 from .theorems import THEOREMS, Theorem
@@ -210,15 +208,14 @@ def stability_report(
             raise ValueError("delta below the deficiency forced by e(g)")
     alpha, beta, avg_xy, avg_yx = _thresholds(g, r, delta)
 
-    planes = column_planes(g.rows)
-    xdegs = [row.bit_count() for row in g.rows]
-    ydegs = plane_counts(planes, n)
+    xdegs = g._degrees
+    ydegs = g.y_degrees()
     exc_x = _exceptional(xdegs, avg_xy, alpha, n)
     exc_y = _exceptional(ydegs, avg_yx, beta, m)
 
     defect_x = sum(xdegs[x] for x in exc_x) - len(exc_x) * avg_xy
     defect_y = sum(ydegs[y] for y in exc_y) - len(exc_y) * avg_yx
-    star = _largest_double_star_in_class(g, 0, planes).order
+    star = _largest_double_star_in_class(g, 0).order
     case_i = star * r >= m + n
     case_ii = not _above_cuberoot(len(exc_x), alpha, m) and not _above_cuberoot(
         len(exc_y), beta, n

@@ -16,6 +16,13 @@ number of set bits.  The row builders (:func:`from_edge_list`,
 group their edges by row and build each row once, and the component sweep
 (:func:`graph_components`) builds each round's new X-vertices the same way.
 
+A graph counts its row degrees once, when its constructor validates the
+rows, and builds its column degrees (:func:`column_planes`) at the first
+query that reads them; the degree queries, the reports of ``analysis`` and
+the certificates all read these two.  Neither is a field, so equality,
+hash, repr, JSON and pickles see only the four fields, and both are fixed
+by the immutable rows, so a graph stays safe to share.
+
 Every threshold predicate is exact (integers and fractions.Fraction, never
 floats): the extremal examples sit exactly on their bounds, so rounding
 would misclassify them.
@@ -26,6 +33,7 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, count
 
 
@@ -250,8 +258,12 @@ def fields_json(record: Record) -> dict:
 class BipartiteGraph(Record):
     """Simple (X,Y)-bipartite graph with |X| = m, |Y| = n.
 
-    ``rows[x]`` is the neighborhood of x as a bitmask over Y.  Instances are
-    immutable and safe to share between threads/processes.
+    ``rows[x]`` is the neighborhood of x as a bitmask over Y.  Besides its
+    fields a graph keeps the tuple of row degrees that validation counts
+    and, from the first column-degree query on, the column planes; both
+    follow from the rows, so instances stay immutable and safe to share
+    between threads/processes.  A pickle or copy holds the four fields
+    and is rebuilt, and validated again, through the constructor.
     """
 
     m: int
@@ -265,16 +277,27 @@ class BipartiteGraph(Record):
             raise IndexOutOfRange(f"negative side size ({m}, {n})")
         if len(rows) != m:
             raise IndexOutOfRange("row count does not match m")
-        total = 0
-        for x, row in enumerate(rows):
-            if row >> n:
-                raise IndexOutOfRange(f"row {x} has a neighbor outside [0, {n})")
-            total += row.bit_count()
-        if total != self.edge_count:
+        # a negative row has its sign bit set at every position >= n
+        if rows and (min(rows) < 0 or max(rows) >> n):
+            x = next(x for x, row in enumerate(rows) if row < 0 or row >> n)
+            raise IndexOutOfRange(f"row {x} has a neighbor outside [0, {n})")
+        degrees = tuple(map(int.bit_count, rows))
+        if sum(degrees) != self.edge_count:
             raise GraphError("edge_count does not match adjacency rows")
+        object.__setattr__(self, "_degrees", degrees)
+
+    def __reduce__(self):
+        # rebuilt (and validated) from the fields alone, without the planes
+        return self.__class__, self._values()
+
+    @cached_property
+    def _planes(self) -> list[int]:
+        """:func:`column_planes` of the rows, built at the first call that
+        reads column degrees."""
+        return column_planes(self.rows)
 
     def degree(self, x: int) -> int:
-        return self.rows[x].bit_count()
+        return self._degrees[x]
 
     def has_edge(self, x: int, y: int) -> bool:
         return 0 <= x < self.m and (self.rows[x] >> y) & 1 == 1
@@ -286,10 +309,10 @@ class BipartiteGraph(Record):
     def y_degrees(self) -> list[int]:
         """Degree of every Y-vertex, indexed by y.
 
-        The rows are summed into :func:`column_planes`, where bit y of plane
-        j is bit j of deg(y); the degrees are then read with one pass over
-        the set bits of each plane."""
-        return plane_counts(column_planes(self.rows), self.n)
+        The rows are summed once into :func:`column_planes`, where bit y of
+        plane j is bit j of deg(y); each call reads the degrees into a new
+        list with one pass over the set bits of each plane."""
+        return plane_counts(self._planes, self.n)
 
     def transpose(self) -> "BipartiteGraph":
         """Swap the roles of X and Y.
@@ -427,7 +450,7 @@ class DegreeProfile(Record):
 def degree_profile(g: BipartiteGraph) -> DegreeProfile:
     if g.m < 1 or g.n < 1:
         raise EmptyGraph("degree profile needs both sides non-empty")
-    delta_xy = min(row.bit_count() for row in g.rows)
+    delta_xy = min(g._degrees)
     delta_yx = min(g.y_degrees())
     return DegreeProfile(
         delta_xy=delta_xy,
@@ -681,24 +704,22 @@ def largest_mono_component(host: BipartiteGraph, col: EdgeColoring) -> Component
     return best
 
 
-def _largest_double_star_in_class(
-    g: BipartiteGraph, color: int, planes: list[int]
-) -> DoubleStar | None:
+def _largest_double_star_in_class(g: BipartiteGraph, color: int) -> DoubleStar | None:
     """The edge (x, y) of ``g`` maximizing deg(x) + deg(y), or None.
 
-    ``planes`` is :func:`column_planes` of ``g.rows``.  For each row the
-    best partner is found by :func:`_plane_max` over the row's neighbours,
-    and the lowest such y is kept.  Rows go in ascending x and only a
-    strictly larger order replaces the best, so ties go to the
-    lexicographically first (x, y).  A row is skipped when its degree plus
-    the largest column degree cannot beat the best so far.
+    For each row the best partner is found by :func:`_plane_max` over the
+    graph's column planes and the row's neighbours, and the lowest such y
+    is kept.  Rows go in ascending x and only a strictly larger order
+    replaces the best, so ties go to the lexicographically first (x, y).  A
+    row is skipped when its degree plus the largest column degree cannot
+    beat the best so far.
     """
     if g.edge_count == 0:
         return None
+    planes = g._planes
     top, _ = _plane_max(planes, (1 << g.n) - 1)
     best_order, best_x, best_y = 0, 0, 0
-    for x, row in enumerate(g.rows):
-        dx = row.bit_count()
+    for x, (row, dx) in enumerate(zip(g.rows, g._degrees)):
         if not row or dx + top <= best_order:
             continue
         dy, centers = _plane_max(planes, row)
@@ -715,7 +736,7 @@ def largest_double_star(host: BipartiteGraph, col: EdgeColoring) -> DoubleStar:
         raise EmptyGraph("host has no edges")
     best = None
     for c, cls in enumerate(col.classes):
-        cand = _largest_double_star_in_class(cls, c, column_planes(cls.rows))
+        cand = _largest_double_star_in_class(cls, c)
         if cand is not None and (best is None or cand.order > best.order):
             best = cand
     return best
@@ -723,7 +744,7 @@ def largest_double_star(host: BipartiteGraph, col: EdgeColoring) -> DoubleStar:
 
 def uncolored_largest_double_star(g: BipartiteGraph) -> DoubleStar:
     """Largest double star of a single graph (one implicit color)."""
-    star = _largest_double_star_in_class(g, 0, column_planes(g.rows))
+    star = _largest_double_star_in_class(g, 0)
     if star is None:
         raise EmptyGraph("graph has no edges")
     return star

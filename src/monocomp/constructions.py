@@ -13,14 +13,14 @@ from .bigraph import (
     BipartiteGraph,
     EdgeColoring,
     Record,
+    _class_components,
+    _largest_double_star_in_class,
     bit_indices,
     coloring_from_triples,
     complete,
     degree_profile,
     fields_json,
     from_rows,
-    largest_double_star,
-    largest_mono_component,
 )
 
 
@@ -47,12 +47,22 @@ class Certificate(Record):
 def construction_certificate(
     host: BipartiteGraph, col: EdgeColoring | None = None
 ) -> Certificate:
-    """Certificate computed from scratch; uncolored hosts count as one color."""
+    """Certificate computed from scratch; uncolored hosts count as one color.
+    A coloring is validated against its host once, then each class is read
+    by the per-class kernels."""
     prof = degree_profile(host)
     if col is None:
         col = EdgeColoring(1, (host,))
-    largest = largest_mono_component(host, col).order if host.edge_count else 0
-    star = largest_double_star(host, col).order if host.edge_count else 0
+    else:
+        col.validate_against(host)
+    largest = star = 0
+    if host.edge_count:
+        largest = max(comp.order for comp in _class_components(col))
+        star = max(
+            _largest_double_star_in_class(cls, c).order
+            for c, cls in enumerate(col.classes)
+            if cls.edge_count
+        )
     return Certificate(
         delta_xy=prof.delta_xy,
         delta_yx=prof.delta_yx,
@@ -205,7 +215,7 @@ def complete_minus_circulant(m: int, n: int, d: int) -> BipartiteGraph:
             removed |= 1 << ((i + k) % n)
         rows.append(full ^ removed)
     host = from_rows(m, n, rows)
-    if host.m and any(row.bit_count() != n - d for row in host.rows):
+    if set(host._degrees) != {n - d}:
         raise CertificateError("X-degrees are not n - d")
     return host
 

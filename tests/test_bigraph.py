@@ -1,6 +1,9 @@
+import copy
 import itertools
 import json
+import pickle
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -10,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monocomp import (
+    BipartiteGraph,
     ColoringMismatch,
     DuplicateEdge,
+    EdgeColoring,
     EmptyGraph,
     GraphError,
     IndexOutOfRange,
@@ -101,6 +106,26 @@ class TestConstruction:
         assert (prof25.delta_xy, prof25.delta_yx) == (5, 2)
         with pytest.raises(EmptyGraph):
             complete(0, 3)
+
+    @pytest.mark.parametrize(
+        "rows,bad",
+        [
+            ([0b111, -1], 1),
+            ([7, -2], 1),
+            ([-1, 0b111], 0),
+            ([0b1000, -1], 0),
+            ([7, 7, 16], 2),
+            ([7, -(1 << 70)], 1),
+        ],
+    )
+    def test_rows_outside_the_side(self, rows, bad):
+        # a negative row holds every bit from n up, so it is out of range
+        # too; the first bad row is named
+        message = re.escape(f"row {bad} has a neighbor outside [0, 3)")
+        with pytest.raises(IndexOutOfRange, match=message):
+            from_rows(len(rows), 3, rows)
+        with pytest.raises(IndexOutOfRange, match=message):
+            BipartiteGraph(len(rows), 3, tuple(rows), 3)
 
     @given(bipartite_graphs())
     def test_round_trip_edge_list(self, g):
@@ -417,6 +442,113 @@ class TestColumnKernels:
             assert stability_report(g, r).to_json_dict() == (
                 oracles.stability_json(g.m, g.n, edges, r)
             )
+
+
+def _random_cells(m, n, rng):
+    density = rng.choice([0.0, 0.01, 0.05, 0.3, 1.0])
+    return [(x, y) for x in range(m) for y in range(n) if rng.random() < density]
+
+
+def _coloring(m, n, rng):
+    """A 4-coloring of random cells that uses colors 0 and 1 only, so
+    colors 2 and 3 share one empty class."""
+    triples = [(x, y, rng.randrange(2)) for x, y in _random_cells(m, n, rng)]
+    return coloring_from_triples(m, n, 4, triples)
+
+
+def _parsed(m, n, rng):
+    col = _coloring(m, n, rng)
+    host, parsed = parse_graph_json(graph_json(col.union_host(), col))
+    plain, _ = parse_graph_json(graph_json(from_edge_list(m, n, _random_cells(m, n, rng))))
+    return [host, *parsed.classes, plain]
+
+
+def _sides(m, n):
+    # complete_minus_circulant needs 1 <= m <= n
+    return min(m, n) + 1, max(m, n) + 1
+
+
+# each builder maps (m, n, rng) to the graphs it makes; sides may be 0
+COUNT_BUILDERS = {
+    "from_rows": lambda m, n, rng: [
+        from_rows(m, n, from_edge_list(m, n, _random_cells(m, n, rng)).rows)
+    ],
+    "from_edge_list": lambda m, n, rng: [from_edge_list(m, n, _random_cells(m, n, rng))],
+    "complete": lambda m, n, rng: [complete(m + 1, n + 1)],
+    "complete_minus_circulant": lambda m, n, rng: [
+        complete_minus_circulant(*_sides(m, n), rng.randint(0, max(m, n) + 1))
+    ],
+    # at most (m n - 1) // 64 edges: 64 E < m n, the set-bit walk
+    "transpose_walk": lambda m, n, rng: [
+        from_edge_list(m, n, rng.sample(
+            [(x, y) for x in range(m) for y in range(n)], rng.randint(0, max(m * n - 1, 0) // 64)
+        )).transpose()
+    ],
+    # one missing edge per row: 64 E >= m n, the byte grid
+    "transpose_grid": lambda m, n, rng: [complete_minus_circulant(*_sides(m, n), 1).transpose()],
+    "coloring_classes": lambda m, n, rng: list(_coloring(m, n, rng).classes),
+    "transposed_classes": lambda m, n, rng: list(_coloring(m, n, rng).transpose().classes),
+    "union_host": lambda m, n, rng: [_coloring(m, n, rng).union_host()],
+    "parse_graph_json": _parsed,
+}
+
+
+def check_kept_counts(g):
+    """Every degree query of ``g`` against a plain recount from its rows;
+    equality, hash, repr, copies and pickles are the same before and after
+    the column planes are first built; ``y_degrees`` hands out a new list."""
+    m, n, rows = g.m, g.n, g.rows
+    xdeg = [sum(row >> y & 1 for y in range(n)) for row in rows]
+    ydeg = [sum(row >> y & 1 for row in rows) for y in range(n)]
+    edges = [(x, y) for x, row in enumerate(rows) for y in range(n) if row >> y & 1]
+    fresh = BipartiteGraph(m, n, rows, g.edge_count)
+    before = (repr(g), hash(g), pickle.dumps(g))
+    built = "_planes" in vars(g)
+    ys = g.y_degrees()
+    assert "_planes" in vars(g) and not built
+    assert (repr(g), hash(g), pickle.dumps(g)) == before and g == fresh
+    for twin in (pickle.loads(before[2]), copy.copy(g), copy.deepcopy(g)):
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert twin.y_degrees() == ydeg and [twin.degree(x) for x in range(m)] == xdeg
+    assert ys == ydeg
+    again = g.y_degrees()
+    assert again == ydeg and again is not ys
+    ys.reverse()
+    ys.append(-1)
+    again[:] = [0] * n
+    assert [g.degree(x) for x in range(m)] == xdeg
+    assert g.y_degrees() == ydeg
+    if m and n:
+        prof = degree_profile(g)
+        want = (min(xdeg), min(ydeg), Fraction(len(edges), m), Fraction(len(edges), n))
+        assert (prof.delta_xy, prof.delta_yx, prof.avg_xy, prof.avg_yx) == want
+    if edges:
+        star = largest_double_star(g, EdgeColoring(1, (g,)))
+        assert star_triple(star) == oracles.double_star(m, n, edges)
+        if m <= n:
+            assert stability_report(g, 2).to_json_dict() == oracles.stability_json(m, n, edges, 2)
+    assert g.y_degrees() == ydeg
+
+
+class TestKeptCounts:
+    """Each graph counts its row degrees once, in validation, and builds
+    its column planes at the first column-degree query; neither is a field."""
+
+    @pytest.mark.parametrize("builder", sorted(COUNT_BUILDERS))
+    @given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_against_recount(self, builder, m, n, seed):
+        graphs = COUNT_BUILDERS[builder](m, n, random.Random(seed))
+        for g in {id(g): g for g in graphs}.values():  # the empty class once
+            check_kept_counts(g)
+
+    def test_not_fields(self):
+        g = complete(2, 3)
+        g.y_degrees()
+        assert list(BipartiteGraph._fields) == ["m", "n", "rows", "edge_count"]
+        edges = [[x, y] for x in range(2) for y in range(3)]
+        assert g.to_json_dict() == {"m": 2, "n": 3, "edges": edges}
+        assert pickle.dumps(g) == pickle.dumps(complete(2, 3))
 
 
 @st.composite

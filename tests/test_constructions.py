@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from monocomp import (
+    ColoringMismatch,
+    EdgeColoring,
     blowup,
     complete,
     complete_minus_circulant,
@@ -11,6 +13,7 @@ from monocomp import (
     cyclic_one_factorization,
     degree_profile,
     double_star_gap_construction,
+    from_rows,
     graph_components,
     largest_double_star,
     largest_mono_component,
@@ -186,6 +189,36 @@ class TestCertificates:
         assert cert.delta_xy == 3
         assert cert.largest_component == 8
         assert cert.largest_double_star == 6
+
+    def test_validates_once(self, monkeypatch):
+        host, col = lower_bound_construction(2, 4, 2)
+        calls = []
+        validate = EdgeColoring.validate_against
+        monkeypatch.setattr(
+            EdgeColoring, "validate_against", lambda self, h: calls.append(h) or validate(self, h)
+        )
+        construction_certificate(host, col)
+        assert calls == [host]
+
+    @pytest.mark.parametrize(
+        "wrong,message",
+        [
+            ("missing edge", "colors do not cover exactly row 0"),
+            ("other shape", "host and coloring disagree on (m, n)"),
+            ("edgeless host", "colors do not cover exactly row 0"),
+        ],
+    )
+    def test_mismatched_coloring(self, wrong, message):
+        host, col = lower_bound_construction(2, 2, 3)
+        if wrong == "missing edge":
+            col = coloring_from_triples(host.m, host.n, 2, col.edges()[1:])
+        elif wrong == "other shape":
+            host = complete(host.m, host.n + 1)
+        else:
+            host = from_rows(host.m, host.n, [0] * host.m)
+        with pytest.raises(ColoringMismatch) as exc:
+            construction_certificate(host, col)
+        assert str(exc.value) == message
 
     def test_spec_dispatch(self):
         host, col = gen_build("cyclic", {"k": 3})
