@@ -400,6 +400,21 @@ def _plane_max(planes: list[int], mask: int) -> tuple[int, int]:
     return value, mask
 
 
+def _plane_min(planes: list[int], mask: int) -> int:
+    """The smallest count among the columns in a non-empty ``mask``.
+    Descends from the top plane, keeping the columns that have the current
+    bit clear whenever any of them do, so a column clear in every plane
+    (count 0) wins."""
+    value = 0
+    for j in range(len(planes) - 1, -1, -1):
+        miss = mask & ~planes[j]
+        if miss:
+            mask = miss
+        else:
+            value |= 1 << j
+    return value
+
+
 def from_rows(m: int, n: int, rows) -> BipartiteGraph:
     """Build a graph directly from per-X bitmask rows (validated)."""
     rows = tuple(rows)
@@ -451,7 +466,7 @@ def degree_profile(g: BipartiteGraph) -> DegreeProfile:
     if g.m < 1 or g.n < 1:
         raise EmptyGraph("degree profile needs both sides non-empty")
     delta_xy = min(g._degrees)
-    delta_yx = min(g.y_degrees())
+    delta_yx = _plane_min(g._planes, (1 << g.n) - 1)
     return DegreeProfile(
         delta_xy=delta_xy,
         delta_yx=delta_yx,

@@ -18,14 +18,26 @@ split prefixes and runs the task under each.  Color canonicalization forces
 new colors to appear in increasing order along the edge sequence, cutting
 the tree by up to r!, and the walk breaks the host's own symmetry with
 lex-leader constraints (Crawford, Ginsberg, Luks, Roy, KR 1996): for each
-generator of the host's automorphism group (``_automorphisms``, found by
-individualization and refinement), the coloring stays lex-at-most its image
-under that automorphism with colors renamed by first appearance.  Every
-automorphism (a side swap too, when m = n, since then half-half is
-symmetric) and every color permutation maps a coloring that keeps all
-components below the conclusion to one that does too, so the solutions
-fall into orbits, and the lex-least solution is the least of its orbit and
-meets every such order.  The walk also skips dead states (subproblem
+automorphism of a set (``_lex_elements``), the coloring stays lex-at-most
+its image under that automorphism with colors renamed by first
+appearance.  The set always holds the generators of the host's
+automorphism group (``_automorphisms``, found by individualization and
+refinement), compared on every edge.  When the group has at most
+``_GROUP_CAP`` elements, it holds the whole group, and each element that
+is not a generator is compared only on the first ``_EXTRA_SHARE`` of the
+edges, near the root, where a cut removes a large subtree (the BreakID
+idea of bounding each constraint's length: Devriendt, Bogaerts,
+Bruynooghe, Denecker, SAT 2016).  Every automorphism (a side swap too, when
+m = n, since then half-half is symmetric) and every color permutation maps
+a coloring that keeps all components below the conclusion to one that does
+too, so the solutions fall into orbits, and the lex-least solution is the
+least of its orbit and meets every such order, and so every prefix of
+one: a bounded comparison cuts less, never a solution that the whole
+order keeps.  At each depth, a generator whose order is still tied and
+next compares an edge colored before with this edge as its image
+allows only the colors whose names reach that edge's color, so the walk
+starts the depth at the least color every such generator allows, and the
+colors below it are never tried.  The walk also skips dead states (subproblem
 dominance caching: Chu, Garcia de la Banda, Stuckey, Constraints 17, 2012;
 Smith, CP 2005).  Once an X-row is fully colored, the rest of the walk
 depends only on the row, the colors in use and, per color, the partition
@@ -63,7 +75,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from collections import deque
+from collections import Counter, deque
 from contextlib import closing, contextmanager
 from fractions import Fraction
 from itertools import islice
@@ -83,6 +95,8 @@ from .theorems import _UNBOUNDED, Theorem, _ceil_frac, _theorem
 _RANDOM_BLOCK = 2048
 _PREFIX_DEPTH = 4
 _SYMMETRY_WORK = 1 << 16
+_GROUP_CAP = 64  # the largest group order whose every element the walk breaks
+_EXTRA_SHARE = Fraction(3, 7)  # the share of the edges on which the other elements are compared
 _DEAD_STATES = 1 << 18  # dead keys a walk keeps per split prefix (circ(9,9,2) r3: ~29 MB)
 
 
@@ -334,34 +348,105 @@ def _automorphisms(host: BipartiteGraph) -> list[list[int]]:
     return perms
 
 
-def _lex_schedule(perms, num_edges):
-    """The incremental lex-leader check of ``_walk_below`` for the edge
-    permutations ``perms`` (``_automorphisms``): per depth, the tuple of
-    (generator, previous slot or -1, slot, pairs) compared there, where
-    pairs are the (k, perm[k]) whose position k becomes comparable at this
-    depth and slot indexes the generator's renaming after this depth; then
-    the number of generators and of slots.
+def _twin_bound(host: BipartiteGraph) -> int:
+    """A lower bound on the number of edge permutations of the host's
+    automorphisms.  The vertices of each class of k twins with edges (equal
+    non-empty rows, or equal non-empty columns) are permuted by k!
+    automorphisms, and each one that moves a vertex with edges moves an
+    edge.  A host that is its own transpose has twice as many: x_i <-> y_i
+    swaps the sides, and once some vertex has two edges, no side-keeping
+    map moves the edges as a side swap does."""
+    cols = host.transpose().rows
+    bound = 2 if cols == host.rows and host.edge_count > host.m else 1
+    for rows in (host.rows, cols):
+        for row, k in Counter(rows).items():
+            if row:
+                bound *= math.factorial(k)
+    return bound
+
+
+def _lex_elements(host: BipartiteGraph) -> list[tuple[tuple[int, ...], int]]:
+    """The automorphisms the walk breaks symmetry with, as (edge permutation,
+    limit) pairs for ``_lex_schedule``: each element is compared on the
+    positions known once the first ``limit`` edges are colored.
+
+    The generators (``_automorphisms``) come first with the whole edge
+    count as their limit.  When the group they generate has at most
+    ``_GROUP_CAP`` elements, every other element of it follows, with the
+    limit ``_EXTRA_SHARE`` of the edges: a cut near the root removes a large
+    subtree, while deeper comparisons cost each node more than they save.
+    The group is found by closing the generators under composition,
+    breadth first, and abandoned once it passes the cap or
+    ``_SYMMETRY_WORK`` permutation entries; ``_twin_bound`` rules out a
+    large group before any closure step.  Each element's order is a lex
+    order over all positions, and its first ``limit`` edges' positions are
+    a prefix of it, which the lex-least solution meets as well, so a limit
+    changes only the node count."""
+    gens = list(dict.fromkeys(map(tuple, _automorphisms(host))))
+    num_edges = host.edge_count
+    full = [(perm, num_edges) for perm in gens]
+    if not gens or _twin_bound(host) > _GROUP_CAP:
+        return full
+    group = dict.fromkeys([tuple(range(num_edges)), *gens])  # insertion-ordered
+    frontier, work = gens, _SYMMETRY_WORK
+    while frontier:
+        grown = []
+        for g in frontier:
+            for h in gens:
+                gh = tuple(map(g.__getitem__, h))
+                if gh not in group:
+                    group[gh] = None
+                    grown.append(gh)
+            work -= num_edges * len(gens)
+            if len(group) > _GROUP_CAP or work < 0:
+                return full
+        frontier = grown
+    limit = int(num_edges * _EXTRA_SHARE)
+    return full + [(perm, limit) for perm in islice(group, 1 + len(gens), None)]
+
+
+def _lex_schedule(elements, num_edges):
+    """The incremental lex-leader check of ``_walk_below`` for the
+    (edge permutation, limit) pairs ``elements`` (``_lex_elements``): per
+    depth, the tuple of (element, previous slot or -1, slot, pairs)
+    compared there, where pairs are the (k, perm[k]) whose position k
+    becomes comparable at this depth and slot indexes the element's
+    renaming after this depth; per depth, the floors: the (element,
+    previous slot or -1, k) of each generator's event there whose first
+    pair is (k, that depth) with k colored before, so the depth's color
+    must be named at least ``assign[k]`` while the generator is tied; then
+    the number of elements and of slots.  Only the generators (the
+    elements compared to the last edge) get floors: reading a floor costs
+    each depth entry a few steps, and the other elements' floors cut
+    almost nothing.
 
     Position k of ``assign`` and of ``assign`` composed with ``perm`` are
-    both known from depth max(j, perm[j]) over j <= k on.  Positions before
-    a generator's first moved one are equal in both and left out: the
-    canonical coloring names its colors in order, so the renaming starts as
-    the identity on the colors used."""
+    both known from depth max(j, perm[j]) over j <= k on, and an element is
+    compared only at depths below its limit.  Positions before an element's
+    first moved one are equal in both and left out: the canonical coloring
+    names its colors in order, so the renaming starts as the identity on
+    the colors used."""
     schedule = [[] for _ in range(num_edges)]
+    floors = [[] for _ in range(num_edges)]
     slot = 0
-    for g, perm in enumerate(perms):
+    for g, (perm, limit) in enumerate(elements):
         k0 = next(k for k in range(num_edges) if perm[k] != k)
         events = {}
         depth = k0
-        for k in range(k0, num_edges):
+        for k in range(k0, limit):
             depth = max(depth, k, perm[k])
+            if depth >= limit:
+                break
             events.setdefault(depth, []).append((k, perm[k]))
         prev = -1
         for depth, pairs in events.items():
+            k, p = pairs[0]
+            if p == depth > k and limit == num_edges:
+                floors[depth].append((g, prev, k))
             schedule[depth].append((g, prev, slot, tuple(pairs)))
             prev = slot
             slot += 1
-    return [tuple(at) for at in schedule], len(perms), slot
+    return [tuple(at) for at in schedule], [tuple(at) for at in floors], len(elements), slot
 
 
 def _packed(host: BipartiteGraph, need: tuple[int, int, int]):
@@ -403,16 +488,22 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     colors appear in increasing order along the edges, so a walk uses at
     most min(r, edges) colors and sizes its tables by that.  ``lex``
     (``_lex_schedule``) holds, per depth, the positions that become
-    comparable there for each automorphism perm, and the walk keeps
-    ``assign`` lex-at-most its image ``assign[perm[k]]`` with colors
-    renamed by first appearance.  The lex-least coloring meets every such
-    order (see the module docstring), so only the node count changes.
-    Only the generators still tied do any work: ``sat[g]`` is the depth at
-    which generator g became strictly less on this path, and
-    ``states[slot]`` its renaming after that slot's depth (color to name,
-    the next name last), so neither needs an undo.  A color that breaks an
-    order is cut like one that meets the rule, as a node, and ``merged``
-    undoes its union.
+    comparable there for each element perm of ``_lex_elements``: every
+    generator to the last edge, and each other element of a group within
+    ``_GROUP_CAP`` only up to its limit.  The walk keeps ``assign``
+    lex-at-most its image ``assign[perm[k]]``, with colors renamed by first
+    appearance, on the positions compared.  The lex-least coloring meets
+    every such order and each prefix of one (see the module docstring), so
+    only the node count changes.  Only the elements still tied do any
+    work: ``sat[g]`` is the depth at which element g became strictly less
+    on this path, and ``states[slot]`` its renaming after that slot's depth
+    (color to name, the next name last), so neither needs an undo.  On
+    entering a depth, each generator still tied whose next pair is
+    (k, this edge) with k colored allows only the colors named at least
+    ``assign[k]``; the first color tried is the least one every such
+    generator allows, and a depth none allows pops at once.  Any other
+    color that breaks an order is cut like one that meets the rule, as a
+    node, and ``merged`` undoes its union.
 
     Past the split depth P = min(``_PREFIX_DEPTH``, edges), each depth d
     where a new X-row starts keys its state as one int: a nonzero header
@@ -435,7 +526,12 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     task's union-finds, orders and count start where the walk that made
     the prefix left them."""
     weight, threshold, need_x = rule
-    schedule, num_gens, num_slots = lex
+    schedule, floors, num_elements, num_slots = lex
+    start = len(prefix)
+    if start == stop:  # nothing left to color: the prefix is the one leaf
+        yield tuple(prefix), 0
+        yield None, 0
+        return
     r = min(r, len(ends))  # a canonical walk opens at most one new color per edge
     ys = sorted({b for _, b in ends})
     shift = len(ys)  # Y-vertex ys[j] owns bit j of each packed size, below the weight
@@ -452,7 +548,6 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     dead = set()
     keys = [None] * (stop + 1)
     yielded = False
-    start = len(prefix)
     first = list(prefix) + [0] * (stop - start)  # the first color tried at each depth
     assign = [-1] * stop  # -1 before a depth's first color
     merged = [-1] * stop  # the root attached at each depth, -1 for none
@@ -460,18 +555,13 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     # choosing the top color raises the next top
     top = [0] * (stop + 1)
     done = len(ends)
-    sat = [done] * num_gens
+    sat = [done] * num_elements
     states = [None] * num_slots
     identity = [list(range(c)) + [-1] * (r - c) + [c] for c in range(r)]
     raised = [min(r - 1, c + 1) for c in range(r)]  # top after choosing top color c
-    nodes = -start
+    nodes = -start  # below 0 while the prefix replays
     idx = 0
-    while idx >= start or nodes < 0:  # nodes < 0 while the prefix replays
-        if idx == stop:
-            yielded = True
-            yield tuple(assign), nodes
-            idx -= 1
-            continue
+    while True:
         c = assign[idx]
         if c >= 0:
             b = merged[idx]
@@ -485,12 +575,28 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
                 if row_start[idx] and not yielded and len(dead) < _DEAD_STATES:
                     dead.add(keys[idx])
                 idx -= 1
+                if idx < start:
+                    break
                 if idx < split:
                     dead.clear()
                 continue
             c += 1
         else:
             c = first[idx]
+            if floors[idx]:
+                hi = top[idx]
+                for g, prev, k in floors[idx]:
+                    need = assign[k]
+                    if need and sat[g] >= idx:  # tied: this edge's color must be named need or more
+                        ren = identity[top[k]] if prev < 0 else states[prev]
+                        least = 0
+                        while least <= hi and (ren[least] if ren[least] >= 0 else ren[r]) < need:
+                            least += 1
+                        if least > c:
+                            c = least
+                if c > hi:  # no color is allowed: pop at the next pass, as after the top color
+                    assign[idx], merged[idx] = hi, -1
+                    continue
         nodes += 1
         if nodes > budget:
             break
@@ -518,9 +624,11 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
         events = schedule[idx]
         if events:
             broken = False
-            for g, prev, slot, pairs in events:
+            for event in events:
+                g = event[0]
                 if sat[g] < idx:
                     continue
+                _, prev, slot, pairs = event
                 ren = identity[top[pairs[0][0]]] if prev < 0 else states[prev]
                 for k, p in pairs:
                     name = ren[assign[p]]
@@ -541,6 +649,11 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
             if broken:  # merged[idx] undoes the union at the next color
                 continue
         idx += 1
+        if idx == stop:
+            yielded = True
+            yield tuple(assign), nodes
+            idx -= 1
+            continue
         top[idx] = top[idx - 1] if c < top[idx - 1] else raised[c]
         if row_start[idx]:
             key = ends[idx][0] * r + top[idx] + 1
@@ -630,7 +743,7 @@ def _below_probe(host: BipartiteGraph, r: int, workers: int, packing=(0, 0, 2)):
     ends, weights, (weight, _, _) = _packed(host, packing)  # needs of one kind pack alike
     if r < 1:
         raise ValueError("need r >= 1")
-    lex = _lex_schedule(_automorphisms(host), len(ends))
+    lex = _lex_schedule(_lex_elements(host), len(ends))
     workers = min(workers, os.cpu_count() or 1)
     depth = _prefix_depth(len(ends), r, workers)
 

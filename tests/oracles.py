@@ -117,6 +117,25 @@ def lex_leader_ok(colors, perm):
     return True
 
 
+def lex_floor(colors, perm, top):
+    """The least color in 0..``top`` that the next position
+    (``len(colors)``) may take without breaking the order of ``perm`` (as
+    in ``lex_leader_ok``), or top + 1 if none may, when every position known
+    so far is tied and the first one not yet known is a colored position k
+    whose image is the next position: the next color's name must reach
+    ``colors[k]``.  Otherwise 0."""
+    names = {}
+    d = len(colors)
+    for k, p in enumerate(perm):
+        if k >= d or p >= d:
+            if p == d > k:
+                return next((c for c in range(top + 1) if names.get(c, len(names)) >= colors[k]), top + 1)
+            return 0
+        if colors[k] != names.setdefault(colors[p], len(names)):
+            return 0
+    return 0
+
+
 # the depth at which the library's walk splits into tasks (search._PREFIX_DEPTH),
 # and the most dead states it keeps under one prefix of that depth
 # (search._DEAD_STATES)
@@ -145,9 +164,12 @@ def state_key(m, n, edges, colors, r):
 def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop, perms=(), dead=None):
     """The below-``t`` search tree under ``prefix`` in lex order: None for
     each color tried, then the colors of ``edges[:stop]`` at each leaf
-    whose components all stay below ``t`` (``_below``).  A color whose prefix breaks
-    ``lex_leader_ok`` for some edge permutation of ``perms`` is tried, but
-    its subtree is not.
+    whose components all stay below ``t`` (``_below``).  ``perms`` holds
+    (edge permutation, limit) pairs, each compared on the first ``limit``
+    colors only.  The colors below the ``lex_floor`` of a permutation
+    compared on every edge are not tried.  A color whose prefix breaks
+    ``lex_leader_ok`` for some permutation is tried, but its subtree is
+    not.
 
     With ``dead`` (a set), the walk's dead-state cache: past
     ``SPLIT_DEPTH`` edges, a prefix that ends an X-row and has the
@@ -159,12 +181,13 @@ def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop, perms=(), dead=No
         return
     split = min(SPLIT_DEPTH, len(edges))
     hi = min(r - 1, max(prefix, default=-1) + 1) if canonicalize else r - 1
-    for c in range(hi + 1):
+    lo = max((lex_floor(prefix, perm, hi) for perm, limit in perms if limit == len(edges)), default=0)
+    for c in range(lo, hi + 1):
         colors = prefix + (c,)
         yield None
         if not _below(m, n, edges, colors, r, t):
             continue
-        if not all(lex_leader_ok(colors, p) for p in perms):
+        if not all(lex_leader_ok(colors[:limit], perm) for perm, limit in perms):
             continue
         d = len(colors)
         subtree = _below_tree(m, n, edges, r, t, canonicalize, colors, stop, perms, dead)
@@ -188,7 +211,8 @@ def brute_below_search(host, r, t, canonicalize=True, budget=1 << 62, perms=(), 
     """The search for a coloring keeping every component below ``t`` (for
     ``t`` None: every component short of half of X or of half of Y), as one
     lex-order walk of the whole tree that stops at node ``budget + 1``,
-    with the lex-leader cut of ``perms`` and, with ``dead_states``, the
+    with the lex-leader cut of ``perms`` ((edge permutation, limit) pairs,
+    as ``_below_tree`` reads them) and, with ``dead_states``, the
     dead-state cache.  Returns (kind, examined, colors or None)."""
     m, n, edges = host.m, host.n, tuple(host.edges())
     examined = 0

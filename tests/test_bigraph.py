@@ -153,6 +153,21 @@ class TestDegreeProfile:
         assert 0 <= prof.delta_xy <= prof.avg_xy <= g.n or g.edge_count == 0
         assert 0 <= prof.delta_yx <= prof.avg_yx <= g.m or g.edge_count == 0
 
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_min_y_degree_from_planes(self, data):
+        # the descent through the planes against every column's count,
+        # with some columns forced empty (count 0 must win) and up to 20
+        # rows, so counts span up to five planes
+        m = data.draw(st.integers(1, 20))
+        n = data.draw(st.integers(1, 12))
+        empty = data.draw(st.sets(st.integers(0, n - 1)))
+        dense = data.draw(st.floats(0, 1))
+        rng = random.Random(data.draw(st.integers(0, 1 << 30)))
+        edges = [(x, y) for x in range(m) for y in range(n) if y not in empty and rng.random() < dense]
+        g = from_edge_list(m, n, edges)
+        assert degree_profile(g).delta_yx == min(g.y_degrees()) == min(oracles.column_degrees(n, edges))
+
     def test_json_dict(self):
         prof = degree_profile(from_edge_list(2, 3, [(0, 0), (0, 1), (1, 2)]))
         data = prof.to_json_dict()

@@ -191,7 +191,7 @@ class TestBelowSearch:
             r = rng.randint(1, 3)
             if host is None or host.edge_count > 12 or r**host.edge_count > 4096:
                 continue
-            perms = search._automorphisms(host)
+            perms = search._lex_elements(host)
             for t in range(2, host.m + host.n + 2):
                 want = oracles.brute_below_search(host, r, t, perms=perms, dead_states=True)
                 for budget in {b for b in (1, want[1] - 1, want[1], 1 << 62) if b >= 1}:
@@ -213,7 +213,7 @@ class TestBelowSearch:
         # and once through a real pool of two processes
         host, t = complete_minus_circulant(4, 4, 1), 4
         want = oracles.brute_below_search(
-            host, 2, t, perms=search._automorphisms(host), dead_states=True
+            host, 2, t, perms=search._lex_elements(host), dead_states=True
         )
         force_depth(monkeypatch, 2)
         fast = exists_coloring_below(host, 2, t, workers=2)
@@ -234,7 +234,7 @@ class TestBelowSearch:
             r = rng.choice((1, 2, 2, 3, 3))
             if host is None or r**host.edge_count > 1 << 13:
                 continue
-            perms = search._automorphisms(host)
+            perms = search._lex_elements(host)
             moved += bool(perms)
             for t in range(2, host.m + host.n + 2):
                 kind, _, want = oracles.brute_below_search(host, r, t)
@@ -262,7 +262,7 @@ class TestBelowSearch:
         # 1,200 edges: one stack frame per edge would overflow the stack
         host = complete(30, 40)
         out = exists_coloring_below(host, 2, 60, SearchConfig(budget=100000))
-        assert (out.kind, out.examined) == ("Counterexample", 1640)
+        assert (out.kind, out.examined) == ("Counterexample", 1215)
         assert largest_mono_component(host, out.witness).order < 60
         out = min_max_mono_component(host, 2, SearchConfig(budget=100000))
         assert out.kind == "BudgetExhausted"
@@ -301,7 +301,7 @@ class TestDeadStates:
         of ``runs``; return how many targets the cache moved."""
         assert oracles.SPLIT_DEPTH == search._PREFIX_DEPTH  # both forget dead states there
         assert oracles.DEAD_STATES == search._DEAD_STATES
-        perms = search._automorphisms(host)
+        perms = search._lex_elements(host)
         moved = 0
         for t in targets:
             kind, plain, want = oracles.brute_below_search(host, r, t, perms=perms)
@@ -387,11 +387,13 @@ class TestDeadStates:
 
     def test_circulant_probes(self):
         host = complete_minus_circulant(10, 10, 3)
+        # the whole group of order 40 (363,939 and 96,816 nodes with its
+        # three generators alone)
         out = exists_coloring_below(host, 2, 10)
-        assert (out.kind, out.examined) == ("AllSatisfy", 363939)
+        assert (out.kind, out.examined) == ("AllSatisfy", 193104)
         out = exists_coloring_below(host, 2, 11)
         colors = "".join(str(c) for _, _, c in out.witness.edges())
-        assert (out.kind, out.examined) == ("Counterexample", 96816)
+        assert (out.kind, out.examined) == ("Counterexample", 94452)
         # the lex-least witness, as without the cache (661,510 nodes)
         assert colors == (
             "0000011011110000111000001100000110000011001110001111000011000001000001"
@@ -415,11 +417,11 @@ def _closure_order(perms, num_edges):
 
 class TestAutomorphisms:
     @staticmethod
-    def _check_generators(host):
-        """Each generator maps the edges onto the edges by a vertex map that
-        keeps the sides or swaps them whole."""
+    def _check_generators(host, perms=None):
+        """Each generator (or each of ``perms``) maps the edges onto the
+        edges by a vertex map that keeps the sides or swaps them whole."""
         ends = [(x, host.m + y) for x, y in host.edges()]
-        perms = search._automorphisms(host)
+        perms = search._automorphisms(host) if perms is None else perms
 
         def vertex_map(perm, swap):
             sigma = {}
@@ -481,10 +483,47 @@ class TestAutomorphisms:
 
     def test_perfect_matching_complement_r3(self):
         # K_{8,8} minus a perfect matching, r = 3, target 6: 487,454,652
-        # nodes under twin breaking alone, which finds no twins here, and
-        # 1,412,394 without the dead-state cache
+        # nodes under twin breaking alone, which finds no twins here,
+        # 1,412,394 without the dead-state cache, and 1,160,790 with every
+        # color below a generator's least allowed one tried
         out = exists_coloring_below(complete_minus_circulant(8, 8, 1), 3, 6)
-        assert (out.kind, out.examined) == ("AllSatisfy", 1160790)
+        assert (out.kind, out.examined) == ("AllSatisfy", 1095213)
+
+    @pytest.mark.parametrize(
+        "host",
+        [complete_minus_circulant(10, 10, 3), complete_minus_circulant(4, 4, 1), complete(2, 3),
+         complete_minus_circulant(3, 5, 1), complete(4, 4), complete_minus_circulant(5, 5, 1),
+         complete_minus_circulant(6, 6, 2)],
+        ids=["circ10_10_3", "circ441", "k23", "circ351", "k44", "circ551", "circ662"],
+    )
+    def test_lex_elements(self, host):
+        # every element maps edges onto edges; under the cap the set is the
+        # whole group but the identity, the generators first and compared
+        # on every edge, the rest on the first 3E/7; over it, the generators
+        elements = search._lex_elements(host)
+        perms = [perm for perm, _ in elements]
+        self._check_generators(host, perms)
+        gens = [tuple(perm) for perm in self._check_generators(host)]
+        num = host.edge_count
+        assert len(set(perms)) == len(perms) and tuple(range(num)) not in perms
+        assert elements[:len(gens)] == [(perm, num) for perm in gens]
+        order = _closure_order(gens, num)
+        if order <= search._GROUP_CAP:
+            assert len(elements) == order - 1
+            assert {limit for _, limit in elements[len(gens):]} <= {num * 3 // 7}
+        else:
+            assert len(elements) == len(gens)
+
+    def test_complete_hosts_keep_their_generators(self):
+        # the twin classes prove these groups larger than the cap, so no
+        # closure runs and the walk breaks the generators alone
+        for m, n in itertools.combinations_with_replacement(range(1, 10), 2):
+            host = complete(m, n)
+            if math.factorial(m) * math.factorial(n) * (2 if m == n else 1) <= search._GROUP_CAP:
+                continue
+            assert search._twin_bound(host) > search._GROUP_CAP
+            gens = search._automorphisms(host)
+            assert search._lex_elements(host) == [(tuple(g), host.edge_count) for g in gens]
 
 
 class TestMinMax:
