@@ -271,7 +271,9 @@ class BipartiteGraph(Record):
     rows: tuple[int, ...]
     edge_count: int
 
-    def _check(self):
+    def _check(self, degrees=None):
+        """Validate the fields and keep the row degrees: ``degrees`` when
+        the caller has counted the rows, else counted here."""
         m, n, rows = self.m, self.n, self.rows
         if m < 0 or n < 0:
             raise IndexOutOfRange(f"negative side size ({m}, {n})")
@@ -281,7 +283,8 @@ class BipartiteGraph(Record):
         if rows and (min(rows) < 0 or max(rows) >> n):
             x = next(x for x, row in enumerate(rows) if row < 0 or row >> n)
             raise IndexOutOfRange(f"row {x} has a neighbor outside [0, {n})")
-        degrees = tuple(map(int.bit_count, rows))
+        if degrees is None:
+            degrees = tuple(map(int.bit_count, rows))
         if sum(degrees) != self.edge_count:
             raise GraphError("edge_count does not match adjacency rows")
         object.__setattr__(self, "_degrees", degrees)
@@ -416,9 +419,17 @@ def _plane_min(planes: list[int], mask: int) -> int:
 
 
 def from_rows(m: int, n: int, rows) -> BipartiteGraph:
-    """Build a graph directly from per-X bitmask rows (validated)."""
+    """Build a graph directly from per-X bitmask rows (validated), counting
+    each row once: the degrees give the edge count and go to the check,
+    which the constructor would run on a second count (on wide rows the
+    count is most of the build)."""
     rows = tuple(rows)
-    return BipartiteGraph(m, n, rows, sum(r.bit_count() for r in rows))
+    degrees = tuple(map(int.bit_count, rows))
+    graph = object.__new__(BipartiteGraph)
+    for field, value in zip(BipartiteGraph._fields, (m, n, rows, sum(degrees))):
+        object.__setattr__(graph, field, value)
+    graph._check(degrees)
+    return graph
 
 
 def from_edge_list(m: int, n: int, edges) -> BipartiteGraph:

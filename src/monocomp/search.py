@@ -38,17 +38,20 @@ next compares an edge colored before with this edge as its image
 allows only the colors whose names reach that edge's color, so the walk
 starts the depth at the least color every such generator allows, and the
 colors below it are never tried.  The walk also skips dead states (subproblem
-dominance caching: Chu, Garcia de la Banda, Stuckey, Constraints 17, 2012;
-Smith, CP 2005).  Once an X-row is fully colored, the rest of the walk
-depends only on the row, the colors in use and, per color, the partition
-of Y into components with their packed weights, since the X-vertices
-still to come are untouched; a state whose subtree had no leaf is
-skipped when it recurs.  Each union-find size carries its component's
-Y-vertices as a bit mask below the packed weight, so a state's key is one
-int read off the roots.  The earlier prefix with the same state is
-lex-less, and extended by the same colors it would be a solution too, so
-no skipped subtree holds the lex-least solution.  So no cut changes a
-decision or a witness; only the node count moves.
+dominance: Chu, Garcia de la Banda, Stuckey, Constraints 17, 2012; Smith,
+CP 2005).  Once an X-row is fully colored, the rest of the walk depends
+only on the row, the colors in use and, per color, the partition of the
+vertices into components, since the X-vertices still to come are
+untouched.  A state whose subtree had no leaf is dead, and a later state
+at the same row with the same colors in use is skipped when a dead one
+refines it: per color, each block of the dead partition lies inside a
+block of the later one (equal partitions are the special case).  Then,
+for any coloring of the rest, each component the dead prefix forms lies
+inside one the later prefix forms, and the conclusion is monotone in the
+X- and Y-counts, so a rest that keeps the later prefix below it keeps the
+dead prefix below it too.  The dead prefix is lex-less, so no skipped
+subtree holds the lex-least solution.  So no cut changes a decision or a
+witness; only the node count moves.
 
 A below search, an exhaustive verify and each min-max probe is one walk
 over all edges: ``examined`` is its node count and the budget one cap on
@@ -75,7 +78,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from contextlib import closing, contextmanager
 from fractions import Fraction
 from itertools import islice
@@ -97,7 +100,10 @@ _PREFIX_DEPTH = 4
 _SYMMETRY_WORK = 1 << 16
 _GROUP_CAP = 64  # the largest group order whose every element the walk breaks
 _EXTRA_SHARE = Fraction(3, 7)  # the share of the edges on which the other elements are compared
-_DEAD_STATES = 1 << 18  # dead keys a walk keeps per split prefix (circ(9,9,2) r3: ~29 MB)
+_DEAD_STATES = 1 << 18  # dead keys a walk keeps per split prefix (circ(9,9,2) r3: 156 bytes a key)
+_DEAD_BITS = 1 << 28  # and keys of at most this many matrix bits in all (2^18 of circ(9,9,2) r3 fit)
+_RECENT = 32  # the newest dead keys per (depth, top) a state is tested for refinement against
+_KEY_BITS = 1 << 16  # the widest block matrix, r times vertices squared bits, kept for dead states
 
 
 class SearchConfig(Record, frozen=False):
@@ -123,12 +129,13 @@ class SearchOutcome(Record, frozen=False):
         return fields_json(self)
 
 
-def _automorphisms(host: BipartiteGraph) -> list[list[int]]:
+def _automorphisms(host: BipartiteGraph) -> tuple[list[list[int]], int | None]:
     """Generators of the host's automorphism group, each as an edge
     permutation ``perm`` over ``_packed``'s ``ends``: the vertex bijection
     sends edge i onto edge ``perm[i]``.  Every bijection keeps X and Y, or
     (only when m = n) swaps them whole, and each one is checked against the
-    edge set before it is returned.
+    edge set before it is returned.  With them comes the number of edge
+    permutations the group holds, or None when the search stopped early.
 
     Individualization and refinement (after McKay, J. Algorithms 26, 1998)
     over X and Y, whose vertices are numbered as in ``ends``: refining an
@@ -143,8 +150,12 @@ def _automorphisms(host: BipartiteGraph) -> list[list[int]]:
     automorphism (nodes whose cell sizes differ from the first path's are
     cut).  Together these generate the side-keeping group; with m = n, one
     search from the partition with the sides in swapped order adds a side
-    swap if there is one.  Transpositions of twin vertices (the same
-    neighbourhood) seed the orbits, which spares complete hosts the search.
+    swap if there is one.  The orbit sizes of the path's vertices multiply
+    to the side-keeping group's order (orbit-stabilizer); the permutations
+    of isolated vertices move no edge, and a side swap doubles the edge
+    permutations unless some swap fixes every edge (only on a matching).
+    Transpositions of twin vertices (the same neighbourhood) seed the
+    orbits, which spares complete hosts the search.
     The search stops after ``_SYMMETRY_WORK`` vertex steps, and at most
     ``_SYMMETRY_WORK`` permutation entries are returned: on a big host the
     walk breaks the symmetry of the generators found first, which keeps
@@ -152,7 +163,7 @@ def _automorphisms(host: BipartiteGraph) -> list[list[int]]:
     m, n = host.m, host.n
     num = m + n
     if host.edge_count > _SYMMETRY_WORK:  # no generator would fit
-        return []
+        return [], None
     ends = [(x, m + y) for x, y in host.edges()]
     edge_at = {e: i for i, e in enumerate(ends)}
     adj = [[] for _ in range(num)]
@@ -299,6 +310,7 @@ def _automorphisms(host: BipartiteGraph) -> list[list[int]]:
             sigma[a], sigma[b] = b, a
             if work >= 0 and verified(sigma):
                 gens.append(sigma)
+    order = None
     if len(path[-1][1]) == num:  # the first path reached a leaf
         depth = {node[0][target]: i for i, (node, _, target) in enumerate(path[:-1])}
         # orbits under the generators that fix the path above each level,
@@ -320,12 +332,15 @@ def _automorphisms(host: BipartiteGraph) -> list[list[int]]:
         for sigma in gens:
             moved = min(depth.get(v, num) for v in range(num) if sigma[v] != v)
             by_level.setdefault(moved, []).append(sigma)
+        # the group's vertex permutations, then its edge permutations
+        order = 1
         for level in range(len(path) - 2, -1, -1):
             for sigma in by_level.get(level, ()):
                 join(sigma)
             node, _, target = path[level]
             v = node[0][target]
-            for w in node[0][target + 1:node[2][target]]:
+            cell = node[0][target:node[2][target]]
+            for w in cell[1:]:
                 if work < 0:
                     break
                 if find(w) != find(v):
@@ -333,19 +348,27 @@ def _automorphisms(host: BipartiteGraph) -> list[list[int]]:
                     if sigma:
                         gens.append(sigma)
                         join(sigma)
+            order *= sum(find(w) == find(v) for w in cell)
+        for side in (x_side, y_side):
+            order //= math.factorial(sum(not adj[v] for v in side))
         if m == n and work >= 0:
             sigma = search(root((y_side, x_side)), 0)
             if sigma:
                 gens.append(sigma)
+                if any(len(row) > 1 for row in adj):
+                    order *= 2
+    kept = gens[:_SYMMETRY_WORK // len(ends)]
+    if work < 0 or len(kept) < len(gens):  # the generators found may not generate the group
+        order = None
     perms = []
-    for sigma in gens[:_SYMMETRY_WORK // len(ends)]:
+    for sigma in kept:
         if sigma[0] < m:
             perm = [edge_at[sigma[a], sigma[b]] for a, b in ends]
         else:
             perm = [edge_at[sigma[b], sigma[a]] for a, b in ends]
         if perm != list(range(len(ends))):  # isolated twins move no edge
             perms.append(perm)
-    return perms
+    return perms, order
 
 
 def _twin_bound(host: BipartiteGraph) -> int:
@@ -375,18 +398,29 @@ def _lex_elements(host: BipartiteGraph) -> list[tuple[tuple[int, ...], int]]:
     ``_GROUP_CAP`` elements, every other element of it follows, with the
     limit ``_EXTRA_SHARE`` of the edges: a cut near the root removes a large
     subtree, while deeper comparisons cost each node more than they save.
-    The group is found by closing the generators under composition,
-    breadth first, and abandoned once it passes the cap or
-    ``_SYMMETRY_WORK`` permutation entries; ``_twin_bound`` rules out a
-    large group before any closure step.  Each element's order is a lex
-    order over all positions, and its first ``limit`` edges' positions are
-    a prefix of it, which the lex-least solution meets as well, so a limit
-    changes only the node count."""
-    gens = list(dict.fromkeys(map(tuple, _automorphisms(host))))
+    The group's order, from ``_automorphisms``, or else ``_twin_bound``,
+    rules out a large group before any closure step (``_closure``).  Each
+    element's order is a lex order over all positions, and its first
+    ``limit`` edges' positions are a prefix of it, which the lex-least
+    solution meets as well, so a limit changes only the node count."""
+    perms, order = _automorphisms(host)
+    gens = list(dict.fromkeys(map(tuple, perms)))
     num_edges = host.edge_count
     full = [(perm, num_edges) for perm in gens]
-    if not gens or _twin_bound(host) > _GROUP_CAP:
+    if not gens or (_twin_bound(host) if order is None else order) > _GROUP_CAP:
         return full
+    group = _closure(gens, num_edges)
+    if group is None:
+        return full
+    limit = int(num_edges * _EXTRA_SHARE)
+    return full + [(perm, limit) for perm in islice(group, 1 + len(gens), None)]
+
+
+def _closure(gens, num_edges):
+    """The group the edge permutations ``gens`` generate, closed under
+    composition breadth first from the identity and then ``gens``, in the
+    order found, or None once it passes ``_GROUP_CAP`` elements or
+    ``_SYMMETRY_WORK`` permutation entries."""
     group = dict.fromkeys([tuple(range(num_edges)), *gens])  # insertion-ordered
     frontier, work = gens, _SYMMETRY_WORK
     while frontier:
@@ -399,10 +433,9 @@ def _lex_elements(host: BipartiteGraph) -> list[tuple[tuple[int, ...], int]]:
                     grown.append(gh)
             work -= num_edges * len(gens)
             if len(group) > _GROUP_CAP or work < 0:
-                return full
+                return None
         frontier = grown
-    limit = int(num_edges * _EXTRA_SHARE)
-    return full + [(perm, limit) for perm in islice(group, 1 + len(gens), None)]
+    return list(group)
 
 
 def _lex_schedule(elements, num_edges):
@@ -480,13 +513,10 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     ``budget + 1`` after a budget stop.
 
     The search is an iterative depth-first walk on one rollback union-find
-    per color, inlined: ``parents[c]``/``sizes[c]`` with no path
-    compression, and at each depth the root that its union attached, or -1.
-    A size is the packed weight above one bit per Y-vertex with edges,
-    (weight << S) | ymask: masks of disjoint components add without carry,
-    so a union and its undo carry the component's Y-vertices too.  New
-    colors appear in increasing order along the edges, so a walk uses at
-    most min(r, edges) colors and sizes its tables by that.  ``lex``
+    per color, inlined: ``parents[c]``/``sizes[c]`` (packed weights) with no
+    path compression, and at each depth the root that its union attached, or
+    -1.  New colors appear in increasing order along the edges, so a walk
+    uses at most min(r, edges) colors and sizes its tables by that.  ``lex``
     (``_lex_schedule``) holds, per depth, the positions that become
     comparable there for each element perm of ``_lex_elements``: every
     generator to the last edge, and each other element of a group within
@@ -494,32 +524,45 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     lex-at-most its image ``assign[perm[k]]``, with colors renamed by first
     appearance, on the positions compared.  The lex-least coloring meets
     every such order and each prefix of one (see the module docstring), so
-    only the node count changes.  Only the elements still tied do any
-    work: ``sat[g]`` is the depth at which element g became strictly less
-    on this path, and ``states[slot]`` its renaming after that slot's depth
-    (color to name, the next name last), so neither needs an undo.  On
-    entering a depth, each generator still tied whose next pair is
-    (k, this edge) with k colored allows only the colors named at least
-    ``assign[k]``; the first color tried is the least one every such
-    generator allows, and a depth none allows pops at once.  Any other
-    color that breaks an order is cut like one that meets the rule, as a
-    node, and ``merged`` undoes its union.
+    only the node count changes.  Only the elements still tied do any work:
+    ``sat[g]`` is the depth at which element g became strictly less on this
+    path, and ``states[slot]`` its renaming after that slot's depth (color
+    to name, the next name last), so neither needs an undo.  On entering a
+    depth, each generator still tied whose next pair is (k, this edge) with
+    k colored allows only the colors named at least ``assign[k]``; the first
+    color tried is the least one every such generator allows, and a depth
+    none allows pops at once.  Any other color that breaks an order is cut
+    like one that meets the rule, as a node, and ``merged`` undoes its
+    union.
 
-    Past the split depth P = min(``_PREFIX_DEPTH``, edges), each depth d
-    where a new X-row starts keys its state as one int: a nonzero header
-    for the row and ``top[d]``, then, per color up to it, the size of each
-    component holding a Y-vertex, in order of its least Y-vertex, in
-    fixed-width fields.  Each component is found at the lowest Y bit not
-    yet covered, so equal keys mean the same row, the same ``top[d]`` and,
-    per color, the same partition of Y with the same weights.  A key in
-    ``dead`` skips the subtree (the color that led there still counts as a
-    node); a subtree that ends before any leaf was yielded adds its key
-    while ``dead`` holds fewer than ``_DEAD_STATES`` keys, which bounds the
-    walk's memory on searches of many millions of nodes.  The row is
-    part of the key: states at different rows can be equal, and their
-    futures differ.  ``dead`` is emptied at each backtrack above P, so a
-    task whose prefix is at most P edges long counts exactly the nodes the
-    serial walk spends under that prefix.
+    The colors' vertex partitions are one block matrix ``mat``: color c
+    holds nv fields of nv bits from bit ``offset[c]`` on (nv the vertices
+    with edges), field i the mask of the component of vertex ``verts[i]``.
+    Each root keeps its component's mask and its spread (bit nv i for each
+    vertex i in it), so a union of components A and B adds
+    spread_A mask_B + spread_B mask_A at color c's offset: each field of A
+    gains B's mask and the reverse, without carry.  ``saved[d]`` is the
+    matrix before depth d's union, which its undo restores.  Past the split
+    depth P = min(``_PREFIX_DEPTH``, edges), each depth d where a new X-row
+    starts keys its state as the matrix above the header d r + ``top[d]``,
+    so equal keys mean the same row, the same ``top[d]`` and the same
+    partitions.  The state is skipped (the color that led there still
+    counts as a node) when its key is in ``dead``, or when one of the
+    newest ``_RECENT`` dead keys with its header refines it: key | dead
+    is key, one OR and one compare each in C, when each dead block lies
+    inside a block of this state.  A subtree that ends before any leaf was
+    yielded adds its key to its header's window and, while ``dead`` holds
+    fewer than ``_DEAD_STATES`` keys and fewer than ``_DEAD_BITS`` bits of
+    matrix, to ``dead``, which bounds the walk's memory on searches of
+    many millions of nodes.  The row is part of the key: states at
+    different rows can be equal, and their futures differ.  When r nv^2
+    passes ``_KEY_BITS``, the walk keeps neither the matrix nor any dead
+    state: the matrix work per node grows as r nv^2 (``K_{90,90}`` at 2
+    colors, 64,800 bits, spends about 9 µs a node against the unkeyed
+    walk's 1.3), and the spreads hold r nv^3 / 2 bits.  ``dead`` and the
+    windows are emptied at each backtrack
+    above P, so a task whose prefix is at most P edges long counts exactly
+    the nodes the serial walk spends under that prefix.
 
     The walk replays ``prefix`` first, taking each prefix color as its
     depth's first, with ``nodes`` starting at minus the prefix length, so a
@@ -533,20 +576,32 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
         yield None, 0
         return
     r = min(r, len(ends))  # a canonical walk opens at most one new color per edge
-    ys = sorted({b for _, b in ends})
-    shift = len(ys)  # Y-vertex ys[j] owns bit j of each packed size, below the weight
-    every_y = (1 << shift) - 1
-    bit = {b: 1 << j for j, b in enumerate(ys)}
-    packed = [w << shift | bit.get(v, 0) for v, w in enumerate(weights)]
-    threshold <<= shift
     parents = [list(range(len(weights))) for _ in range(r)]
-    sizes = [packed[:] for _ in range(r)]
+    sizes = [weights[:] for _ in range(r)]
     split = min(_PREFIX_DEPTH, len(ends))
+    verts = sorted({v for end in ends for v in end})  # the vertices with edges
+    nv = len(verts)
+    keyed = r * nv * nv <= _KEY_BITS
     # the depths past the split where a new X-row starts
-    row_start = [split < d < stop and ends[d][0] != ends[d - 1][0] for d in range(stop + 1)]
-    width = max(sum(packed), len(weights) * r).bit_length()  # fits any size and the header
+    row_start = [keyed and split < d < stop and ends[d][0] != ends[d - 1][0] for d in range(stop + 1)]
+    if keyed:
+        # vertex verts[i] owns bit i of a mask and bit nv * i of a spread
+        head_bits = ((stop + 1) * r).bit_length()
+        offset = [head_bits + c * nv * nv for c in range(r)]
+        mask, spread = [0] * len(weights), [0] * len(weights)
+        diagonal = 0  # every vertex a block of its own
+        for i, v in enumerate(verts):
+            mask[v], spread[v] = 1 << i, 1 << nv * i
+            diagonal |= 1 << (nv + 1) * i
+        masks = [mask[:] for _ in range(r)]
+        spreads = [spread[:] for _ in range(r)]
+        mat = sum(diagonal << at for at in offset)
+        saved = [0] * stop  # the matrix before each depth's union
+        most_dead = min(_DEAD_STATES, _DEAD_BITS // (r * nv * nv))
     dead = set()
+    recent = defaultdict(lambda: deque(maxlen=_RECENT))  # per header, its newest dead keys
     keys = [None] * (stop + 1)
+    windows = [None] * (stop + 1)
     yielded = False
     first = list(prefix) + [0] * (stop - start)  # the first color tried at each depth
     assign = [-1] * stop  # -1 before a depth's first color
@@ -570,15 +625,23 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
                 a = parent[b]
                 parent[b] = b
                 size[a] -= size[b]
+                if keyed:
+                    mask, spread = masks[c], spreads[c]
+                    mask[a] ^= mask[b]
+                    spread[a] ^= spread[b]
+                    mat = saved[idx]
             if c == top[idx]:
                 assign[idx] = -1
-                if row_start[idx] and not yielded and len(dead) < _DEAD_STATES:
-                    dead.add(keys[idx])
+                if row_start[idx] and not yielded:
+                    if len(dead) < most_dead:
+                        dead.add(keys[idx])
+                    windows[idx].append(keys[idx])
                 idx -= 1
                 if idx < start:
                     break
                 if idx < split:
                     dead.clear()
+                    recent.clear()
                 continue
             c += 1
         else:
@@ -613,7 +676,7 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
             size = sizes[c]
             merged_size = size[a] + size[b]
             # an order target (need_x 0) takes no % per cut
-            if merged_size >= threshold and (not need_x or (merged_size >> shift) % weight >= need_x):
+            if merged_size >= threshold and (not need_x or merged_size % weight >= need_x):
                 merged[idx] = -1
                 continue
             if size[a] < size[b]:
@@ -621,6 +684,13 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
             parent[b] = a
             size[a] = merged_size
             merged[idx] = b
+            if keyed:  # each field of one block gains the other block's mask
+                mask, spread = masks[c], spreads[c]
+                ma, mb, sa, sb = mask[a], mask[b], spread[a], spread[b]
+                mask[a] = ma | mb
+                spread[a] = sa | sb
+                saved[idx] = mat
+                mat += (sa * mb + sb * ma) << offset[c]
         events = schedule[idx]
         if events:
             broken = False
@@ -656,19 +726,14 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
             continue
         top[idx] = top[idx - 1] if c < top[idx - 1] else raised[c]
         if row_start[idx]:
-            key = ends[idx][0] * r + top[idx] + 1
-            for parent, size in zip(parents, sizes[:top[idx] + 1]):
-                rest = every_y  # Y-vertices not yet in a component
-                while rest:  # components by least Y-vertex
-                    v = ys[(rest & -rest).bit_length() - 1]
-                    while parent[v] != v:
-                        v = parent[v]
-                    key = key << width | size[v]
-                    rest &= ~size[v]
-            if key in dead:  # merged[idx - 1] undoes the union at the next color
+            head = idx * r + top[idx]
+            key = mat | head
+            window = recent[head]
+            # merged[idx - 1] undoes the union at the next color
+            if key in dead or window and key in map(key.__or__, window):
                 idx -= 1
                 continue
-            keys[idx] = key
+            keys[idx], windows[idx] = key, window
     yield None, nodes
 
 
@@ -896,14 +961,15 @@ def _sample_meets(colors, onehot, chunks, rule) -> bool:
     ``colors`` (one color per edge of ``_packed``'s ``ends``) meets ``rule``
     (``_packed``).  Each color is one E-bit edge mask: for ``bytes`` colors,
     ``int(colors.translate(onehot[c]), 2)`` in color order, where
-    ``onehot[c]`` maps byte c to ``b"1"`` and every other byte to ``b"0"``;
+    ``onehot[c]`` maps byte c to ``b"1"`` and every other byte to ``b"0"``,
+    or, with more colors than edges, only for the colors the sample holds;
     for a list, one pass over it.  ``chunks`` (``_row_chunks``) reads each
     X-row's Y-mask off the mask, and rows whose Y-masks meet merge into one
     component (x count, Y-mask), checked as it grows: the rule is monotone,
     so the scan stops at the first component that meets it."""
     weight, threshold, need_x = rule
     if colors.__class__ is bytes:  # each color's table, parsed below: no generator per sample
-        per_color = onehot
+        per_color = onehot if len(onehot) <= len(colors) else map(onehot.__getitem__, set(colors))
     else:
         per_color, bit = {}, 1 << len(colors)
         for c in colors:

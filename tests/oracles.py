@@ -137,28 +137,71 @@ def lex_floor(colors, perm, top):
 
 
 # the depth at which the library's walk splits into tasks (search._PREFIX_DEPTH),
-# and the most dead states it keeps under one prefix of that depth
-# (search._DEAD_STATES)
+# the most dead states it keeps under one prefix of that depth
+# (search._DEAD_STATES) and the most bits of them, each state taking colors
+# times vertices with edges squared (search._DEAD_BITS), the newest dead
+# states per (depth, top) it tests a state against for refinement
+# (search._RECENT), and the widest state for which it keeps dead states
+# (search._KEY_BITS)
 SPLIT_DEPTH = 4
 DEAD_STATES = 1 << 18
+DEAD_BITS = 1 << 28
+RECENT = 32
+KEY_BITS = 1 << 16
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def state_key(m, n, edges, colors, r):
     """What the rest of a canonical walk depends on once ``colors`` has
     colored whole X-rows: the number of edges colored, the highest color
-    the next edge may take, and for each color up to it the components by
-    BFS, as the set of (Y-vertices, X count) over a partition of all of Y
-    (a Y-vertex without an edge of that color is a class of its own, with
-    no X)."""
+    the next edge may take, and for each color up to it the partition of
+    the vertices with edges (X-vertex x as x, Y-vertex y as m + y) into
+    components by BFS, as a set of blocks (a vertex without an edge of that
+    color is a block of its own)."""
     top = min(r - 1, max(colors) + 1)
     key = [len(colors), top]
+    verts = {x for x, _ in edges} | {m + y for _, y in edges}
     for c in range(top + 1):
         comps = bfs_components(m, n, [e for e, col in zip(edges, colors) if col == c])
-        covered = set().union(*(ys for _, ys in comps))
-        lone = [(frozenset([y]), 0) for y in range(n) if y not in covered]
-        key.append(frozenset([(ys, len(xs)) for xs, ys in comps] + lone))
+        blocks = [frozenset(xs | {m + y for y in ys}) for xs, ys in comps]
+        covered = set().union(*blocks)
+        key.append(frozenset(blocks + [frozenset([v]) for v in verts - covered]))
     return tuple(key)
+
+
+def refines(finer, coarser):
+    """Do two ``state_key`` keys of the same depth and top have, per color,
+    every block of ``finer`` inside one block of ``coarser``?"""
+    return all(
+        all(any(block <= big for big in bigs) for block in blocks)
+        for blocks, bigs in zip(finer[2:], coarser[2:])
+    )
+
+
+class DeadStates:
+    """The walk's record of dead states (keys of subtrees without a leaf):
+    a set of at most ``capacity`` keys, and per (depth, top) a window of
+    the ``RECENT`` newest keys, the oldest dropped first.  A state is dead
+    if its key is in the set, or if some key of its window refines it."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.keys = set()
+        self.windows = {}
+
+    def skips(self, key):
+        return key in self.keys or any(refines(old, key) for old in self.windows.get(key[:2], ()))
+
+    def add(self, key):
+        if len(self.keys) < self.capacity:
+            self.keys.add(key)
+        window = self.windows.setdefault(key[:2], [])
+        window.append(key)
+        del window[:max(0, len(window) - RECENT)]
+
+    def clear(self):
+        self.keys.clear()
+        self.windows.clear()
 
 
 def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop, perms=(), dead=None):
@@ -171,10 +214,10 @@ def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop, perms=(), dead=No
     ``lex_leader_ok`` for some permutation is tried, but its subtree is
     not.
 
-    With ``dead`` (a set), the walk's dead-state cache: past
-    ``SPLIT_DEPTH`` edges, a prefix that ends an X-row and has the
-    ``state_key`` of an earlier prefix whose subtree had no leaf is tried,
-    but its subtree is not.  The set keeps at most ``DEAD_STATES`` keys and
+    With ``dead`` (``DeadStates``), the walk's dead-state cache: past
+    ``SPLIT_DEPTH`` edges, a prefix that ends an X-row and whose
+    ``state_key`` ``dead`` skips is tried, but its subtree is not; the
+    key of each such prefix whose subtree had no leaf is added.  ``dead``
     is emptied after the subtree of each prefix of ``SPLIT_DEPTH`` edges."""
     if len(prefix) == stop:
         yield prefix
@@ -197,13 +240,13 @@ def _below_tree(m, n, edges, r, t, canonicalize, prefix, stop, perms=(), dead=No
                 dead.clear()
             continue
         key = state_key(m, n, edges, colors, r)
-        if key in dead:
+        if dead.skips(key):
             continue
         leaf = False
         for item in subtree:
             leaf = leaf or item is not None
             yield item
-        if not leaf and len(dead) < DEAD_STATES:
+        if not leaf:
             dead.add(key)
 
 
@@ -213,11 +256,16 @@ def brute_below_search(host, r, t, canonicalize=True, budget=1 << 62, perms=(), 
     lex-order walk of the whole tree that stops at node ``budget + 1``,
     with the lex-leader cut of ``perms`` ((edge permutation, limit) pairs,
     as ``_below_tree`` reads them) and, with ``dead_states``, the
-    dead-state cache.  Returns (kind, examined, colors or None)."""
+    dead-state cache, kept when min(r, edges) colors times the vertices
+    with edges squared, the bits of a state, is at most ``KEY_BITS``.  Returns (kind, examined,
+    colors or None)."""
     m, n, edges = host.m, host.n, tuple(host.edges())
     examined = 0
     t = None if t is None else Fraction(t)
-    dead = set() if dead_states else None
+    num_verts = len({x for x, _ in edges}) + len({y for _, y in edges})
+    key_bits = min(r, len(edges)) * num_verts**2
+    keyed = dead_states and 0 < key_bits <= KEY_BITS
+    dead = DeadStates(min(DEAD_STATES, DEAD_BITS // key_bits)) if keyed else None
     tree = _below_tree(m, n, edges, r, t, canonicalize, (), len(edges), perms, dead)
     for leaf in tree:
         if leaf is not None:

@@ -127,6 +127,31 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRange, match=message):
             BipartiteGraph(len(rows), 3, tuple(rows), 3)
 
+    def test_from_rows_counts_each_row_once(self, monkeypatch):
+        # from_rows hands the degrees it counted to the check; the
+        # constructor, given an edge count, counts the rows itself
+        calls = []
+        check = BipartiteGraph._check
+
+        def counted(graph, degrees=None):
+            calls.append(degrees)
+            check(graph, degrees)
+
+        monkeypatch.setattr(BipartiteGraph, "_check", counted)
+        g = from_rows(3, 4, [0b1011, 0, 0b1111])
+        assert calls == [(3, 0, 4)]
+        assert (g.edge_count, g.degree(0), g.y_degrees()) == (7, 3, [2, 2, 1, 2])
+        assert g == BipartiteGraph(3, 4, (0b1011, 0, 0b1111), 7)
+        assert calls == [(3, 0, 4), None]
+        assert pickle.loads(pickle.dumps(g)) == g
+        # the errors are the constructor's
+        with pytest.raises(IndexOutOfRange, match="row count does not match m"):
+            from_rows(2, 3, [1])
+        with pytest.raises(IndexOutOfRange, match=re.escape("negative side size (-1, 3)")):
+            from_rows(-1, 3, [])
+        with pytest.raises(IndexOutOfRange, match=re.escape("row 1 has a neighbor outside [0, 3)")):
+            from_rows(2, 3, [1, 8])
+
     @given(bipartite_graphs())
     def test_round_trip_edge_list(self, g):
         assert from_edge_list(g.m, g.n, g.edges()) == g

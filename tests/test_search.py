@@ -291,9 +291,10 @@ def _padded(host, m, n):
 
 class TestDeadStates:
     """The below walk skips a state at an X-row start past the split depth
-    whose key an earlier, leafless subtree had: ``examined`` is the oracle
-    mirror's for every split depth and worker count, and the kind and the
-    lex-least witness are those of the walk without the cache."""
+    whose key an earlier, leafless subtree had, or whose vertex partition
+    a recent such key refines: ``examined`` is the oracle mirror's for
+    every split depth and worker count, and the kind and the lex-least
+    witness are those of the walk without the cache."""
 
     @staticmethod
     def _check(monkeypatch, host, r, targets, runs):
@@ -301,6 +302,9 @@ class TestDeadStates:
         of ``runs``; return how many targets the cache moved."""
         assert oracles.SPLIT_DEPTH == search._PREFIX_DEPTH  # both forget dead states there
         assert oracles.DEAD_STATES == search._DEAD_STATES
+        assert oracles.DEAD_BITS == search._DEAD_BITS
+        assert oracles.RECENT == search._RECENT
+        assert oracles.KEY_BITS == search._KEY_BITS
         perms = search._lex_elements(host)
         moved = 0
         for t in targets:
@@ -338,13 +342,14 @@ class TestDeadStates:
             (from_edge_list(9, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 2),
                                    (3, 1), (4, 1), (4, 2), (5, 0), (6, 1), (6, 2), (7, 0),
                                    (7, 2), (8, 0), (8, 1)]), 2),
-            # isolated vertices lift the packed weights to 256 and more
+            # isolated vertices lift the packed weights to 256 and more, and
+            # stay out of the block matrix
             (_padded(complete(7, 3), 7, 250), 2),
             (_padded(complete(4, 2), 4, 260), 3),
             # Y-vertex 0 is isolated, so the Y-vertices with edges start at slot m + 1
             (from_edge_list(5, 4, [(x, y + 1) for x, y in complete(5, 3).edges()]), 2),
             # at the last row start one component can hold every vertex but
-            # the last row's, weight 8 of 9: its packed size fills its field
+            # the last row's: one field holds every bit but the last row's
             (complete(6, 3), 2),
         ],
         ids=["k53r2", "k73r2", "c551r2", "c662r2", "rows9r2", "k73padded-r2", "k42padded-r3",
@@ -361,16 +366,29 @@ class TestDeadStates:
         assert moved or r == 3
 
     def test_full_record_takes_no_more_keys(self, monkeypatch):
-        # with room for three keys per split prefix the walk skips less, and
-        # its count is still the mirror's
+        # with room for three keys per split prefix the walk skips less,
+        # and its count is still the mirror's; both runs keep one key per
+        # window, since a window of 32 catches every state the three-key
+        # set forgets here
         host = complete_minus_circulant(6, 6, 2)
         runs = [(0, 1), (2, 1), (host.edge_count, 1)]
+        monkeypatch.setattr(search, "_RECENT", 1)
+        monkeypatch.setattr(oracles, "RECENT", 1)
         full = [exists_coloring_below(host, 2, t).examined for t in range(2, 14)]
         monkeypatch.setattr(search, "_DEAD_STATES", 3)
         monkeypatch.setattr(oracles, "DEAD_STATES", 3)
         assert self._check(monkeypatch, host, 2, range(2, 14), runs)
         capped = [exists_coloring_below(host, 2, t).examined for t in range(2, 14)]
         assert capped != full and all(c >= f for c, f in zip(capped, full))
+        # room for the bits of three keys (2 colors times 12 vertices
+        # squared each) is room for three keys
+        bits = 3 * 2 * 12 * 12 + 287
+        for module, states, bit_cap in ((search, "_DEAD_STATES", "_DEAD_BITS"),
+                                        (oracles, "DEAD_STATES", "DEAD_BITS")):
+            monkeypatch.setattr(module, states, 1 << 18)
+            monkeypatch.setattr(module, bit_cap, bits)
+        assert self._check(monkeypatch, host, 2, range(2, 14), runs)
+        assert [exists_coloring_below(host, 2, t).examined for t in range(2, 14)] == capped
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -385,15 +403,124 @@ class TestDeadStates:
         assert sum(search._packed(host, need)[1]) >= 256
         self._check(monkeypatch, host, r, [None], [(0, 1), (2, 1), (host.edge_count, 1)])
 
+    @pytest.mark.parametrize("recent", [1, 2, 3])
+    def test_window_eviction_matches_mirror(self, monkeypatch, recent):
+        # a window of one to three keys skips fewer states here than one of
+        # 32 (765, 743 and 743 nodes at t = 6, against 739), and the walk
+        # drops the oldest key of a full window as the mirror does
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+        host = complete_minus_circulant(6, 6, 2)
+        full = exists_coloring_below(host, 2, 6).examined
+        monkeypatch.setattr(search, "_RECENT", recent)
+        monkeypatch.setattr(oracles, "RECENT", recent)
+        runs = list(itertools.product((0, 2, host.edge_count), (1, 2)))
+        self._check(monkeypatch, host, 2, range(2, 14), runs)
+        assert exists_coloring_below(host, 2, 6).examined > full
+
+    def test_refinement_skips_a_subtree(self, monkeypatch):
+        # circ(5,5,1) r2 at t = 6: the mirror skips states whose key no dead
+        # key equals but a recent one refines, and the walk's count drops
+        # by the same nodes
+        hits = []
+
+        class Recording(oracles.DeadStates):
+            def skips(self, key):
+                hit = super().skips(key)
+                if hit and key not in self.keys:
+                    hits.append(key)
+                return hit
+
+        monkeypatch.setattr(oracles, "DeadStates", Recording)
+        host = complete_minus_circulant(5, 5, 1)
+        perms = search._lex_elements(host)
+        assert oracles.brute_below_search(host, 2, 6, perms=perms, dead_states=True)[1] == 224
+        assert hits
+        assert exists_coloring_below(host, 2, 6).examined == 224
+        monkeypatch.setattr(search, "_RECENT", 0)
+        monkeypatch.setattr(oracles, "RECENT", 0)
+        del hits[:]
+        assert oracles.brute_below_search(host, 2, 6, perms=perms, dead_states=True)[1] == 259
+        assert not hits
+        assert exists_coloring_below(host, 2, 6).examined == 259
+
+    def test_wide_states_keep_no_record(self, monkeypatch):
+        # past _KEY_BITS the walk keeps no dead state: its count is the
+        # walk's without the cache
+        monkeypatch.setattr(search, "_KEY_BITS", 99)
+        monkeypatch.setattr(oracles, "KEY_BITS", 99)
+        host = complete_minus_circulant(5, 5, 1)  # 2 colors x 10^2 bits
+        perms = search._lex_elements(host)
+        for t in range(2, 12):
+            plain = oracles.brute_below_search(host, 2, t, perms=perms)
+            assert oracles.brute_below_search(host, 2, t, perms=perms, dead_states=True) == plain
+            fast = exists_coloring_below(host, 2, t)
+            colors = fast.witness and tuple(c for _, _, c in fast.witness.edges())
+            assert (fast.kind, fast.examined, colors) == plain
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_block_matrix_is_the_bfs_partition(self, data):
+        # replaying a prefix, the walk keys each X-row start d past the
+        # split as the header d r + top, then per color c, nv fields of nv
+        # bits, field i holding the mask of the component of the i-th
+        # vertex with edges (by BFS)
+        m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        pairs = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+        host = from_edge_list(m, n, sorted(data.draw(st.sets(pairs, min_size=1))))
+        edges = host.edges()
+        r = min(data.draw(st.integers(1, 3)), len(edges))
+        raw = data.draw(st.lists(st.integers(0, r - 1), max_size=len(edges) - 1))
+        names = {}
+        prefix = [names.setdefault(c, len(names)) for c in raw]  # colors by first appearance
+        ends, weights, rule = search._packed(host, (0, 0, m + n + 1))  # no cut
+        probed = []
+
+        class Probe(set):
+            def __contains__(self, key):
+                probed.append(key)
+                return False
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "set", Probe, raising=False)
+            walk = search._walk_below(
+                ends, weights, r, rule, prefix, len(prefix) + 1, 1 << 62,
+                search._lex_schedule([], len(ends)),
+            )
+            for _ in walk:
+                pass
+        verts = sorted({v for end in ends for v in end})
+        nv = len(verts)
+        assert r * nv * nv <= search._KEY_BITS
+        head_bits = ((len(prefix) + 2) * r).bit_length()
+        want = []
+        for d in range(search._PREFIX_DEPTH + 1, len(prefix) + 1):
+            if edges[d][0] == edges[d - 1][0]:
+                continue
+            key = d * r + min(r - 1, max(prefix[:d]) + 1)
+            for c in range(r):
+                comps = oracles.bfs_components(
+                    m, n, [e for e, col in zip(edges, prefix[:d]) if col == c]
+                )
+                block = {v: {v} for v in verts}
+                for xs, ys in comps:
+                    members = set(xs) | {m + y for y in ys}
+                    for v in members:
+                        block[v] = members
+                for i, v in enumerate(verts):
+                    mask = sum(1 << verts.index(w) for w in block[v])
+                    key |= mask << head_bits + c * nv * nv + i * nv
+            want.append(key)
+        assert probed == want
+
     def test_circulant_probes(self):
         host = complete_minus_circulant(10, 10, 3)
-        # the whole group of order 40 (363,939 and 96,816 nodes with its
-        # three generators alone)
+        # the whole group of order 40 and refinement over the newest 32
+        # dead keys (193,104 and 94,452 nodes with the equality key alone)
         out = exists_coloring_below(host, 2, 10)
-        assert (out.kind, out.examined) == ("AllSatisfy", 193104)
+        assert (out.kind, out.examined) == ("AllSatisfy", 100055)
         out = exists_coloring_below(host, 2, 11)
         colors = "".join(str(c) for _, _, c in out.witness.edges())
-        assert (out.kind, out.examined) == ("Counterexample", 94452)
+        assert (out.kind, out.examined) == ("Counterexample", 23648)
         # the lex-least witness, as without the cache (661,510 nodes)
         assert colors == (
             "0000011011110000111000001100000110000011001110001111000011000001000001"
@@ -415,13 +542,21 @@ def _closure_order(perms, num_edges):
     return len(seen)
 
 
+LEX_HOSTS = [
+    complete_minus_circulant(10, 10, 3), complete_minus_circulant(4, 4, 1), complete(2, 3),
+    complete_minus_circulant(3, 5, 1), complete(4, 4), complete_minus_circulant(5, 5, 1),
+    complete_minus_circulant(6, 6, 2),
+]
+LEX_IDS = ["circ10_10_3", "circ441", "k23", "circ351", "k44", "circ551", "circ662"]
+
+
 class TestAutomorphisms:
     @staticmethod
     def _check_generators(host, perms=None):
         """Each generator (or each of ``perms``) maps the edges onto the
         edges by a vertex map that keeps the sides or swaps them whole."""
         ends = [(x, host.m + y) for x, y in host.edges()]
-        perms = search._automorphisms(host) if perms is None else perms
+        perms = search._automorphisms(host)[0] if perms is None else perms
 
         def vertex_map(perm, swap):
             sigma = {}
@@ -459,13 +594,15 @@ class TestAutomorphisms:
             perms = self._check_generators(host)
             want = len(oracles.brute_automorphisms(host))
             assert _closure_order(perms, host.edge_count) == want, host.edges()
+            assert search._automorphisms(host)[1] in (want, None), host.edges()
 
     def test_big_hosts_stay_cheap(self):
         # the search and the permutations are capped, so a big host costs
         # little and gets the generators found first
-        perms = search._automorphisms(complete(40, 40))
+        perms, order = search._automorphisms(complete(40, 40))
         assert 0 < len(perms) * 1600 <= search._SYMMETRY_WORK
-        assert search._automorphisms(complete(300, 300)) == []
+        assert order is None  # the generators kept may not generate the group
+        assert search._automorphisms(complete(300, 300)) == ([], None)
 
     def test_worker_invariance(self, monkeypatch):
         # the prefix replay rebuilds each task's lex-leader state, so two
@@ -484,18 +621,13 @@ class TestAutomorphisms:
     def test_perfect_matching_complement_r3(self):
         # K_{8,8} minus a perfect matching, r = 3, target 6: 487,454,652
         # nodes under twin breaking alone, which finds no twins here,
-        # 1,412,394 without the dead-state cache, and 1,160,790 with every
-        # color below a generator's least allowed one tried
+        # 1,412,394 without the dead-state cache, 1,160,790 with every color
+        # below a generator's least allowed one tried, and 1,095,213 with
+        # the equality key alone
         out = exists_coloring_below(complete_minus_circulant(8, 8, 1), 3, 6)
-        assert (out.kind, out.examined) == ("AllSatisfy", 1095213)
+        assert (out.kind, out.examined) == ("AllSatisfy", 799580)
 
-    @pytest.mark.parametrize(
-        "host",
-        [complete_minus_circulant(10, 10, 3), complete_minus_circulant(4, 4, 1), complete(2, 3),
-         complete_minus_circulant(3, 5, 1), complete(4, 4), complete_minus_circulant(5, 5, 1),
-         complete_minus_circulant(6, 6, 2)],
-        ids=["circ10_10_3", "circ441", "k23", "circ351", "k44", "circ551", "circ662"],
-    )
+    @pytest.mark.parametrize("host", LEX_HOSTS, ids=LEX_IDS)
     def test_lex_elements(self, host):
         # every element maps edges onto edges; under the cap the set is the
         # whole group but the identity, the generators first and compared
@@ -522,8 +654,31 @@ class TestAutomorphisms:
             if math.factorial(m) * math.factorial(n) * (2 if m == n else 1) <= search._GROUP_CAP:
                 continue
             assert search._twin_bound(host) > search._GROUP_CAP
-            gens = search._automorphisms(host)
+            gens = search._automorphisms(host)[0]
             assert search._lex_elements(host) == [(tuple(g), host.edge_count) for g in gens]
+
+    @pytest.mark.parametrize("host", LEX_HOSTS, ids=LEX_IDS)
+    def test_group_order_changes_no_element(self, monkeypatch, host):
+        # the elements are those of the closure after the twin bound alone
+        elements = search._lex_elements(host)
+        found = search._automorphisms
+        monkeypatch.setattr(search, "_automorphisms", lambda h: (found(h)[0], None))
+        assert search._lex_elements(host) == elements
+
+    def test_large_twin_free_group_takes_no_closure(self, monkeypatch):
+        # circ(5,5,1) has no twins, so the twin bound (2, for the side
+        # swap) lets it through, and a group of order 240: its order, not a
+        # closure of 65 elements, leaves the generators alone
+        host = complete_minus_circulant(5, 5, 1)
+        assert search._twin_bound(host) == 2
+        perms, order = search._automorphisms(host)
+        assert order == 240
+
+        def no_closure(gens, num_edges):
+            raise AssertionError("closure step")
+
+        monkeypatch.setattr(search, "_closure", no_closure)
+        assert search._lex_elements(host) == [(tuple(p), host.edge_count) for p in perms]
 
 
 class TestMinMax:
@@ -961,6 +1116,40 @@ class TestSampleKernel:
         assert search._sample_meets(colors, None, chunks, rule) == want
         if r <= 256:
             assert search._sample_meets(bytes(colors), onehot(r), chunks, rule) == want
+
+
+    def test_absent_colors_are_not_parsed(self):
+        # K_{5,10} has 50 edges: at r = 256 a sample looks up the table of
+        # each color it holds, and of no other
+        looked = []
+
+        class Tables(list):
+            def __getitem__(self, c):
+                looked.append(c)
+                return super().__getitem__(c)
+
+        ends, _, rule = search._packed(complete(5, 10), (0, 0, 16))  # never met: every color read
+        colors = bytes(oracles.sample_colors(3, 0, 50, 256, 1)[0])
+        assert not search._sample_meets(colors, Tables(onehot(256)), search._row_chunks(ends), rule)
+        assert sorted(looked) == sorted(set(colors))
+
+    @pytest.mark.parametrize("r", [2, 3, 16, 256, 300])
+    def test_more_colors_than_edges(self, r):
+        # K_{3,4} has 12 edges: from r = 16 on a sample reads only its own
+        # colors; the first sample whose components stay below t is the
+        # witness, after as many samples, as in the drawn stream
+        host = complete(3, 4)
+        edges = host.edges()
+        samples = oracles.sample_colors(5, 0, len(edges), r, 200)
+        orders = [oracles.max_mono_order(3, 4, edges, colors, r) for colors in samples]
+        for t in (3, 4, 5):
+            first = next((i for i, order in enumerate(orders) if order < t), None)
+            out = random_search(host, r, target=t, cfg=SearchConfig(seed=5, budget=200))
+            if first is None:
+                assert (out.kind, out.examined) == ("AllSatisfy", 200)
+            else:
+                colors = tuple(c for _, _, c in out.witness.edges())
+                assert (out.kind, out.examined, colors) == ("Counterexample", first + 1, samples[first])
 
 
 class TestCheckersAgree:
