@@ -22,9 +22,10 @@ automorphism of a set (``_lex_elements``), the coloring stays lex-at-most
 its image under that automorphism with colors renamed by first
 appearance.  The set always holds the generators of the host's
 automorphism group (``_automorphisms``, found by individualization and
-refinement), compared on every edge.  When the group has at most
-``_GROUP_CAP`` elements, it holds the whole group, and each element that
-is not a generator is compared only on the first ``_EXTRA_SHARE`` of the
+refinement), compared on every edge.  When that search proves an order
+of at most ``_GROUP_CAP`` and the closure costs at most ``_SYMMETRY_WORK``
+permutation entries, it holds the whole group, and each element that is
+not a generator is compared only on the first ``_EXTRA_SHARE`` of the
 edges, near the root, where a cut removes a large subtree (the BreakID
 idea of bounding each constraint's length: Devriendt, Bogaerts,
 Bruynooghe, Denecker, SAT 2016).  Every automorphism (a side swap too, when
@@ -78,7 +79,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from contextlib import closing, contextmanager
 from fractions import Fraction
 from itertools import islice
@@ -371,71 +372,38 @@ def _automorphisms(host: BipartiteGraph) -> tuple[list[list[int]], int | None]:
     return perms, order
 
 
-def _twin_bound(host: BipartiteGraph) -> int:
-    """A lower bound on the number of edge permutations of the host's
-    automorphisms.  The vertices of each class of k twins with edges (equal
-    non-empty rows, or equal non-empty columns) are permuted by k!
-    automorphisms, and each one that moves a vertex with edges moves an
-    edge.  A host that is its own transpose has twice as many: x_i <-> y_i
-    swaps the sides, and once some vertex has two edges, no side-keeping
-    map moves the edges as a side swap does."""
-    cols = host.transpose().rows
-    bound = 2 if cols == host.rows and host.edge_count > host.m else 1
-    for rows in (host.rows, cols):
-        for row, k in Counter(rows).items():
-            if row:
-                bound *= math.factorial(k)
-    return bound
-
-
 def _lex_elements(host: BipartiteGraph) -> list[tuple[tuple[int, ...], int]]:
     """The automorphisms the walk breaks symmetry with, as (edge permutation,
     limit) pairs for ``_lex_schedule``: each element is compared on the
     positions known once the first ``limit`` edges are colored.
 
     The generators (``_automorphisms``) come first with the whole edge
-    count as their limit.  When the group they generate has at most
-    ``_GROUP_CAP`` elements, every other element of it follows, with the
-    limit ``_EXTRA_SHARE`` of the edges: a cut near the root removes a large
-    subtree, while deeper comparisons cost each node more than they save.
-    The group's order, from ``_automorphisms``, or else ``_twin_bound``,
-    rules out a large group before any closure step (``_closure``).  Each
-    element's order is a lex order over all positions, and its first
-    ``limit`` edges' positions are a prefix of it, which the lex-least
-    solution meets as well, so a limit changes only the node count."""
+    count as their limit.  When the group order ``_automorphisms`` proves
+    is at most ``_GROUP_CAP`` and closing the group costs at most
+    ``_SYMMETRY_WORK`` entries (order - 1 elements times the generators),
+    every other element follows, breadth first in the order found, with
+    the limit ``_EXTRA_SHARE`` of the edges: a cut near the root removes a
+    large subtree, while deeper comparisons cost each node more than they
+    save.  An unknown order keeps the generators alone.  Each element's
+    order is a lex order over all positions, and its first ``limit``
+    edges' positions are a prefix of it, which the lex-least solution
+    meets as well, so a limit changes only the node count."""
     perms, order = _automorphisms(host)
     gens = list(dict.fromkeys(map(tuple, perms)))
     num_edges = host.edge_count
     full = [(perm, num_edges) for perm in gens]
-    if not gens or (_twin_bound(host) if order is None else order) > _GROUP_CAP:
+    if order is None or order > _GROUP_CAP or (order - 1) * len(gens) * num_edges > _SYMMETRY_WORK:
         return full
-    group = _closure(gens, num_edges)
-    if group is None:
-        return full
+    group = [tuple(range(num_edges)), *gens]
+    seen = set(group)
+    for g in islice(group, 1, None):  # read while it grows: breadth first
+        for h in gens:
+            gh = tuple(map(g.__getitem__, h))
+            if gh not in seen:
+                seen.add(gh)
+                group.append(gh)
     limit = int(num_edges * _EXTRA_SHARE)
-    return full + [(perm, limit) for perm in islice(group, 1 + len(gens), None)]
-
-
-def _closure(gens, num_edges):
-    """The group the edge permutations ``gens`` generate, closed under
-    composition breadth first from the identity and then ``gens``, in the
-    order found, or None once it passes ``_GROUP_CAP`` elements or
-    ``_SYMMETRY_WORK`` permutation entries."""
-    group = dict.fromkeys([tuple(range(num_edges)), *gens])  # insertion-ordered
-    frontier, work = gens, _SYMMETRY_WORK
-    while frontier:
-        grown = []
-        for g in frontier:
-            for h in gens:
-                gh = tuple(map(g.__getitem__, h))
-                if gh not in group:
-                    group[gh] = None
-                    grown.append(gh)
-            work -= num_edges * len(gens)
-            if len(group) > _GROUP_CAP or work < 0:
-                return None
-        frontier = grown
-    return list(group)
+    return full + [(perm, limit) for perm in group[1 + len(gens):]]
 
 
 def _lex_schedule(elements, num_edges):

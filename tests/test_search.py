@@ -34,6 +34,7 @@ from monocomp import (
     exhaustive_verify,
     exists_coloring_below,
     from_edge_list,
+    from_rows,
     largest_mono_component,
     lower_bound_construction,
     min_max_mono_component,
@@ -527,9 +528,11 @@ class TestDeadStates:
         )
 
 
-def _closure_order(perms, num_edges):
-    """The order of the group the edge permutations generate."""
-    seen, frontier = {tuple(range(num_edges))}, [tuple(range(num_edges))]
+def _closure(perms, num_edges):
+    """The group the edge permutations generate, breadth first from the
+    identity: each level's products g * perm in the order found."""
+    group = [tuple(range(num_edges))]
+    seen, frontier = set(group), group[:]
     while frontier:
         grown = []
         for g in frontier:
@@ -538,8 +541,9 @@ def _closure_order(perms, num_edges):
                 if gh not in seen:
                     seen.add(gh)
                     grown.append(gh)
+        group += grown
         frontier = grown
-    return len(seen)
+    return group
 
 
 LEX_HOSTS = [
@@ -573,17 +577,17 @@ class TestAutomorphisms:
 
     def test_group_orders(self):
         circ = complete_minus_circulant(10, 10, 3)
-        assert _closure_order(self._check_generators(circ), circ.edge_count) == 40
+        assert len(_closure(self._check_generators(circ), circ.edge_count)) == 40
         for n in (3, 4, 5):
             host = complete_minus_circulant(n, n, 1)
             perms = self._check_generators(host)
-            assert _closure_order(perms, host.edge_count) == 2 * math.factorial(n)
+            assert len(_closure(perms, host.edge_count)) == 2 * math.factorial(n)
         for m, n in itertools.combinations_with_replacement(range(1, 5), 2):
             if m * n < 2:  # one edge: no permutation to tell
                 continue
             host = complete(m, n)
             want = math.factorial(m) * math.factorial(n) * (2 if m == n else 1)
-            assert _closure_order(self._check_generators(host), host.edge_count) == want
+            assert len(_closure(self._check_generators(host), host.edge_count)) == want
 
     def test_random_hosts_match_brute_count(self):
         rng = random.Random(19)
@@ -593,7 +597,7 @@ class TestAutomorphisms:
                 continue
             perms = self._check_generators(host)
             want = len(oracles.brute_automorphisms(host))
-            assert _closure_order(perms, host.edge_count) == want, host.edges()
+            assert len(_closure(perms, host.edge_count)) == want, host.edges()
             assert search._automorphisms(host)[1] in (want, None), host.edges()
 
     def test_big_hosts_stay_cheap(self):
@@ -639,7 +643,7 @@ class TestAutomorphisms:
         num = host.edge_count
         assert len(set(perms)) == len(perms) and tuple(range(num)) not in perms
         assert elements[:len(gens)] == [(perm, num) for perm in gens]
-        order = _closure_order(gens, num)
+        order = len(_closure(gens, num))
         if order <= search._GROUP_CAP:
             assert len(elements) == order - 1
             assert {limit for _, limit in elements[len(gens):]} <= {num * 3 // 7}
@@ -647,38 +651,82 @@ class TestAutomorphisms:
             assert len(elements) == len(gens)
 
     def test_complete_hosts_keep_their_generators(self):
-        # the twin classes prove these groups larger than the cap, so no
-        # closure runs and the walk breaks the generators alone
+        # the proven orders are larger than the cap, so no closure runs and
+        # the walk breaks the generators alone
         for m, n in itertools.combinations_with_replacement(range(1, 10), 2):
             host = complete(m, n)
             if math.factorial(m) * math.factorial(n) * (2 if m == n else 1) <= search._GROUP_CAP:
                 continue
-            assert search._twin_bound(host) > search._GROUP_CAP
-            gens = search._automorphisms(host)[0]
+            gens, order = search._automorphisms(host)
+            assert order > search._GROUP_CAP
             assert search._lex_elements(host) == [(tuple(g), host.edge_count) for g in gens]
 
     @pytest.mark.parametrize("host", LEX_HOSTS, ids=LEX_IDS)
-    def test_group_order_changes_no_element(self, monkeypatch, host):
-        # the elements are those of the closure after the twin bound alone
-        elements = search._lex_elements(host)
-        found = search._automorphisms
-        monkeypatch.setattr(search, "_automorphisms", lambda h: (found(h)[0], None))
-        assert search._lex_elements(host) == elements
+    def test_group_order_changes_no_element(self, host):
+        # deciding by the proven order gives the elements of a closure of
+        # the generators, breadth first, kept when it has at most the cap's
+        # elements and costs at most the work cap
+        num = host.edge_count
+        gens = list(dict.fromkeys(map(tuple, search._automorphisms(host)[0])))
+        group = _closure(gens, num)
+        full = [(perm, num) for perm in gens]
+        cost = (len(group) - 1) * len(gens) * num
+        if len(group) <= search._GROUP_CAP and cost <= search._SYMMETRY_WORK:
+            full += [(perm, num * 3 // 7) for perm in group[1 + len(gens):]]
+        assert search._lex_elements(host) == full
 
-    def test_large_twin_free_group_takes_no_closure(self, monkeypatch):
-        # circ(5,5,1) has no twins, so the twin bound (2, for the side
-        # swap) lets it through, and a group of order 240: its order, not a
-        # closure of 65 elements, leaves the generators alone
+    @pytest.mark.parametrize("host", LEX_HOSTS, ids=LEX_IDS)
+    def test_unknown_order_keeps_the_generators(self, monkeypatch, host):
+        # a search that stopped early proves no order: no closure runs
+        gens = search._automorphisms(host)[0]
+        monkeypatch.setattr(search, "_automorphisms", lambda h: (gens, None))
+        want = [(perm, host.edge_count) for perm in dict.fromkeys(map(tuple, gens))]
+        assert search._lex_elements(host) == want
+
+    def test_large_twin_free_group_takes_no_closure(self):
+        # circ(5,5,1) has no twins and a group of order 240: its order, not
+        # a closure of 65 elements, leaves the generators alone
         host = complete_minus_circulant(5, 5, 1)
-        assert search._twin_bound(host) == 2
         perms, order = search._automorphisms(host)
         assert order == 240
-
-        def no_closure(gens, num_edges):
-            raise AssertionError("closure step")
-
-        monkeypatch.setattr(search, "_closure", no_closure)
         assert search._lex_elements(host) == [(tuple(p), host.edge_count) for p in perms]
+
+    def test_random_hosts_match_brute_group(self):
+        # under both caps the elements and the identity are the whole
+        # group the brute-force oracle finds; over either, the generators
+        rng = random.Random(37)
+        closed = kept = 0
+        for i in range(300):
+            host = twin_rich_host(rng) if i % 2 else random_host(rng)
+            if host is None or math.factorial(host.m) * math.factorial(host.n) > 3000:
+                continue
+            num = host.edge_count
+            elements = search._lex_elements(host)
+            gens = [perm for perm, limit in elements if limit == num]
+            brute = oracles.brute_automorphisms(host)
+            cost = (len(brute) - 1) * len(gens) * num
+            if len(brute) <= search._GROUP_CAP and cost <= search._SYMMETRY_WORK:
+                rest = [limit for _, limit in elements[len(gens):]]
+                assert {tuple(range(num)), *(perm for perm, _ in elements)} == brute
+                assert rest == [num * 3 // 7] * (len(brute) - 1 - len(gens))
+                closed += 1
+            else:
+                assert elements == [(perm, num) for perm in gens]
+                kept += 1
+        assert closed > 50 and kept > 10
+
+    def test_cost_rule_boundary(self):
+        # two 20 x 20 hosts with p pairs of twin rows: p = 5 (203 edges,
+        # order 32, 5 generators) costs 31 * 5 * 203 = 31,465 entries and
+        # closes; p = 6 (199 edges, order 64, 6 generators) would cost
+        # 63 * 6 * 199 = 75,222 > 65,536 and keeps its generators
+        for p, edges, order, closed in ((5, 203, 32, 31), (6, 199, 64, 6)):
+            rng = random.Random(1)
+            base = [rng.getrandbits(20) for _ in range(20 - p)]
+            host = from_rows(20, 20, [base[i // 2] for i in range(2 * p)] + base[p:])
+            gens, found = search._automorphisms(host)
+            assert (host.edge_count, found, len(gens)) == (edges, order, p)
+            assert len(search._lex_elements(host)) == closed
 
 
 class TestMinMax:
