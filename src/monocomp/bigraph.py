@@ -19,9 +19,13 @@ group their edges by row and build each row once, and the component sweep
 A graph counts its row degrees once, when its constructor validates the
 rows, and builds its column degrees (:func:`column_planes`) at the first
 query that reads them; the degree queries, the reports of ``analysis`` and
-the certificates all read these two.  Neither is a field, so equality,
-hash, repr, JSON and pickles see only the four fields, and both are fixed
-by the immutable rows, so a graph stays safe to share.
+the certificates all read these two.  A graph built from per-row index
+lists (:func:`from_edge_list`, the sparse :meth:`BipartiteGraph.transpose`)
+also keeps those lists, which :meth:`BipartiteGraph.edges` and the sparse
+transpose read instead of the rows; no other builder keeps any.  None of
+the three is a field, so equality, hash, repr, JSON and pickles see only
+the four fields, and all are fixed by the immutable rows, so a graph stays
+safe to share.
 
 Every threshold predicate is exact (integers and fractions.Fraction, never
 floats): the extremal examples sit exactly on their bounds, so rounding
@@ -259,17 +263,22 @@ class BipartiteGraph(Record):
     """Simple (X,Y)-bipartite graph with |X| = m, |Y| = n.
 
     ``rows[x]`` is the neighborhood of x as a bitmask over Y.  Besides its
-    fields a graph keeps the tuple of row degrees that validation counts
-    and, from the first column-degree query on, the column planes; both
-    follow from the rows, so instances stay immutable and safe to share
+    fields a graph keeps the tuple of row degrees that validation counts,
+    from the first column-degree query on the column planes, and, when its
+    builder listed each row's neighbors, those ascending lists
+    (``_lists``, None otherwise); all follow from the rows, and the lists
+    are never handed out, so instances stay immutable and safe to share
     between threads/processes.  A pickle or copy holds the four fields
-    and is rebuilt, and validated again, through the constructor.
+    and is rebuilt, and validated again, through the constructor, so it
+    keeps no lists.
     """
 
     m: int
     n: int
     rows: tuple[int, ...]
     edge_count: int
+
+    _lists = None
 
     def _check(self, degrees=None):
         """Validate the fields and keep the row degrees: ``degrees`` when
@@ -291,7 +300,15 @@ class BipartiteGraph(Record):
 
     def __reduce__(self):
         # rebuilt (and validated) from the fields alone, without the planes
+        # or the lists
         return self.__class__, self._values()
+
+    def _row_indices(self):
+        """The ascending neighbor list of each row: the kept lists, else
+        :func:`bit_indices` of each row."""
+        if self._lists is None:
+            return map(bit_indices, self.rows)
+        return self._lists
 
     @cached_property
     def _planes(self) -> list[int]:
@@ -306,8 +323,10 @@ class BipartiteGraph(Record):
         return 0 <= x < self.m and (self.rows[x] >> y) & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges sorted by (x, y)."""
-        return [(x, y) for x, row in enumerate(self.rows) for y in bit_indices(row)]
+        """All edges sorted by (x, y), read from the kept lists of a graph
+        built by :func:`from_edge_list` or the sparse :meth:`transpose`,
+        else from :func:`bit_indices` of each row."""
+        return [(x, y) for x, ys in enumerate(self._row_indices()) for y in ys]
 
     def y_degrees(self) -> list[int]:
         """Degree of every Y-vertex, indexed by y.
@@ -321,32 +340,35 @@ class BipartiteGraph(Record):
         """Swap the roles of X and Y.
 
         Sparse graphs (64 E < m n) list each column's X-vertices from the
-        rows' :func:`bit_indices` and build each column once.  Denser ones
-        spread each row to one byte per column (``format``, ``translate``),
-        OR row k of each group of eight in at bit k, and read column y as a
-        strided slice of the ceil(m/8) n-byte grid: C-level work per cell,
-        not Python work per edge.  On random 2000x2000, 500x4000 and
-        4000x500 graphs the byte grid takes 0.78x, 0.74x and 1.02x the
-        time of the walk at density 1/64, and 1.28x-1.38x at 1/128; on
-        200x200 the two tie near 1/32."""
+        rows' index lists (the kept ones, else :func:`bit_indices`), build
+        each column once, and keep the column lists, ascending by
+        construction, with their lengths as the degrees, so the result's
+        :meth:`edges` and transpose read no row.  Denser ones spread each
+        row to one byte per column (``format``, ``translate``), OR row k of
+        each group of eight in at bit k, and read column y as a strided
+        slice of the ceil(m/8) n-byte grid: C-level work per cell, not
+        Python work per edge; that result keeps no lists.  On random
+        2000x2000, 500x4000 and 4000x500 graphs the byte grid takes 0.78x,
+        0.74x and 1.02x the time of the walk at density 1/64, and
+        1.28x-1.38x at 1/128; on 200x200 the two tie near 1/32."""
         m, n = self.m, self.n
         if 64 * self.edge_count < m * n:
             xs_of = [[] for _ in range(n)]
-            for x, row in enumerate(self.rows):
-                for y in bit_indices(row):
+            for x, ys in enumerate(self._row_indices()):
+                for y in ys:
                     xs_of[y].append(x)
-            cols = [mask_of(xs) for xs in xs_of]
-        else:
-            spread, table = f"0{n}b", bytes.maketrans(b"01", b"\0\1")
-            groups = []
-            for g in range(0, m, 8):
-                word = 0
-                for k, row in enumerate(self.rows[g : g + 8]):
-                    cells = format(row, spread).encode().translate(table)
-                    word |= int.from_bytes(cells, "big") << k
-                groups.append(word.to_bytes(n, "big"))
-            grid = b"".join(groups)
-            cols = [int.from_bytes(grid[n - 1 - y :: n], "little") for y in range(n)]
+            cols, degrees = tuple(map(mask_of, xs_of)), tuple(map(len, xs_of))
+            return _built(n, m, cols, self.edge_count, degrees, xs_of)
+        spread, table = f"0{n}b", bytes.maketrans(b"01", b"\0\1")
+        groups = []
+        for g in range(0, m, 8):
+            word = 0
+            for k, row in enumerate(self.rows[g : g + 8]):
+                cells = format(row, spread).encode().translate(table)
+                word |= int.from_bytes(cells, "big") << k
+            groups.append(word.to_bytes(n, "big"))
+        grid = b"".join(groups)
+        cols = [int.from_bytes(grid[n - 1 - y :: n], "little") for y in range(n)]
         return BipartiteGraph(n, m, tuple(cols), self.edge_count)
 
     def is_complete(self) -> bool:
@@ -418,27 +440,38 @@ def _plane_min(planes: list[int], mask: int) -> int:
     return value
 
 
-def from_rows(m: int, n: int, rows) -> BipartiteGraph:
-    """Build a graph directly from per-X bitmask rows (validated), counting
-    each row once: the degrees give the edge count and go to the check,
-    which the constructor would run on a second count (on wide rows the
-    count is most of the build)."""
-    rows = tuple(rows)
-    degrees = tuple(map(int.bit_count, rows))
+def _built(m: int, n: int, rows: tuple, edge_count: int, degrees: tuple, lists=None):
+    """A validated graph whose builder has counted its row ``degrees``, which
+    the constructor would count again (on wide rows the count is most of
+    the build).  The graph keeps ``lists``, the ascending neighbor lists of
+    its rows, when the builder has them."""
     graph = object.__new__(BipartiteGraph)
-    for field, value in zip(BipartiteGraph._fields, (m, n, rows, sum(degrees))):
+    for field, value in zip(BipartiteGraph._fields, (m, n, rows, edge_count)):
         object.__setattr__(graph, field, value)
     graph._check(degrees)
+    object.__setattr__(graph, "_lists", lists)
     return graph
+
+
+def from_rows(m: int, n: int, rows) -> BipartiteGraph:
+    """Build a graph directly from per-X bitmask rows (validated), counting
+    each row once: the degrees give the edge count and go to the check.
+    The graph keeps no index lists."""
+    rows = tuple(rows)
+    degrees = tuple(map(int.bit_count, rows))
+    return _built(m, n, rows, sum(degrees), degrees)
 
 
 def from_edge_list(m: int, n: int, edges) -> BipartiteGraph:
     """Build a graph from (x, y) pairs; rejects out-of-range and duplicates.
 
-    The pairs are grouped by x and each row is built once; a duplicate
-    leaves fewer set bits than pairs, which the graph's edge count check
-    rejects.  On any error :func:`_check_triples` raises the error for the
-    first bad pair in input order, or, if no pair is bad, the build's own."""
+    The pairs are grouped by x, each row's neighbors are sorted without
+    repeats (as ints, ``operator.index``), and each row is built once; the
+    graph keeps these lists, and their lengths are its degrees.  A
+    duplicate leaves fewer neighbors than pairs, which the graph's edge
+    count check rejects.  On any error :func:`_check_triples` raises the
+    error for the first bad pair in input order, or, if no pair is bad,
+    the build's own."""
     edges = list(edges)
     try:
         ys_of = [[] for _ in range(m)]
@@ -446,7 +479,8 @@ def from_edge_list(m: int, n: int, edges) -> BipartiteGraph:
             if not (0 <= x < m and 0 <= y < n):
                 raise IndexError  # named by _check_triples
             ys_of[x].append(y)
-        return BipartiteGraph(m, n, tuple(map(mask_of, ys_of)), len(edges))
+        lists = [sorted(set(map(operator.index, ys))) for ys in ys_of]
+        return _built(m, n, tuple(map(mask_of, lists)), len(edges), tuple(map(len, lists)), lists)
     except (GraphError, TypeError, ValueError, IndexError) as exc:
         error = exc
     _check_triples(m, n, 1, ((x, y, 0) for x, y in edges))

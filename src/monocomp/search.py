@@ -518,7 +518,8 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
     counts as a node) when its key is in ``dead``, or when one of the
     newest ``_RECENT`` dead keys with its header refines it: key | dead
     is key, one OR and one compare each in C, when each dead block lies
-    inside a block of this state.  A subtree that ends before any leaf was
+    inside a block of this state; the window is read newest first, where
+    most hits fall.  A subtree that ends before any leaf was
     yielded adds its key to its header's window and, while ``dead`` holds
     fewer than ``_DEAD_STATES`` keys and fewer than ``_DEAD_BITS`` bits of
     matrix, to ``dead``, which bounds the walk's memory on searches of
@@ -698,7 +699,7 @@ def _walk_below(ends, weights, r, rule, prefix, stop, budget, lex):
             key = mat | head
             window = recent[head]
             # merged[idx - 1] undoes the union at the next color
-            if key in dead or window and key in map(key.__or__, window):
+            if key in dead or window and key in map(key.__or__, reversed(window)):
                 idx -= 1
                 continue
             keys[idx], windows[idx] = key, window

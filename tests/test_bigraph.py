@@ -677,6 +677,112 @@ class TestTranspose:
         self.check(g)
 
 
+@st.composite
+def edge_lists(draw):
+    """(m, n, pairs): in-range pairs with repeats, some rows left empty,
+    and now and then a pair outside [0, m) x [0, n) inserted."""
+    m = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 300))
+    pairs = []
+    if m and n:
+        rows = draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
+        ys = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(st.sampled_from(rows), ys), max_size=60)) if rows else []
+        if draw(st.booleans()):
+            pairs = list(dict.fromkeys(pairs))  # no repeats: a graph is built
+    bad = st.tuples(st.integers(-2, m + 1), st.integers(-2, n + 1))
+    for pair in draw(st.lists(bad, max_size=2)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return m, n, pairs
+
+
+def kept_lists(g):
+    """The index lists ``g`` keeps, checked against :func:`bit_indices` of
+    its rows, or None."""
+    if g._lists is not None:
+        assert g._lists == [bit_indices(row) for row in g.rows]
+        assert all(type(y) is int for ys in g._lists for y in ys)
+    return g._lists
+
+
+class TestKeptLists:
+    """``from_edge_list`` and the sparse ``transpose`` keep each row's
+    index list, which ``edges`` and the sparse ``transpose`` read; no other
+    builder keeps any, and the lists are no field."""
+
+    @given(edge_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_from_edge_list(self, case):
+        m, n, pairs = case
+        want = oracles.first_bad_pair(m, n, pairs)
+        assert raised(from_edge_list, m, n, pairs) == want
+        if want is None:
+            g = from_edge_list(m, n, pairs)
+            assert kept_lists(g) is not None and len(g._lists) == m
+            assert g.edges() == sorted(pairs)
+            assert g == from_rows(m, n, g.rows)
+
+    @given(transpose_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_transpose(self, g):
+        sparse = 64 * g.edge_count < g.m * g.n
+        for h in (g, from_edge_list(g.m, g.n, g.edges())):
+            t = h.transpose()
+            assert (kept_lists(t) is not None) == sparse
+            assert t == from_edge_list(g.n, g.m, [(y, x) for x, y in g.edges()])
+            tt = t.transpose()
+            assert (kept_lists(tt) is not None) == sparse
+            assert tt == g
+
+    @given(transpose_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_edges_agree(self, g):
+        want = [(x, y) for x, row in enumerate(g.rows) for y in range(g.n) if row >> y & 1]
+        listed = from_edge_list(g.m, g.n, want)
+        back = pickle.loads(pickle.dumps(listed))
+        assert back._lists is None and g._lists is None
+        assert pickle.dumps(listed) == pickle.dumps(g)
+        graphs = [g, listed, back, copy.copy(listed), g.transpose().transpose(),
+                  listed.transpose().transpose()]
+        for h in graphs:
+            out = h.edges()
+            assert out == want and out is not h.edges()
+            out.clear()  # a caller's list is its own
+            assert h.edges() == want
+
+    def test_int_subclasses_are_kept_as_ints(self):
+        g = from_edge_list(2, 3, [(0, True), (1, 2), (1, False)])
+        assert g.edges() == [(0, 1), (1, 0), (1, 2)]
+        assert kept_lists(g) == [[1], [0, 2]]
+        with pytest.raises(DuplicateEdge, match=re.escape("edge (0, True) given twice")):
+            from_edge_list(2, 3, [(0, 1), (0, True)])
+
+    def test_other_builders_keep_none(self):
+        host, col = lower_bound_construction(2, 3, 2)
+        graphs = [from_rows(2, 3, [5, 2]), complete(2, 3), host, host.transpose(),
+                  complete_minus_circulant(5, 5, 1), *col.classes]
+        assert all(g._lists is None for g in graphs)
+
+    def test_builders_hand_their_counts_to_the_check(self, monkeypatch):
+        # as in test_from_rows_counts_each_row_once: the degrees are the
+        # lengths of the kept lists, never recounted by the check
+        calls = []
+        check = BipartiteGraph._check
+
+        def counted(graph, degrees=None):
+            calls.append(degrees)
+            check(graph, degrees)
+
+        monkeypatch.setattr(BipartiteGraph, "_check", counted)
+        g = from_edge_list(3, 100, [(2, 99), (0, 5), (2, 0), (0, 1)])
+        assert calls == [(2, 0, 2)]
+        t = g.transpose()
+        assert 64 * g.edge_count < 300 and len(calls) == 2
+        assert calls[1] == tuple(int(y in (0, 1, 5, 99)) for y in range(100))
+        assert t.transpose() == g and calls[2] == (2, 0, 2)
+        assert None not in calls
+
+
 def mask_with(width, count, seed):
     """A mask of bit length ``width`` with ``count`` set bits, the top one
     included, and its set bits ascending."""
