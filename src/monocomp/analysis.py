@@ -28,7 +28,6 @@ from .bigraph import (
     _class_components,
     _largest_double_star_in_class,
     coloring_from_triples,
-    fields_json,
     graph_components,
     json_int,
     rat_str,
@@ -53,7 +52,7 @@ class Verdict(Record):
     detail: dict | None = None
 
     def to_json_dict(self) -> dict:
-        out = fields_json(self)
+        out = super().to_json_dict()
         if self.detail is None:
             del out["detail"]
         return out
@@ -183,7 +182,7 @@ class StabilityReport(Record):
         return self.case_i or self.case_ii
 
     def to_json_dict(self) -> dict:
-        return {**fields_json(self), "dichotomy": self.dichotomy}
+        return {**super().to_json_dict(), "dichotomy": self.dichotomy}
 
 
 def stability_report(
@@ -260,23 +259,9 @@ class MainComponentsReport(Record):
         return self.a and self.b and self.c and self.d and self.e
 
     def to_json_dict(self) -> dict:
-        return {
-            "components": [c.to_json_dict() for c in self.components],
-            "z_x": list(self.z_x),
-            "z_y": list(self.z_y),
-            "flags": {
-                "a": self.a,
-                "b": self.b,
-                "c": self.c,
-                "d": self.d,
-                "e": self.e,
-            },
-            "precondition_ok": self.precondition_ok,
-            "hypothesis_ok": self.hypothesis_ok,
-            "delta": rat_str(self.delta),
-            "alpha": rat_str(self.alpha),
-            "beta": rat_str(self.beta),
-        }
+        out = super().to_json_dict()
+        out["flags"] = {f: out.pop(f) for f in "abcde"}
+        return out
 
 
 def main_lemma_report(g: BipartiteGraph, r: int) -> MainComponentsReport:
@@ -418,7 +403,7 @@ class GeneralComponent(Record):
         return len(self.vertices)
 
     def to_json_dict(self) -> dict:
-        return {**fields_json(self), "order": self.order}
+        return {**super().to_json_dict(), "order": self.order}
 
 
 def general_mono_components(gg: GeneralGraph) -> list[GeneralComponent]:

@@ -173,8 +173,7 @@ def rat_str(value) -> str:
 
 class Record:
     """Base of the result classes: a constructor, value equality, a
-    field-by-field repr, and, unless a subclass is declared with
-    ``frozen=False``, immutability and a hash.
+    field-by-field repr, immutability, a hash and the fields' JSON.
 
     A subclass lists its fields as class annotations, after those of the
     class it extends, with any class-body value as the field's default;
@@ -183,11 +182,10 @@ class Record:
     that defines one raises TypeError), one ``def`` run through ``exec`` as
     ``collections.namedtuple`` writes ``__new__``: it stores each field with
     ``object.__setattr__`` and ends with ``self._check()`` if the class has
-    one.  The defaults are deleted from the class, so a deleted field of a
-    mutable record is gone; a subclass that adds no field keeps its
-    parent's ``__init__``.  Equal means the same class with equal fields,
-    and a frozen record hashes its field tuple.  Pickling and ``copy`` fill
-    the instance dict directly, so they need no support here.
+    one.  The defaults are deleted from the class; a subclass that adds no
+    field keeps its parent's ``__init__``.  Equal means the same class with
+    equal fields, and a record hashes its field tuple.  Pickling and
+    ``copy`` fill the instance dict directly, so they need no support here.
     (``dataclasses`` would write the same methods, but importing it loads
     ``inspect`` and ``ast``, which no command otherwise needs.)
     """
@@ -195,14 +193,10 @@ class Record:
     _fields: dict[str, str] = {}
     _defaults: dict[str, object] = {}
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "__init__" in cls.__dict__:
             raise TypeError(f"{cls.__qualname__} defines __init__, which Record writes")
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
         own = cls.__dict__.get("__annotations__")
         if not own:
             return
@@ -241,22 +235,21 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-
-def fields_json(record: Record) -> dict:
-    """The fields of ``record`` as a JSON dict: a field annotated
-    ``Fraction`` as its :func:`rat_str` text, a tuple as a list and a
-    record as its own ``to_json_dict()``."""
-    out = {}
-    for f, annotation in record._fields.items():
-        value = getattr(record, f)
-        if annotation == "Fraction":
-            value = rat_str(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, Record):
-            value = value.to_json_dict()
-        out[f] = value
-    return out
+    def to_json_dict(self) -> dict:
+        """The fields as a JSON dict: a field annotated ``Fraction`` as its
+        :func:`rat_str` text, a record as its own ``to_json_dict()`` and a
+        tuple as a list, of their JSON if it holds records."""
+        out = {}
+        for f, annotation in self._fields.items():
+            value = getattr(self, f)
+            if annotation == "Fraction":
+                value = rat_str(value)
+            elif isinstance(value, tuple):
+                value = [v.to_json_dict() if isinstance(v, Record) else v for v in value]
+            elif isinstance(value, Record):
+                value = value.to_json_dict()
+            out[f] = value
+        return out
 
 
 class BipartiteGraph(Record):
@@ -503,9 +496,6 @@ class DegreeProfile(Record):
     avg_xy: Fraction
     avg_yx: Fraction
 
-    def to_json_dict(self) -> dict:
-        return fields_json(self)
-
 
 def degree_profile(g: BipartiteGraph) -> DegreeProfile:
     if g.m < 1 or g.n < 1:
@@ -565,24 +555,23 @@ class EdgeColoring(Record):
     def n(self) -> int:
         return self.classes[0].n
 
+    def _union_rows(self) -> tuple[int, ...]:
+        rows = (0,) * self.m
+        for cls in self._live():
+            rows = tuple(map(operator.or_, rows, cls.rows))
+        return rows
+
     def union_host(self) -> BipartiteGraph:
         """The underlying host graph (union of the classes)."""
-        rows = [0] * self.m
-        for cls in self._live():
-            for x, row in enumerate(cls.rows):
-                rows[x] |= row
-        return from_rows(self.m, self.n, rows)
+        return from_rows(self.m, self.n, self._union_rows())
 
     def validate_against(self, host: BipartiteGraph) -> None:
         if (host.m, host.n) != (self.m, self.n):
             raise ColoringMismatch("host and coloring disagree on (m, n)")
-        live = self._live()
-        for x in range(self.m):
-            merged = 0
-            for cls in live:
-                merged |= cls.rows[x]
-            if merged != host.rows[x]:
-                raise ColoringMismatch(f"colors do not cover exactly row {x}")
+        rows = self._union_rows()
+        if rows != host.rows:
+            x = next(x for x, (a, b) in enumerate(zip(rows, host.rows)) if a != b)
+            raise ColoringMismatch(f"colors do not cover exactly row {x}")
 
     def color_of(self, x: int, y: int) -> int | None:
         for c, cls in enumerate(self.classes):
@@ -690,7 +679,7 @@ class Component(Record):
         return self.xs[0]
 
     def to_json_dict(self) -> dict:
-        return {**fields_json(self), "order": self.order}
+        return {**super().to_json_dict(), "order": self.order}
 
 
 class DoubleStar(Record):
@@ -700,9 +689,6 @@ class DoubleStar(Record):
     center_x: int
     center_y: int
     order: int
-
-    def to_json_dict(self) -> dict:
-        return fields_json(self)
 
 
 def graph_components(g: BipartiteGraph, color: int = 0) -> list[Component]:

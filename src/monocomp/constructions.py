@@ -19,7 +19,6 @@ from .bigraph import (
     coloring_from_triples,
     complete,
     degree_profile,
-    fields_json,
     from_rows,
 )
 
@@ -39,9 +38,6 @@ class Certificate(Record):
     delta_yx: int
     largest_component: int
     largest_double_star: int
-
-    def to_json_dict(self) -> dict:
-        return fields_json(self)
 
 
 def construction_certificate(

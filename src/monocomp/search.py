@@ -90,7 +90,6 @@ from .bigraph import (
     EmptyGraph,
     Record,
     coloring_from_assignment,
-    fields_json,
     rat_str,
 )
 from .constructions import complete_minus_circulant
@@ -107,7 +106,7 @@ _RECENT = 32  # the newest dead keys per (depth, top) a state is tested for refi
 _KEY_BITS = 1 << 16  # the widest block matrix, r times vertices squared bits, kept for dead states
 
 
-class SearchConfig(Record, frozen=False):
+class SearchConfig(Record):
     """Knobs shared by the search operations."""
 
     seed: int = 0
@@ -118,16 +117,13 @@ class SearchConfig(Record, frozen=False):
             raise ValueError("budget must be >= 1")
 
 
-class SearchOutcome(Record, frozen=False):
+class SearchOutcome(Record):
     """Result of one search run."""
 
     kind: str
     value: int | None
     witness: EdgeColoring | None
     examined: int
-
-    def to_json_dict(self) -> dict:
-        return fields_json(self)
 
 
 def _automorphisms(host: BipartiteGraph) -> tuple[list[list[int]], int | None]:

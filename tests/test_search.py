@@ -1066,6 +1066,16 @@ class TestRandomSearch:
         out = random_search(host, 2, target=Fraction(2), cfg=SearchConfig(budget=1))
         assert out.examined == 1
 
+    def test_budget_is_fixed_after_its_check(self):
+        # a budget lowered to 0 or below after the check once made the
+        # sampler report AllSatisfy having examined 0 or fewer samples
+        cfg = SearchConfig(seed=1, budget=10)
+        for budget in (0, -5):
+            with pytest.raises(AttributeError):
+                cfg.budget = budget
+        out = random_search(complete(3, 3), 2, cfg=cfg)
+        assert (out.kind, out.examined) == ("AllSatisfy", 10)
+
     def test_same_seed_identical(self):
         host = complete_minus_circulant(6, 6, 2)
         cfg = SearchConfig(seed=5, budget=500)
