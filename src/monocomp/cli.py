@@ -108,7 +108,10 @@ def _single_class(args):
     classes = (host,) if col is None else col.classes  # an uncolored graph is one class
     if not (0 <= args.color < len(classes)):
         raise GraphError(f"--color must be in [0, {len(classes)})")
-    return classes[args.color], args.r or (2 if col is None else col.r), text
+    r = args.r
+    if r is None:
+        r = 2 if col is None else col.r
+    return classes[args.color], r, text
 
 
 def cmd_analyze(args) -> tuple[dict, int, str, dict]:
@@ -146,12 +149,14 @@ def cmd_analyze(args) -> tuple[dict, int, str, dict]:
             )
         gg = parse_general_json(data)
         text = dumps_canonical(data)
-        verdict = check_corollary(gg, args.r or gg.r, variant=args.variant)
+        verdict = check_corollary(gg, gg.r if args.r is None else args.r, variant=args.variant)
     else:
         host, col, text = _load_host(args.file)
         if col is None:
             raise GraphError(f"--check {args.check} needs a colored graph")
-        verdict = check_instance(THEOREMS[args.check], host, col, args.r or col.r)
+        verdict = check_instance(
+            THEOREMS[args.check], host, col, col.r if args.r is None else args.r
+        )
     doc = verdict.to_json_dict()
     code = _EXIT_OK if (not verdict.applicable or verdict.holds) else _EXIT_COUNTEREXAMPLE
     return doc, code, text, {"check": args.check, "holds": verdict.holds}
@@ -252,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[*sorted(THEOREMS), "stability", "mainlemma", "corollary"],
     )
-    ana.add_argument("--r", type=int, default=0, help="colors (default: from file)")
+    ana.add_argument("--r", type=int, default=None, help="colors (default: from file)")
     ana.add_argument("--color", type=int, default=0, help="class for per-class reports")
     ana.add_argument(
         "--variant", default="seven-eighths", choices=["general", "seven-eighths"]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monocomp import (
+    THEOREMS,
     BipartiteGraph,
     ColoringMismatch,
     DuplicateEdge,
@@ -20,9 +21,11 @@ from monocomp import (
     EmptyGraph,
     GraphError,
     IndexOutOfRange,
+    check_instance,
     coloring_from_assignment,
     coloring_from_triples,
     complete,
+    construction_certificate,
     degree_profile,
     dumps_canonical,
     from_edge_list,
@@ -31,6 +34,7 @@ from monocomp import (
     graph_json,
     largest_double_star,
     largest_mono_component,
+    main_lemma_report,
     meets_conjecture_degrees,
     mono_components,
     parse_graph_json,
@@ -781,6 +785,130 @@ class TestKeptLists:
         assert calls[1] == tuple(int(y in (0, 1, 5, 99)) for y in range(100))
         assert t.transpose() == g and calls[2] == (2, 0, 2)
         assert None not in calls
+
+
+KERNELS = {"linked": bigraph._linked_components, "swept": bigraph._swept_components}
+
+
+def check_split(split, g):
+    """``split`` is the component split of ``g``: the BFS oracle's sets,
+    ordered by smallest X-index, both sides ascending, as plain tuples."""
+    assert type(split) is tuple
+    for xs, ys in split:
+        assert type(xs) is tuple and type(ys) is tuple
+        assert list(xs) == sorted(set(xs)) and list(ys) == sorted(set(ys))
+    assert [xs[0] for xs, _ in split] == sorted(xs[0] for xs, _ in split)
+    want = sorted(oracles.bfs_components(g.m, g.n, g.edges()), key=lambda c: min(c[0]))
+    assert [(frozenset(xs), frozenset(ys)) for xs, ys in split] == want
+
+
+def sparse_host(m, n, e, seed):
+    cells = random.Random(seed).sample(range(m * n), e)
+    return from_edge_list(m, n, [divmod(c, n) for c in cells])
+
+
+def count_kernels(monkeypatch):
+    """Patch both component kernels to log each call as (kernel, graph)."""
+    calls = []
+    for name, kernel in KERNELS.items():
+        monkeypatch.setattr(
+            bigraph, f"_{name}_components",
+            lambda g, k=kernel, name=name: calls.append((name, g)) or k(g),
+        )
+    return calls
+
+
+class TestComponentKernels:
+    """The union-find over index lists (sparse graphs) and the bit sweep
+    (dense ones) each give the BFS oracle's split, whichever the density
+    rule picks; a graph finds its split once, and no pickle or copy holds
+    it."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @given(transpose_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_against_bfs_oracle(self, kernel, g):
+        # from_rows keeps no lists, so the union-find reads bit_indices of
+        # each row; the rebuilt graph hands it the kept lists
+        for h in (g, from_edge_list(g.m, g.n, g.edges())):
+            check_split(KERNELS[kernel](h), h)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @given(st.one_of(bipartite_graphs(), wide_graphs(60)))
+    @settings(max_examples=40, deadline=None)
+    def test_small_and_wide_graphs(self, kernel, g):
+        check_split(KERNELS[kernel](g), g)
+
+    @pytest.mark.parametrize("m,n,e", [(3000, 3000, 2000), (300, 3000, 600), (3000, 300, 600)])
+    def test_wide_sparse_hosts_with_many_components(self, m, n, e):
+        g = sparse_host(m, n, e, seed=m + n)
+        h = from_rows(m, n, g.rows)
+        assert m * n > 512 * e and h._lists is None
+        split = bigraph._swept_components(g)
+        assert len(split) > e // 3
+        check_split(split, g)
+        for graph in (g, h):
+            assert bigraph._linked_components(graph) == split
+            assert graph._components == split
+            comps = graph_components(graph, color=1)
+            assert [(c.color, c.xs, c.ys) for c in comps] == [(1, *pair) for pair in split]
+
+    @pytest.mark.parametrize("m,n", [(64, 64), (32, 512), (512, 32)])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_density_rule(self, monkeypatch, m, n, offset):
+        # m n > 512 E takes the union-find; 512 divides each m n, so offset
+        # 0 sits exactly on the rule and takes the sweep
+        e = m * n // 512 + offset
+        g = sparse_host(m, n, e, seed=e)
+        calls = count_kernels(monkeypatch)
+        check_split(g._components, g)
+        assert calls == [("linked" if offset < 0 else "swept", g)]
+
+    def test_found_once_per_graph(self, monkeypatch):
+        g = sparse_host(2000, 2000, 3000, seed=5)
+        calls = count_kernels(monkeypatch)
+        first = graph_components(g)
+        report = main_lemma_report(g, 2)
+        assert calls == [("linked", g)]
+        again = graph_components(g)
+        assert again == first and again is not first
+        ranked = sorted(first, key=lambda c: (-c.order, c.min_x))
+        assert report.components == tuple(ranked[:2])
+
+    @pytest.mark.parametrize("r,t1,t2", [(2, 4, 2), (3, 2, 2)])
+    def test_found_once_per_class(self, monkeypatch, r, t1, t2):
+        # rebuilt, since the construction has found its classes' splits
+        # for its own certificate
+        built = lower_bound_construction(r, t1, t2)[1]
+        col = coloring_from_triples(built.m, built.n, r, built.edges())
+        host = col.union_host()
+        live = col._live()
+        assert len(live) == r
+        calls = count_kernels(monkeypatch)
+        construction_certificate(host, col)
+        for name in ("conjecture", "tetel", "gy1"):
+            check_instance(THEOREMS[name], host, col, r)
+        # one kernel call per class, none for the host
+        assert [id(g) for _, g in calls] == [id(g) for g in live]
+
+    def test_not_pickled_or_copied(self):
+        g = sparse_host(300, 300, 150, seed=1)
+        before = (pickle.dumps(g), hash(g), repr(g))
+        graph_components(g)
+        assert "_components" in vars(g)
+        assert (pickle.dumps(g), hash(g), repr(g)) == before
+        for twin in (pickle.loads(before[0]), copy.copy(g), copy.deepcopy(g)):
+            assert twin == g and "_components" not in vars(twin)
+            assert graph_components(twin) == graph_components(g)
+
+    def test_color_is_per_call(self):
+        host, col = lower_bound_construction(2, 3, 2)
+        g = col.classes[1]
+        assert {c.color for c in graph_components(g)} == {0}
+        fresh = BipartiteGraph(g.m, g.n, g.rows, g.edge_count)
+        comps = graph_components(g, color=2)
+        assert comps == graph_components(fresh, color=2)
+        assert comps and {c.color for c in comps} == {2}
 
 
 def mask_with(width, count, seed):

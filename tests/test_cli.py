@@ -16,6 +16,7 @@ from monocomp import (
     complete_minus_circulant,
     dumps_canonical,
     graph_json,
+    lower_bound_construction,
     parse_graph_json,
 )
 from monocomp import THEOREMS, cli, search
@@ -133,6 +134,26 @@ class TestAnalyze:
         res = run_cli(["analyze", f, "--check", check, "--r", 3], tmp_path)
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr == "error: this check is for exactly 2 colors\n"
+
+    @pytest.mark.parametrize(
+        "check,message",
+        [
+            ("mainlemma", "need r >= 1"),
+            ("stability", "need r >= 1"),
+            ("r2", "this check is for exactly 2 colors"),
+            ("conjecture", "need r >= 2"),
+            ("corollary", "corollaries need r >= 3"),
+        ],
+    )
+    def test_r_zero_is_refused(self, tmp_path, check, message):
+        # --r 0 is a value like --r -1, not "the file's r"
+        f = tmp_path / "g.json"
+        if check == "corollary":
+            f.write_text(json.dumps({"n": 4, "r": 3, "edges": [[0, 1, 0], [1, 2, 1], [2, 3, 2]]}))
+        else:
+            f.write_text(dumps_canonical(graph_json(*lower_bound_construction(2, 2, 2))))
+        res = run_cli(["analyze", f, "--check", check, "--r", 0], tmp_path)
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("name", sorted(THEOREMS))
     def test_every_registry_theorem_is_one_check(self, tmp_path, name, capsys):
