@@ -558,10 +558,7 @@ def check_corollary(gg: GeneralGraph, r: int, variant: str = "general") -> Verdi
         raise ValueError(f"unknown corollary variant {variant!r}")
 
     comps = general_mono_components(gg)
-    witness = None
-    for comp in comps:
-        if witness is None or comp.order > witness.order:
-            witness = comp
+    witness = max(comps, key=lambda c: c.order, default=None)
     achieved = witness.order if witness is not None else 0
     holds = achieved >= target
 

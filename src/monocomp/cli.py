@@ -40,6 +40,7 @@ _EXIT_INPUT = 2
 _EXIT_BUDGET = 3
 _EXIT_INTERNAL = 4
 _KIND_EXIT = {"Counterexample": _EXIT_COUNTEREXAMPLE, "BudgetExhausted": _EXIT_BUDGET}
+_GEN_DEFAULTS = {"k": 3, "r": 2, "t1": 1, "t2": 1, "m": 4, "n": 4, "d": 1}  # for options not given
 
 
 def _digest(text: str) -> str:
@@ -90,7 +91,9 @@ def _load_host(source: str):
 
 
 def cmd_gen(args) -> tuple[dict, int, str, dict]:
-    params = {key: getattr(args, key) for key in GEN_VARIANTS[args.variant][1]}
+    params = {key: _GEN_DEFAULTS[key] for key in GEN_VARIANTS[args.variant][1]}
+    # every option given: gen_build rejects one the variant does not read, as in a gen: spec
+    params.update((key, value) for key, value in vars(args).items() if key in _GEN_DEFAULTS)
     host, col = gen_build(args.variant, params)
     cert = construction_certificate(host, col)
     graph_doc = graph_json(host, col)
@@ -241,13 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = add_sub("gen", cmd_gen, help="emit a construction with its certificate")
     gen.add_argument("variant", choices=list(GEN_VARIANTS))
-    gen.add_argument("--k", type=int, default=3)
-    gen.add_argument("--r", type=int, default=2)
-    gen.add_argument("--t1", type=int, default=1)
-    gen.add_argument("--t2", type=int, default=1)
-    gen.add_argument("--m", type=int, default=4)
-    gen.add_argument("--n", type=int, default=4)
-    gen.add_argument("--d", type=int, default=1)
+    for key in _GEN_DEFAULTS:  # absent unless given, so cmd_gen can tell
+        gen.add_argument(f"--{key}", type=int, default=argparse.SUPPRESS)
     gen.add_argument("--out", help="also write the bare graph JSON here")
 
     ana = add_sub("analyze", cmd_analyze, help="run one theorem check on a graph file")

@@ -22,14 +22,16 @@ automorphism of a set (``_lex_elements``), the coloring stays lex-at-most
 its image under that automorphism with colors renamed by first
 appearance.  The set always holds the generators of the host's
 automorphism group (``_automorphisms``, found by individualization and
-refinement), compared on every edge.  When that search proves an order
-of at most ``_GROUP_CAP`` and the closure costs at most ``_SYMMETRY_WORK``
-permutation entries, it holds the whole group, and each element that is
-not a generator is compared only on the first ``_EXTRA_SHARE`` of the
-edges, near the root, where a cut removes a large subtree (the BreakID
-idea of bounding each constraint's length: Devriendt, Bogaerts,
-Bruynooghe, Denecker, SAT 2016).  Every automorphism (a side swap too, when
-m = n, since then half-half is symmetric) and every color permutation maps
+refinement over the packed ``ends``, whose root partition keeps the
+sides, each returned once), compared on every edge.  When that search
+proves an order of at most ``_GROUP_CAP`` and the closure costs at most
+``_SYMMETRY_WORK`` permutation entries, it holds the whole group, and
+each element that is not a generator is compared only on the first
+``_EXTRA_SHARE`` of the edges, near the root, where a cut removes a
+large subtree (the BreakID idea of bounding each constraint's length:
+Devriendt, Bogaerts, Bruynooghe, Denecker, SAT 2016).  Every
+automorphism (a side swap too, when m = n, since then half-half is
+symmetric) and every color permutation maps
 a coloring that keeps all components below the conclusion to one that does
 too, so the solutions fall into orbits, and the lex-least solution is the
 least of its orbit and meets every such order, and so every prefix of
@@ -126,18 +128,24 @@ class SearchOutcome(Record):
     examined: int
 
 
-def _automorphisms(host: BipartiteGraph) -> tuple[list[list[int]], int | None]:
-    """Generators of the host's automorphism group, each as an edge
-    permutation ``perm`` over ``_packed``'s ``ends``: the vertex bijection
-    sends edge i onto edge ``perm[i]``.  Every bijection keeps X and Y, or
-    (only when m = n) swaps them whole, and each one is checked against the
-    edge set before it is returned.  With them comes the number of edge
-    permutations the group holds, or None when the search stopped early.
+def _automorphisms(m: int, n: int, ends) -> tuple[list[tuple[int, ...]], int | None]:
+    """Generators of the automorphism group of the host that ``_packed``
+    packs as ``ends`` (X-vertices 0..m-1, Y-vertices m..m+n-1), each edge
+    permutation ``perm`` returned once, as a tuple, in the order found: the
+    vertex bijection sends edge i onto edge ``perm[i]``.  Every bijection
+    keeps X and Y, or (only when m = n) swaps them whole, and each one is
+    checked against the edge set before it is kept.  With them comes the
+    number of edge permutations the group holds, or None when the search
+    stopped early.
 
     Individualization and refinement (after McKay, J. Algorithms 26, 1998)
-    over X and Y, whose vertices are numbered as in ``ends``: refining an
-    ordered partition splits its cells by their neighbour counts in one
-    splitter cell at a time, and only cells that changed become splitters.
+    over X and Y: the root partition keeps the sides.  Its cells hold X in
+    positions 0..m-1 and Y after them, and refinement only splits cells in
+    place, so every leaf below it maps X onto X; the swapped root (only
+    when m = n) maps X onto Y whole, and twins are keyed by side.
+    Refining an ordered partition splits its cells by their neighbour
+    counts in one splitter cell at a time, and only cells that changed
+    become splitters.
     The first path individualizes the first vertex of the first non-trivial
     cell until the partition is discrete; the leaf ``first`` pairs each
     vertex with its position.  Level by level from the deepest, for each
@@ -157,14 +165,13 @@ def _automorphisms(host: BipartiteGraph) -> tuple[list[list[int]], int | None]:
     ``_SYMMETRY_WORK`` permutation entries are returned: on a big host the
     walk breaks the symmetry of the generators found first, which keeps
     it as sound."""
-    m, n = host.m, host.n
     num = m + n
-    if host.edge_count > _SYMMETRY_WORK:  # no generator would fit
+    if len(ends) > _SYMMETRY_WORK:  # no generator would fit
         return [], None
-    ends = [(x, m + y) for x, y in host.edges()]
-    edge_at = {e: i for i, e in enumerate(ends)}
+    edge_at = {}  # each edge both ways round
     adj = [[] for _ in range(num)]
-    for a, b in ends:
+    for i, (a, b) in enumerate(ends):
+        edge_at[a, b] = edge_at[b, a] = i
         adj[a].append(b)
         adj[b].append(a)
     work = _SYMMETRY_WORK
@@ -243,19 +250,14 @@ def _automorphisms(host: BipartiteGraph) -> tuple[list[list[int]], int | None]:
         return lab, cell, end
 
     def verified(sigma):
-        """``sigma`` if it keeps or swaps the sides whole and maps each edge
-        at a moved vertex onto an edge (so every edge onto an edge), else
-        None."""
+        """``sigma`` if it maps each edge at a moved vertex onto an edge (so
+        every edge onto an edge), else None."""
         nonlocal work
         work -= num
-        swap = sigma[0] >= m
         for v in range(num):
-            if (sigma[v] >= m) != (v >= m) ^ swap:
-                return None
-            if sigma[v] != v or swap:
+            if sigma[v] != v:
                 for w in adj[v]:
-                    a, b = sigma[v], sigma[w]
-                    if (min(a, b), max(a, b)) not in edge_at:
+                    if (sigma[v], sigma[w]) not in edge_at:
                         return None
         return sigma
 
@@ -357,18 +359,12 @@ def _automorphisms(host: BipartiteGraph) -> tuple[list[list[int]], int | None]:
     kept = gens[:_SYMMETRY_WORK // len(ends)]
     if work < 0 or len(kept) < len(gens):  # the generators found may not generate the group
         order = None
-    perms = []
-    for sigma in kept:
-        if sigma[0] < m:
-            perm = [edge_at[sigma[a], sigma[b]] for a, b in ends]
-        else:
-            perm = [edge_at[sigma[b], sigma[a]] for a, b in ends]
-        if perm != list(range(len(ends))):  # isolated twins move no edge
-            perms.append(perm)
-    return perms, order
+    perms = dict.fromkeys(tuple(edge_at[sigma[a], sigma[b]] for a, b in ends) for sigma in kept)
+    perms.pop(tuple(range(len(ends))), None)  # isolated twins move no edge
+    return list(perms), order
 
 
-def _lex_elements(host: BipartiteGraph) -> list[tuple[tuple[int, ...], int]]:
+def _lex_elements(m: int, n: int, ends) -> list[tuple[tuple[int, ...], int]]:
     """The automorphisms the walk breaks symmetry with, as (edge permutation,
     limit) pairs for ``_lex_schedule``: each element is compared on the
     positions known once the first ``limit`` edges are colored.
@@ -384,9 +380,8 @@ def _lex_elements(host: BipartiteGraph) -> list[tuple[tuple[int, ...], int]]:
     order is a lex order over all positions, and its first ``limit``
     edges' positions are a prefix of it, which the lex-least solution
     meets as well, so a limit changes only the node count."""
-    perms, order = _automorphisms(host)
-    gens = list(dict.fromkeys(map(tuple, perms)))
-    num_edges = host.edge_count
+    gens, order = _automorphisms(m, n, ends)
+    num_edges = len(ends)
     full = [(perm, num_edges) for perm in gens]
     if order is None or order > _GROUP_CAP or (order - 1) * len(gens) * num_edges > _SYMMETRY_WORK:
         return full
@@ -773,7 +768,7 @@ def _below_probe(host: BipartiteGraph, r: int, workers: int, packing=(0, 0, 2)):
     ends, weights, (weight, _, _) = _packed(host, packing)  # needs of one kind pack alike
     if r < 1:
         raise ValueError("need r >= 1")
-    lex = _lex_schedule(_lex_elements(host), len(ends))
+    lex = _lex_schedule(_lex_elements(host.m, host.n, ends), len(ends))
     workers = min(workers, os.cpu_count() or 1)
     depth = _prefix_depth(len(ends), r, workers)
 
@@ -1073,16 +1068,13 @@ def alpha_frontier(
         strict_floor = math.floor(2 * slack)
         candidates = sorted({half, min(strict_floor + 1, half)})
         hosts = []
-        hypothesis_ok = False
-        for m_x in candidates:
+        for m_x in candidates:  # 1 <= m_x <= total_n // 2 <= n_y
             n_y = total_n - m_x
-            if m_x < 1 or m_x > n_y or d > n_y:
+            if d > n_y:
                 continue
             host = complete_minus_circulant(m_x, n_y, d)
             if host.edge_count == 0:
                 continue
-            meets_hypothesis = Fraction(m_x) > 2 * slack
-            hypothesis_ok = hypothesis_ok or meets_hypothesis
             target = Fraction(total_n, 2)
             if host.edge_count <= _EXHAUSTIVE_EDGE_LIMIT:
                 out = exists_coloring_below(host, 2, target, cfg, workers)
@@ -1096,7 +1088,7 @@ def alpha_frontier(
                     "n": n_y,
                     "d": d,
                     "edges": host.edge_count,
-                    "meets_hypothesis": meets_hypothesis,
+                    "meets_hypothesis": Fraction(m_x) > 2 * slack,
                     "mode": mode,
                     "kind": out.kind,
                     "examined": out.examined,
@@ -1111,7 +1103,7 @@ def alpha_frontier(
         rows.append(
             {
                 "alpha": rat_str(alpha),
-                "hypothesis_satisfiable": hypothesis_ok,
+                "hypothesis_satisfiable": any(h["meets_hypothesis"] for h in hosts),
                 "hosts": hosts,
                 "verdict": verdict,
             }

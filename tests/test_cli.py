@@ -496,6 +496,23 @@ class TestSubcommandFlags:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["gen", "complete", "--m", "2", "--n", "2", "--d", "1"], "complete takes m, n, not d"),
+            (["gen", "cyclic", "--k", "2", "--r", "5"], "cyclic takes k, not r"),
+            (
+                ["gen", "circulant", "--m", "4", "--n", "4", "--d", "1", "--t1", "4"],
+                "circulant takes m, n, d, not t1",
+            ),
+        ],
+    )
+    def test_unread_gen_option_rejected(self, args, message, capsys):
+        # a gen option its variant does not read exits 2 with the message
+        # of the same key in a gen: spec
+        assert main(["--manifest", os.devnull, *args]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestColdStart:
     @staticmethod

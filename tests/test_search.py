@@ -55,6 +55,12 @@ def random_host(rng, max_side=4):
     return from_edge_list(m, n, edges) if edges else None
 
 
+def finder_args(host):
+    """The (m, n, ends) that the automorphism finder reads, packed by
+    ``search._packed`` as every search packs its host."""
+    return host.m, host.n, search._packed(host, (0, 0, 2))[0]
+
+
 def twin_rich_host(rng):
     """A blow-up of a random 2x2 or 3x3 base, or a random host with some
     rows and columns repeated in shuffled order: hosts with twins."""
@@ -192,7 +198,7 @@ class TestBelowSearch:
             r = rng.randint(1, 3)
             if host is None or host.edge_count > 12 or r**host.edge_count > 4096:
                 continue
-            perms = search._lex_elements(host)
+            perms = search._lex_elements(*finder_args(host))
             for t in range(2, host.m + host.n + 2):
                 want = oracles.brute_below_search(host, r, t, perms=perms, dead_states=True)
                 for budget in {b for b in (1, want[1] - 1, want[1], 1 << 62) if b >= 1}:
@@ -214,7 +220,7 @@ class TestBelowSearch:
         # and once through a real pool of two processes
         host, t = complete_minus_circulant(4, 4, 1), 4
         want = oracles.brute_below_search(
-            host, 2, t, perms=search._lex_elements(host), dead_states=True
+            host, 2, t, perms=search._lex_elements(*finder_args(host)), dead_states=True
         )
         force_depth(monkeypatch, 2)
         fast = exists_coloring_below(host, 2, t, workers=2)
@@ -235,7 +241,7 @@ class TestBelowSearch:
             r = rng.choice((1, 2, 2, 3, 3))
             if host is None or r**host.edge_count > 1 << 13:
                 continue
-            perms = search._lex_elements(host)
+            perms = search._lex_elements(*finder_args(host))
             moved += bool(perms)
             for t in range(2, host.m + host.n + 2):
                 kind, _, want = oracles.brute_below_search(host, r, t)
@@ -306,7 +312,7 @@ class TestDeadStates:
         assert oracles.DEAD_BITS == search._DEAD_BITS
         assert oracles.RECENT == search._RECENT
         assert oracles.KEY_BITS == search._KEY_BITS
-        perms = search._lex_elements(host)
+        perms = search._lex_elements(*finder_args(host))
         moved = 0
         for t in targets:
             kind, plain, want = oracles.brute_below_search(host, r, t, perms=perms)
@@ -433,7 +439,7 @@ class TestDeadStates:
 
         monkeypatch.setattr(oracles, "DeadStates", Recording)
         host = complete_minus_circulant(5, 5, 1)
-        perms = search._lex_elements(host)
+        perms = search._lex_elements(*finder_args(host))
         assert oracles.brute_below_search(host, 2, 6, perms=perms, dead_states=True)[1] == 224
         assert hits
         assert exists_coloring_below(host, 2, 6).examined == 224
@@ -450,7 +456,7 @@ class TestDeadStates:
         monkeypatch.setattr(search, "_KEY_BITS", 99)
         monkeypatch.setattr(oracles, "KEY_BITS", 99)
         host = complete_minus_circulant(5, 5, 1)  # 2 colors x 10^2 bits
-        perms = search._lex_elements(host)
+        perms = search._lex_elements(*finder_args(host))
         for t in range(2, 12):
             plain = oracles.brute_below_search(host, 2, t, perms=perms)
             assert oracles.brute_below_search(host, 2, t, perms=perms, dead_states=True) == plain
@@ -559,8 +565,8 @@ class TestAutomorphisms:
     def _check_generators(host, perms=None):
         """Each generator (or each of ``perms``) maps the edges onto the
         edges by a vertex map that keeps the sides or swaps them whole."""
-        ends = [(x, host.m + y) for x, y in host.edges()]
-        perms = search._automorphisms(host)[0] if perms is None else perms
+        m, n, ends = finder_args(host)
+        perms = search._automorphisms(m, n, ends)[0] if perms is None else perms
 
         def vertex_map(perm, swap):
             sigma = {}
@@ -598,15 +604,58 @@ class TestAutomorphisms:
             perms = self._check_generators(host)
             want = len(oracles.brute_automorphisms(host))
             assert len(_closure(perms, host.edge_count)) == want, host.edges()
-            assert search._automorphisms(host)[1] in (want, None), host.edges()
+            assert search._automorphisms(*finder_args(host))[1] in (want, None), host.edges()
 
     def test_big_hosts_stay_cheap(self):
         # the search and the permutations are capped, so a big host costs
         # little and gets the generators found first
-        perms, order = search._automorphisms(complete(40, 40))
+        perms, order = search._automorphisms(*finder_args(complete(40, 40)))
         assert 0 < len(perms) * 1600 <= search._SYMMETRY_WORK
         assert order is None  # the generators kept may not generate the group
-        assert search._automorphisms(complete(300, 300)) == ([], None)
+        assert search._automorphisms(*finder_args(complete(300, 300))) == ([], None)
+
+    def test_each_generator_once(self):
+        # with isolated vertices on both sides and m = n, two vertex maps
+        # found may move the edges alike: the finder returns the edge
+        # permutation once
+        for rows in ((0, 2, 1), (0, 0, 0, 0, 32, 8)):  # two edges: a side swap swaps them
+            host = from_rows(len(rows), len(rows), rows)
+            assert search._automorphisms(*finder_args(host)) == ([(1, 0)], 2)
+        rng = random.Random(5)
+        for _ in range(600):
+            m = rng.randint(1, 6)
+            rows = [rng.getrandbits(m) if rng.random() < 0.5 else 0 for _ in range(m)]
+            if any(rows):
+                host = from_rows(m, m, rows)
+                perms = self._check_generators(host)
+                assert len(set(perms)) == len(perms), host.edges()
+
+    def test_ladder_orders(self):
+        # the orders proven on the ladder hosts of the r >= 3 tables, each
+        # from its closed form, all beyond the brute-force oracle's reach
+        def minus(m, n, missed):
+            """K_{m,n} without the edges (x, y) for y in ``missed[x]``."""
+            full = (1 << n) - 1
+            rows = [full ^ sum(1 << y for y in ys) for ys in missed]
+            return from_rows(m, n, rows + [full] * (m - len(rows)))
+
+        def stars(*sizes):
+            """(8,8) minus stars of ``sizes`` edges centered in X, on disjoint Y-ends."""
+            cuts = list(itertools.accumulate(sizes, initial=0))
+            return minus(8, 8, [range(a, b) for a, b in zip(cuts, cuts[1:])])
+
+        cycles = minus(9, 9, [(3 * b + i, 3 * b + (i + 1) % 3) for b in range(3) for i in range(3)])
+        for host, order in (
+            (complete_minus_circulant(8, 8, 1), 2 * math.factorial(8)),  # S_8 and the swap
+            (complete_minus_circulant(9, 9, 2), 2 * 18),  # the 18-cycle's dihedral group
+            (stars(2, 1, 1, 1, 1, 1, 1), 2 * math.factorial(6)),  # the leaves, the 1-stars
+            # the leaves, the two 2-stars, the 1-stars, the two full X-rows
+            (stars(2, 2, 1, 1, 1, 1), 2 ** 2 * 2 * math.factorial(4) * 2),
+            (complete_minus_circulant(6, 7, 1), math.factorial(6)),
+            (cycles, 6 ** 3 * math.factorial(3) * 2),  # each 6-cycle's sides kept, the swap
+        ):
+            assert search._automorphisms(*finder_args(host))[1] == order, host.edges()
+            self._check_generators(host)
 
     def test_worker_invariance(self, monkeypatch):
         # the prefix replay rebuilds each task's lex-leader state, so two
@@ -636,10 +685,10 @@ class TestAutomorphisms:
         # every element maps edges onto edges; under the cap the set is the
         # whole group but the identity, the generators first and compared
         # on every edge, the rest on the first 3E/7; over it, the generators
-        elements = search._lex_elements(host)
+        elements = search._lex_elements(*finder_args(host))
         perms = [perm for perm, _ in elements]
         self._check_generators(host, perms)
-        gens = [tuple(perm) for perm in self._check_generators(host)]
+        gens = self._check_generators(host)
         num = host.edge_count
         assert len(set(perms)) == len(perms) and tuple(range(num)) not in perms
         assert elements[:len(gens)] == [(perm, num) for perm in gens]
@@ -657,9 +706,9 @@ class TestAutomorphisms:
             host = complete(m, n)
             if math.factorial(m) * math.factorial(n) * (2 if m == n else 1) <= search._GROUP_CAP:
                 continue
-            gens, order = search._automorphisms(host)
+            gens, order = search._automorphisms(*finder_args(host))
             assert order > search._GROUP_CAP
-            assert search._lex_elements(host) == [(tuple(g), host.edge_count) for g in gens]
+            assert search._lex_elements(*finder_args(host)) == [(g, host.edge_count) for g in gens]
 
     @pytest.mark.parametrize("host", LEX_HOSTS, ids=LEX_IDS)
     def test_group_order_changes_no_element(self, host):
@@ -667,29 +716,29 @@ class TestAutomorphisms:
         # the generators, breadth first, kept when it has at most the cap's
         # elements and costs at most the work cap
         num = host.edge_count
-        gens = list(dict.fromkeys(map(tuple, search._automorphisms(host)[0])))
+        gens = search._automorphisms(*finder_args(host))[0]
         group = _closure(gens, num)
         full = [(perm, num) for perm in gens]
         cost = (len(group) - 1) * len(gens) * num
         if len(group) <= search._GROUP_CAP and cost <= search._SYMMETRY_WORK:
             full += [(perm, num * 3 // 7) for perm in group[1 + len(gens):]]
-        assert search._lex_elements(host) == full
+        assert search._lex_elements(*finder_args(host)) == full
 
     @pytest.mark.parametrize("host", LEX_HOSTS, ids=LEX_IDS)
     def test_unknown_order_keeps_the_generators(self, monkeypatch, host):
         # a search that stopped early proves no order: no closure runs
-        gens = search._automorphisms(host)[0]
-        monkeypatch.setattr(search, "_automorphisms", lambda h: (gens, None))
-        want = [(perm, host.edge_count) for perm in dict.fromkeys(map(tuple, gens))]
-        assert search._lex_elements(host) == want
+        gens = search._automorphisms(*finder_args(host))[0]
+        monkeypatch.setattr(search, "_automorphisms", lambda m, n, ends: (gens, None))
+        want = [(perm, host.edge_count) for perm in gens]
+        assert search._lex_elements(*finder_args(host)) == want
 
     def test_large_twin_free_group_takes_no_closure(self):
         # circ(5,5,1) has no twins and a group of order 240: its order, not
         # a closure of 65 elements, leaves the generators alone
         host = complete_minus_circulant(5, 5, 1)
-        perms, order = search._automorphisms(host)
+        perms, order = search._automorphisms(*finder_args(host))
         assert order == 240
-        assert search._lex_elements(host) == [(tuple(p), host.edge_count) for p in perms]
+        assert search._lex_elements(*finder_args(host)) == [(p, host.edge_count) for p in perms]
 
     def test_random_hosts_match_brute_group(self):
         # under both caps the elements and the identity are the whole
@@ -701,7 +750,7 @@ class TestAutomorphisms:
             if host is None or math.factorial(host.m) * math.factorial(host.n) > 3000:
                 continue
             num = host.edge_count
-            elements = search._lex_elements(host)
+            elements = search._lex_elements(*finder_args(host))
             gens = [perm for perm, limit in elements if limit == num]
             brute = oracles.brute_automorphisms(host)
             cost = (len(brute) - 1) * len(gens) * num
@@ -724,9 +773,9 @@ class TestAutomorphisms:
             rng = random.Random(1)
             base = [rng.getrandbits(20) for _ in range(20 - p)]
             host = from_rows(20, 20, [base[i // 2] for i in range(2 * p)] + base[p:])
-            gens, found = search._automorphisms(host)
+            gens, found = search._automorphisms(*finder_args(host))
             assert (host.edge_count, found, len(gens)) == (edges, order, p)
-            assert len(search._lex_elements(host)) == closed
+            assert len(search._lex_elements(*finder_args(host))) == closed
 
 
 class TestMinMax:
