@@ -26,11 +26,11 @@ from .bigraph import (
     IndexOutOfRange,
     Record,
     _class_components,
-    _largest_double_star_in_class,
     coloring_from_triples,
     graph_components,
     json_int,
     rat_str,
+    uncolored_largest_double_star,
 )
 from .theorems import THEOREMS, Theorem
 
@@ -58,12 +58,6 @@ class Verdict(Record):
         return out
 
 
-def _validate_coloring(host: BipartiteGraph, col: EdgeColoring, r: int) -> None:
-    if col.r != r:
-        raise ColoringMismatch(f"coloring has {col.r} colors, expected {r}")
-    col.validate_against(host)
-
-
 def check_instance(
     thm: Theorem, host: BipartiteGraph, col: EdgeColoring, r: int
 ) -> Verdict:
@@ -74,7 +68,9 @@ def check_instance(
     err = thm.r_error(r)
     if err:
         raise ColoringMismatch(err)
-    _validate_coloring(host, col, r)
+    if col.r != r:
+        raise ColoringMismatch(f"coloring has {col.r} colors, expected {r}")
+    col.validate_against(host)
     m, n = host.m, host.n
     applicable = thm.hypothesis(host, r) is None
     target = thm.target(m, n, r)
@@ -214,7 +210,7 @@ def stability_report(
 
     defect_x = sum(xdegs[x] for x in exc_x) - len(exc_x) * avg_xy
     defect_y = sum(ydegs[y] for y in exc_y) - len(exc_y) * avg_yx
-    star = _largest_double_star_in_class(g, 0).order
+    star = uncolored_largest_double_star(g).order
     case_i = star * r >= m + n
     case_ii = not _above_cuberoot(len(exc_x), alpha, m) and not _above_cuberoot(
         len(exc_y), beta, n
@@ -363,19 +359,13 @@ class GeneralGraph(Record):
 def general_from_edge_list(n: int, r: int, triples) -> GeneralGraph:
     """Build a GeneralGraph from (u, v, color) triples; endpoints may come in
     either order."""
-    edges = []
-    colors = []
-    for u, v, c in triples:
-        if u > v:
-            u, v = v, u
-        edges.append((u, v))
-        colors.append(c)
-    order = sorted(range(len(edges)), key=lambda i: edges[i])
+    # stable on the edge alone, so a repeated edge keeps its input order
+    pairs = sorted([((min(u, v), max(u, v)), c) for u, v, c in triples], key=lambda p: p[0])
     return GeneralGraph(
         n=n,
         r=r,
-        edges=tuple(edges[i] for i in order),
-        colors=tuple(colors[i] for i in order),
+        edges=tuple(edge for edge, _ in pairs),
+        colors=tuple(c for _, c in pairs),
     )
 
 
@@ -563,11 +553,8 @@ def check_corollary(gg: GeneralGraph, r: int, variant: str = "general") -> Verdi
     holds = achieved >= target
 
     detail: dict = {"variant": variant, "threshold": rat_str(threshold)}
-    avoided = None
-    for c in range(gg.r):
-        if all(comp.order < threshold for comp in comps if comp.color == c):
-            avoided = c
-            break
+    reached = {comp.color for comp in comps if comp.order >= threshold}
+    avoided = next((c for c in range(gg.r) if c not in reached), None)
     if avoided is not None:
         own = [comp for comp in comps if comp.color == avoided]
         reduction = _bipartition(gg, avoided, own, min_side)

@@ -365,12 +365,12 @@ class BipartiteGraph(Record):
                     xs_of[y].append(x)
             cols, degrees = tuple(map(mask_of, xs_of)), tuple(map(len, xs_of))
             return _built(n, m, cols, self.edge_count, degrees, xs_of)
-        spread, table = f"0{n}b", bytes.maketrans(b"01", b"\0\1")
+        spread = f"0{n}b"
         groups = []
         for g in range(0, m, 8):
             word = 0
             for k, row in enumerate(self.rows[g : g + 8]):
-                cells = format(row, spread).encode().translate(table)
+                cells = format(row, spread).encode().translate(_DIGIT_BYTES)
                 word |= int.from_bytes(cells, "big") << k
             groups.append(word.to_bytes(n, "big"))
         grid = b"".join(groups)
@@ -827,11 +827,7 @@ def largest_mono_component(host: BipartiteGraph, col: EdgeColoring) -> Component
     (color, smallest X-index) order."""
     if host.edge_count == 0:
         raise EmptyGraph("host has no edges")
-    best = None
-    for comp in mono_components(host, col):
-        if best is None or comp.order > best.order:
-            best = comp
-    return best
+    return max(mono_components(host, col), key=lambda comp: comp.order)
 
 
 def _largest_double_star_in_class(g: BipartiteGraph, color: int) -> DoubleStar | None:
@@ -860,16 +856,13 @@ def _largest_double_star_in_class(g: BipartiteGraph, color: int) -> DoubleStar |
 
 
 def largest_double_star(host: BipartiteGraph, col: EdgeColoring) -> DoubleStar:
-    """The double star maximizing deg_c(x) + deg_c(y) over colored edges."""
+    """The double star maximizing deg_c(x) + deg_c(y) over colored edges;
+    ties go to the first one in (color, x, y) order."""
     col.validate_against(host)
     if host.edge_count == 0:
         raise EmptyGraph("host has no edges")
-    best = None
-    for c, cls in enumerate(col.classes):
-        cand = _largest_double_star_in_class(cls, c)
-        if cand is not None and (best is None or cand.order > best.order):
-            best = cand
-    return best
+    stars = (_largest_double_star_in_class(cls, c) for c, cls in enumerate(col.classes))
+    return max(filter(None, stars), key=lambda star: star.order)
 
 
 def uncolored_largest_double_star(g: BipartiteGraph) -> DoubleStar:

@@ -41,6 +41,9 @@ _EXIT_BUDGET = 3
 _EXIT_INTERNAL = 4
 _KIND_EXIT = {"Counterexample": _EXIT_COUNTEREXAMPLE, "BudgetExhausted": _EXIT_BUDGET}
 _GEN_DEFAULTS = {"k": 3, "r": 2, "t1": 1, "t2": 1, "m": 4, "n": 4, "d": 1}  # for options not given
+# the options that only some values of --mode (search) or --check (analyze) read
+_SEARCH_READERS = {"target": ("below", "verify", "random"), "check": ("verify", "random")}
+_ANALYZE_READERS = {"color": ("stability", "mainlemma"), "variant": ("corollary",)}
 
 
 def _digest(text: str) -> str:
@@ -105,16 +108,27 @@ def cmd_gen(args) -> tuple[dict, int, str, dict]:
     return doc, _EXIT_OK, dumps_canonical(graph_doc), {"variant": args.variant, **params}
 
 
+def _reject_unread(args, selector: str, readers: dict) -> None:
+    """Reject an option of ``readers`` given under a ``selector`` value that
+    does not read it; such options default to SUPPRESS, so they are in
+    ``args`` only when given."""
+    value = getattr(args, selector)
+    for key, values in readers.items():
+        if key in vars(args) and value not in values:
+            raise GraphError(f"--{selector} {value} does not read --{key}")
+
+
 def _single_class(args):
     """A (class graph, r) pair for the per-class lemma reports."""
     host, col, text = _load_host(args.file)
     classes = (host,) if col is None else col.classes  # an uncolored graph is one class
-    if not (0 <= args.color < len(classes)):
+    color = getattr(args, "color", 0)
+    if not (0 <= color < len(classes)):
         raise GraphError(f"--color must be in [0, {len(classes)})")
     r = args.r
     if r is None:
         r = 2 if col is None else col.r
-    return classes[args.color], r, text
+    return classes[color], r, text
 
 
 def cmd_analyze(args) -> tuple[dict, int, str, dict]:
@@ -126,6 +140,7 @@ def cmd_analyze(args) -> tuple[dict, int, str, dict]:
         stability_report,
     )
 
+    _reject_unread(args, "check", _ANALYZE_READERS)
     if args.check in ("stability", "mainlemma"):
         g, r, text = _single_class(args)
         if args.check == "stability":
@@ -152,7 +167,8 @@ def cmd_analyze(args) -> tuple[dict, int, str, dict]:
             )
         gg = parse_general_json(data)
         text = dumps_canonical(data)
-        verdict = check_corollary(gg, gg.r if args.r is None else args.r, variant=args.variant)
+        variant = getattr(args, "variant", "seven-eighths")
+        verdict = check_corollary(gg, gg.r if args.r is None else args.r, variant=variant)
     else:
         host, col, text = _load_host(args.file)
         if col is None:
@@ -174,12 +190,13 @@ def cmd_search(args) -> tuple[dict, int, str, dict]:
         random_search,
     )
 
+    _reject_unread(args, "mode", _SEARCH_READERS)
     if not args.host:
         raise GraphError(f"--mode {args.mode} needs --host")
     host, _col, text = _load_host(args.host)
     cfg = SearchConfig(seed=args.seed, budget=args.budget)
-    target = None if args.target is None else _parse_rational(args.target, "--target")
-    thm = THEOREMS[args.check]
+    target = _parse_rational(args.target, "--target") if "target" in vars(args) else None
+    thm = THEOREMS[getattr(args, "check", "gy1")]
     if args.mode == "minmax":
         out = min_max_mono_component(host, args.r, cfg, workers=args.workers)
     elif args.mode == "below":
@@ -234,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run manifest path (use /dev/null to discard)",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    absent = argparse.SUPPRESS  # the default of an option that is in args only when given
 
     def add_sub(name, run, **kwargs):
         sub = subs.add_parser(name, **kwargs)
@@ -245,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = add_sub("gen", cmd_gen, help="emit a construction with its certificate")
     gen.add_argument("variant", choices=list(GEN_VARIANTS))
     for key in _GEN_DEFAULTS:  # absent unless given, so cmd_gen can tell
-        gen.add_argument(f"--{key}", type=int, default=argparse.SUPPRESS)
+        gen.add_argument(f"--{key}", type=int, default=absent)
     gen.add_argument("--out", help="also write the bare graph JSON here")
 
     ana = add_sub("analyze", cmd_analyze, help="run one theorem check on a graph file")
@@ -256,18 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*sorted(THEOREMS), "stability", "mainlemma", "corollary"],
     )
     ana.add_argument("--r", type=int, default=None, help="colors (default: from file)")
-    ana.add_argument("--color", type=int, default=0, help="class for per-class reports")
-    ana.add_argument(
-        "--variant", default="seven-eighths", choices=["general", "seven-eighths"]
-    )
+    ana.add_argument("--color", type=int, default=absent, help="class for per-class reports")
+    ana.add_argument("--variant", default=absent, choices=["general", "seven-eighths"])
 
     sea = add_sub("search", cmd_search, help="adversarial search over colorings")
     sea.add_argument(
         "--mode", required=True, choices=["minmax", "below", "verify", "random"]
     )
     sea.add_argument("--host", help="graph file or gen:<spec>")
-    sea.add_argument("--target", help="rational target like 4 or 7/2")
-    sea.add_argument("--check", default="gy1", choices=sorted(THEOREMS))
+    sea.add_argument("--target", default=absent, help="rational target like 4 or 7/2")
+    sea.add_argument("--check", default=absent, choices=sorted(THEOREMS))
     sea.add_argument("--r", type=int, default=2, help="number of colors")
     _add_run_options(sea)
 

@@ -92,7 +92,7 @@ def blowup(
     Pattern vertex p maps to clones [p*t, (p+1)*t); a pattern edge of color i
     becomes a complete K_{t1,t2} bundle of color i.
     """
-    if t1 < 1 or t2 < 1 or t1 * t2 == 0:
+    if t1 < 1 or t2 < 1:
         raise InvalidSpec("need t1, t2 >= 1")
     pattern_col.validate_against(pattern_host)
     m = pattern_host.m * t1
@@ -124,20 +124,8 @@ def lower_bound_construction(
     """
     if r < 2:
         raise InvalidSpec("need r >= 2")
-    if t1 < 1 or t2 < 1:
-        raise InvalidSpec("need t1, t2 >= 1")
-    k = r + 1
-    pattern_col = coloring_from_triples(
-        k,
-        k,
-        r,
-        (
-            (i, j, (i + j) % k)
-            for i in range(k)
-            for j in range(k)
-            if (i + j) % k != r
-        ),
-    )
+    _, cyclic = cyclic_one_factorization(r + 1)
+    pattern_col = EdgeColoring(r, cyclic.classes[:r])
     host, col = blowup(pattern_col.union_host(), pattern_col, t1, t2)
     cert = construction_certificate(host, col)
     if cert.delta_xy * (r + 1) != r * host.n or cert.delta_yx * (r + 1) != r * host.m:

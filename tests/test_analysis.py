@@ -408,6 +408,19 @@ class TestMainLemma:
                 report(g, r)
 
 
+class TestGeneralGraph:
+    def test_repeated_edge_keeps_input_order(self):
+        # the edges are sorted by the edge alone, so the check meets the
+        # repeated edge's first color, 5, before the repeat
+        with pytest.raises(ColoringMismatch, match=r"color 5 outside \[0, 2\)"):
+            general_from_edge_list(2, 2, [(0, 1, 5), (1, 0, 0)])
+
+    def test_edges_sorted_with_their_colors(self):
+        gg = general_from_edge_list(4, 3, [(3, 2, 0), (1, 0, 2), (0, 2, 1)])
+        assert gg.edges == ((0, 1), (0, 2), (2, 3))
+        assert gg.colors == (2, 1, 0)
+
+
 class TestBipartition:
     def test_single_green_edge(self):
         gg = general_from_edge_list(4, 2, [(0, 1, 0), (2, 3, 1), (0, 2, 1)])

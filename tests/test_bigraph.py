@@ -16,6 +16,7 @@ from monocomp import (
     THEOREMS,
     BipartiteGraph,
     ColoringMismatch,
+    DoubleStar,
     DuplicateEdge,
     EdgeColoring,
     EmptyGraph,
@@ -327,6 +328,14 @@ class TestDoubleStars:
     def test_gap_construction(self):
         host, col = double_star_gap_construction(2, 2, 3)
         assert largest_double_star(host, col).order == 4
+
+    def test_cross_color_tie_goes_to_first_color(self):
+        # every class of the cyclic factorization is a perfect matching, so
+        # each color's best star has order 2; color 0's, at (0, 0), wins
+        host, col = cyclic_one_factorization(4)
+        assert largest_double_star(host, col) == DoubleStar(
+            color=0, center_x=0, center_y=0, order=2
+        )
 
     def test_k13(self):
         assert uncolored_largest_double_star(complete(1, 3)).order == 4

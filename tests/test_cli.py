@@ -513,6 +513,45 @@ class TestSubcommandFlags:
         assert main(["--manifest", os.devnull, *args]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["search", "--mode", "below", "--check", "additive", "--target", "5",
+                 "--host", "gen:complete:m=3,n=3"],
+                "--mode below does not read --check",
+            ),
+            (
+                ["search", "--mode", "minmax", "--check", "r2", "--host", "gen:complete:m=3,n=3"],
+                "--mode minmax does not read --check",
+            ),
+            (
+                ["search", "--mode", "minmax", "--target", "1", "--host", "gen:complete:m=3,n=3"],
+                "--mode minmax does not read --target",
+            ),
+            (
+                ["analyze", "gen:lower-bound:r=2,t1=1,t2=1", "--check", "r2", "--color", "1"],
+                "--check r2 does not read --color",
+            ),
+            (
+                ["analyze", "gen:lower-bound:r=2,t1=1,t2=1", "--check", "r2",
+                 "--variant", "general"],
+                "--check r2 does not read --variant",
+            ),
+            (
+                ["analyze", "gen:lower-bound:r=2,t1=1,t2=1", "--check", "stability",
+                 "--variant", "general"],
+                "--check stability does not read --variant",
+            ),
+        ],
+    )
+    def test_option_unread_under_mode_or_check_rejected(self, args, message, capsys):
+        # --target is read by below, verify and random, --check by verify
+        # and random, --color by stability and mainlemma, --variant by
+        # corollary; anywhere else the option exits 2 instead of being dropped
+        assert main(["--manifest", os.devnull, *args]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestColdStart:
     @staticmethod

@@ -117,8 +117,19 @@ class TestLowerBound:
     def test_invalid(self):
         with pytest.raises(InvalidSpec):
             lower_bound_construction(1, 1, 1)
-        with pytest.raises(InvalidSpec):
-            lower_bound_construction(2, 0, 1)
+        for t1, t2 in [(0, 1), (1, 0), (-1, 2)]:  # the blow-up's own guard
+            with pytest.raises(InvalidSpec, match=r"^need t1, t2 >= 1$"):
+                lower_bound_construction(2, t1, t2)
+
+    def test_pattern_is_cyclic_minus_last_matching(self):
+        # edge (i, j) of K_{r+1,r+1} has color (i + j) mod (r + 1), and the
+        # edges of color r are gone
+        for r in (2, 3, 5):
+            k = r + 1
+            host, col = lower_bound_construction(r, 1, 1)
+            want = [(i, j, (i + j) % k) for i in range(k) for j in range(k) if (i + j) % k != r]
+            assert col.edges() == want
+            assert host.edges() == [(i, j) for i, j, _ in want]
 
 
 class TestDoubleStarGap:
