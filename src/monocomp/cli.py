@@ -10,9 +10,16 @@ conclusion, 2 bad input, unmet precondition, out of memory or a stdout
 closed before the output was written, 3 search budget exhausted, 4 internal
 error (an unexpected exception, never a verdict).
 
-Each subcommand imports only what it runs: the parser and ``gen`` need
+Each command loads only what it runs.  The parser and ``gen`` need
 ``bigraph``, ``constructions`` and ``theorems``; ``analyze`` loads
 ``analysis`` and ``search``/``scan`` load ``search``, inside the command.
+``main`` builds the subparser of the one subcommand argv runs, or all four
+for help and the errors that name no subcommand, so every text is the
+same.  ``--workers`` above 1 imports ``concurrent.futures`` and starts a
+pool only for a walk that goes past ``search._TRIAL_NODES`` nodes or a
+sample run of more than one block.  The manifest's input digest takes
+CPython's built-in sha256, so no command loads OpenSSL through
+``hashlib``.
 """
 
 from __future__ import annotations
@@ -41,15 +48,21 @@ _EXIT_BUDGET = 3
 _EXIT_INTERNAL = 4
 _KIND_EXIT = {"Counterexample": _EXIT_COUNTEREXAMPLE, "BudgetExhausted": _EXIT_BUDGET}
 _GEN_DEFAULTS = {"k": 3, "r": 2, "t1": 1, "t2": 1, "m": 4, "n": 4, "d": 1}  # for options not given
-# the options that only some values of --mode (search) or --check (analyze) read
+# the options that only some values of --mode or --check (search, analyze) read
 _SEARCH_READERS = {"target": ("below", "verify", "random"), "check": ("verify", "random")}
+_CHECK_READERS = {"target": ("gy1",)}  # of search: only gy1's target is settable
 _ANALYZE_READERS = {"color": ("stability", "mainlemma"), "variant": ("corollary",)}
+_ABSENT = argparse.SUPPRESS  # the default of an option that is in args only when given
 
 
 def _digest(text: str) -> str:
-    import hashlib  # only here: nothing else on the import path loads it
-
-    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    # CPython's own sha256, as random.py takes its sha512: hashlib loads
+    # OpenSSL, several ms per command
+    try:
+        sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:  # a Python built without it
+        from hashlib import sha256
+    return "sha256:" + sha256(text.encode()).hexdigest()
 
 
 def _write_manifest(path: str, argv, source: str, seed, summary: dict, elapsed: float):
@@ -191,6 +204,8 @@ def cmd_search(args) -> tuple[dict, int, str, dict]:
     )
 
     _reject_unread(args, "mode", _SEARCH_READERS)
+    if "check" in vars(args):
+        _reject_unread(args, "check", _CHECK_READERS)
     if not args.host:
         raise GraphError(f"--mode {args.mode} needs --host")
     host, _col, text = _load_host(args.host)
@@ -239,7 +254,74 @@ def _add_run_options(sub):
     sub.add_argument("--workers", type=int, default=1, help="parallel workers")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _gen_options(gen):
+    gen.set_defaults(run=cmd_gen)
+    gen.add_argument("variant", choices=list(GEN_VARIANTS))
+    for key in _GEN_DEFAULTS:  # absent unless given, so cmd_gen can tell
+        gen.add_argument(f"--{key}", type=int, default=_ABSENT)
+    gen.add_argument("--out", help="also write the bare graph JSON here")
+
+
+def _analyze_options(ana):
+    ana.set_defaults(run=cmd_analyze)
+    ana.add_argument("file")
+    ana.add_argument(
+        "--check",
+        required=True,
+        choices=[*sorted(THEOREMS), "stability", "mainlemma", "corollary"],
+    )
+    ana.add_argument("--r", type=int, default=None, help="colors (default: from file)")
+    ana.add_argument("--color", type=int, default=_ABSENT, help="class for per-class reports")
+    ana.add_argument("--variant", default=_ABSENT, choices=["general", "seven-eighths"])
+
+
+def _search_options(sea):
+    sea.set_defaults(run=cmd_search)
+    sea.add_argument(
+        "--mode", required=True, choices=["minmax", "below", "verify", "random"]
+    )
+    sea.add_argument("--host", help="graph file or gen:<spec>")
+    sea.add_argument("--target", default=_ABSENT, help="rational target like 4 or 7/2")
+    sea.add_argument("--check", default=_ABSENT, choices=sorted(THEOREMS))
+    sea.add_argument("--r", type=int, default=2, help="number of colors")
+    _add_run_options(sea)
+
+
+def _scan_options(scan):
+    scan.set_defaults(run=cmd_scan)
+    scan.add_argument("--total-n", type=int, default=None, dest="total_n")
+    scan.add_argument("--alphas", default="", help="comma-separated rationals")
+    _add_run_options(scan)
+
+
+# each subcommand's (help, options), in the order --help lists them; the
+# options function also sets the command's run, looked up at each build
+_SUBCOMMANDS = {
+    "gen": ("emit a construction with its certificate", _gen_options),
+    "analyze": ("run one theorem check on a graph file", _analyze_options),
+    "search": ("adversarial search over colorings", _search_options),
+    "scan": ("degree-slack frontier scan", _scan_options),
+}
+
+
+def _subcommands(argv) -> tuple[str, ...]:
+    """The subparsers to build for ``argv``: only the subcommand it runs when
+    one follows at most the ``--manifest`` option and no ``-h``/``--help``
+    is given, since then the parse, its usage and its errors read no other;
+    else all, for the top-level help and errors."""
+    rest = argv
+    if rest[:1] == ["--manifest"]:
+        rest = rest[2:]
+    elif rest[:1] and rest[0].startswith("--manifest="):
+        rest = rest[1:]
+    if rest[:1] and rest[0] in _SUBCOMMANDS and "-h" not in argv and "--help" not in argv:
+        return (rest[0],)
+    return tuple(_SUBCOMMANDS)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one ``argv`` runs
+    (``_subcommands``), with the same usage and messages."""
     parser = argparse.ArgumentParser(
         prog="monocomp",
         description="Monochromatic components of r-edge-colored bipartite graphs:"
@@ -250,55 +332,23 @@ def build_parser() -> argparse.ArgumentParser:
         default="mono-manifest.json",
         help="run manifest path (use /dev/null to discard)",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    absent = argparse.SUPPRESS  # the default of an option that is in args only when given
-
-    def add_sub(name, run, **kwargs):
-        sub = subs.add_parser(name, **kwargs)
-        sub.set_defaults(run=run)
+    names = _subcommands(list(argv))
+    # one subparser still puts every name in the usage; the errors that
+    # name the argument "command" come only from a full build
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        text, add_options = _SUBCOMMANDS[name]
+        sub = subs.add_parser(name, help=text)
         # accepted after the subcommand too; only overrides when given
-        sub.add_argument("--manifest", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        return sub
-
-    gen = add_sub("gen", cmd_gen, help="emit a construction with its certificate")
-    gen.add_argument("variant", choices=list(GEN_VARIANTS))
-    for key in _GEN_DEFAULTS:  # absent unless given, so cmd_gen can tell
-        gen.add_argument(f"--{key}", type=int, default=absent)
-    gen.add_argument("--out", help="also write the bare graph JSON here")
-
-    ana = add_sub("analyze", cmd_analyze, help="run one theorem check on a graph file")
-    ana.add_argument("file")
-    ana.add_argument(
-        "--check",
-        required=True,
-        choices=[*sorted(THEOREMS), "stability", "mainlemma", "corollary"],
-    )
-    ana.add_argument("--r", type=int, default=None, help="colors (default: from file)")
-    ana.add_argument("--color", type=int, default=absent, help="class for per-class reports")
-    ana.add_argument("--variant", default=absent, choices=["general", "seven-eighths"])
-
-    sea = add_sub("search", cmd_search, help="adversarial search over colorings")
-    sea.add_argument(
-        "--mode", required=True, choices=["minmax", "below", "verify", "random"]
-    )
-    sea.add_argument("--host", help="graph file or gen:<spec>")
-    sea.add_argument("--target", default=absent, help="rational target like 4 or 7/2")
-    sea.add_argument("--check", default=absent, choices=sorted(THEOREMS))
-    sea.add_argument("--r", type=int, default=2, help="number of colors")
-    _add_run_options(sea)
-
-    scan = add_sub("scan", cmd_scan, help="degree-slack frontier scan")
-    scan.add_argument("--total-n", type=int, default=None, dest="total_n")
-    scan.add_argument("--alphas", default="", help="comma-separated rationals")
-    _add_run_options(scan)
-
+        sub.add_argument("--manifest", default=_ABSENT, help=argparse.SUPPRESS)
+        add_options(sub)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     started = time.perf_counter()
     try:
         if getattr(args, "workers", 1) < 1:

@@ -61,6 +61,11 @@ over all edges: ``examined`` is its node count and the budget one cap on
 it.  Parallel runs split that walk at a fixed depth (``_prefix_depth``)
 into tasks, run on one process pool per search and merged in prefix order
 into the serial count, so the outcome is the same for every worker count.
+Each split probe first walks serially in this process up to
+``_TRIAL_NODES`` nodes; a walk decided there is the probe's outcome, and
+only a probe that goes past it starts the pool (and imports
+``concurrent.futures``) and walks again from scratch, so ``examined``
+never holds the trial's nodes.
 Dead states are kept only past ``_PREFIX_DEPTH`` edges and forgotten at
 each backtrack above it, so every task starts from the empty set that the
 serial walk has there.
@@ -82,7 +87,7 @@ import math
 import os
 import random
 from collections import defaultdict, deque
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from fractions import Fraction
 from itertools import islice
 
@@ -99,6 +104,7 @@ from .theorems import _UNBOUNDED, Theorem, _ceil_frac, _theorem
 
 _RANDOM_BLOCK = 2048
 _PREFIX_DEPTH = 4
+_TRIAL_NODES = 1 << 10  # the nodes a split probe walks in process before it starts a pool
 _SYMMETRY_WORK = 1 << 16
 _GROUP_CAP = 64  # the largest group order whose every element the walk breaks
 _EXTRA_SHARE = Fraction(3, 7)  # the share of the edges on which the other elements are compared
@@ -754,8 +760,15 @@ def _below_probe(host: BipartiteGraph, r: int, workers: int, packing=(0, 0, 2)):
     colors or None, and the nodes one ``_walk_below`` over all edges tries
     to decide it, which read ``budget + 1`` (and colors None) once that
     walk goes over ``budget``.  The packed instance, the lex-leader
-    schedule, the split depth and the process pool are set up once for
-    every probe.
+    schedule and the split depth are set up once for every probe, and the
+    process pool at most once, by the first probe that needs it.
+
+    A split probe first runs that walk in this process, capped at
+    min(budget, ``_TRIAL_NODES``): when it decides the probe within the
+    cap, or the budget is the cap, its outcome is the probe's, and no pool
+    starts.  Otherwise the split walk below runs from scratch with the
+    whole budget, so its count is that of the one walk over all edges and
+    the trial's nodes never reach ``examined``.
 
     The walk is split at ``_prefix_depth`` for W = min(workers, CPUs)
     processes, which only schedules: one prefix walk, capped at the budget,
@@ -764,16 +777,25 @@ def _below_probe(host: BipartiteGraph, r: int, workers: int, packing=(0, 0, 2)):
     order, task i ends at serial node pre_i + (nodes of tasks 0..i), so the
     result is the single walk's: the split depth is at most
     ``_PREFIX_DEPTH``, where the walk's dead-state set starts empty for
-    every prefix.  At depth 0 the one task is that walk."""
+    every prefix.  At depth 0 the trial, capped at the budget, is that
+    walk."""
     ends, weights, (weight, _, _) = _packed(host, packing)  # needs of one kind pack alike
     if r < 1:
         raise ValueError("need r >= 1")
     lex = _lex_schedule(_lex_elements(host.m, host.n, ends), len(ends))
     workers = min(workers, os.cpu_count() or 1)
     depth = _prefix_depth(len(ends), r, workers)
+    ranked = None
 
     def probe(need, budget: int) -> tuple[tuple[int, ...] | None, int]:
+        nonlocal ranked
         common = (ends, weights, r, _rule(weight, need))
+        cap = min(budget, _TRIAL_NODES) if depth else budget
+        colors, nodes = next(_walk_below(*common, (), len(ends), cap, lex))
+        if nodes <= cap or cap == budget:  # decided, or out of budget
+            return colors, nodes
+        if ranked is None:
+            ranked = pools.enter_context(_pool(workers))
         prefixes = _walk_below(*common, (), depth, budget, lex)
         tasks = ((*common, budget, lex, item) for item in prefixes)
         spent = 0
@@ -784,7 +806,7 @@ def _below_probe(host: BipartiteGraph, r: int, workers: int, packing=(0, 0, 2)):
                     break
         return (colors, pre + spent) if pre + spent <= budget else (None, budget + 1)
 
-    with _pool(workers if depth else 1) as ranked:
+    with ExitStack() as pools:
         yield probe
 
 

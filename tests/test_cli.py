@@ -1,10 +1,12 @@
 import ast
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -225,7 +227,8 @@ class TestSearch:
 
     def test_prefix_phase_stops_at_budget(self, tmp_path, monkeypatch, capsys):
         # 2^29 prefixes at a forced depth of 30: the prefix walk itself
-        # stops at node 11
+        # stops at node 11 (no trial walk, which would decide it first)
+        monkeypatch.setattr(search, "_TRIAL_NODES", 0)
         monkeypatch.setattr(search, "_prefix_depth", lambda *_: 30)
         code = main([
             "--manifest", str(tmp_path / "manifest.json"), "search", "--mode", "below",
@@ -286,6 +289,7 @@ class TestSearch:
                 yield item
 
         monkeypatch.setattr(search, "_walk_below", recording)
+        monkeypatch.setattr(search, "_TRIAL_NODES", 0)  # the split walk, not the trial
         monkeypatch.setattr(search, "_prefix_depth", lambda *_: 20)
         for workers in ("1", "2"):
             code = main([
@@ -543,14 +547,67 @@ class TestSubcommandFlags:
                  "--variant", "general"],
                 "--check stability does not read --variant",
             ),
+            (
+                ["search", "--mode", "verify", "--check", "r2", "--host", "gen:complete:m=3,n=3",
+                 "--target", "99"],
+                "--check r2 does not read --target",
+            ),
+            (
+                ["search", "--mode", "random", "--check", "additive", "--target", "5",
+                 "--host", "gen:complete:m=3,n=3", "--budget", "10"],
+                "--check additive does not read --target",
+            ),
         ],
     )
     def test_option_unread_under_mode_or_check_rejected(self, args, message, capsys):
-        # --target is read by below, verify and random, --check by verify
-        # and random, --color by stability and mainlemma, --variant by
-        # corollary; anywhere else the option exits 2 instead of being dropped
+        # --target is read by below, and by verify and random under gy1,
+        # --check by verify and random, --color by stability and mainlemma,
+        # --variant by corollary; anywhere else the option exits 2 instead
+        # of being dropped
         assert main(["--manifest", os.devnull, *args]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class TestParserTexts:
+    """``main`` builds one subparser when argv runs one subcommand and asks
+    for no help, else all four; either way it prints what the parser of
+    all four printed (``tests/parser_texts.json``: stdout, stderr and exit
+    code at 80 columns, as recorded with the argparse of Python 3.11)."""
+
+    TEXTS = json.loads((Path(__file__).parent / "parser_texts.json").read_text())
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    @pytest.mark.parametrize("entry", TEXTS, ids=lambda e: " ".join(e["argv"]) or "none")
+    def test_texts_are_those_of_the_full_parser(self, monkeypatch, capsys, entry):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [os.devnull if a == "{devnull}" else a for a in entry["argv"]]
+        got = self._run(argv, capsys)
+        monkeypatch.setattr(cli, "_subcommands", lambda argv: tuple(cli._SUBCOMMANDS))
+        assert got == self._run(argv, capsys)
+        if sys.version_info[:2] in ((3, 10), (3, 11)):  # later argparse words some texts anew
+            assert got == (entry["exit"], entry["stdout"], entry["stderr"])
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["search", "--mode", "minmax"], ["search"]),
+            (["--manifest", "m.json", "gen", "cyclic"], ["gen"]),
+            (["--manifest=m.json", "scan"], ["scan"]),
+            (["analyze", "--help"], ["gen", "analyze", "search", "scan"]),
+            (["--manifest", "m.json", "-h", "gen"], ["gen", "analyze", "search", "scan"]),
+            (["--man", "m.json", "gen"], ["gen", "analyze", "search", "scan"]),
+            ([], ["gen", "analyze", "search", "scan"]),
+        ],
+    )
+    def test_one_subparser_when_one_runs(self, argv, built):
+        assert list(cli._subcommands(argv)) == built
 
 
 class TestColdStart:
@@ -576,6 +633,25 @@ class TestColdStart:
     def test_cli_import_leaves_hashlib_out(self):
         # only the manifest's input digest needs it, once the command has run
         assert self._loaded("hashlib", "_hashlib") == "[]\n"
+
+    def test_tiny_split_walk_loads_no_pool_and_no_openssl(self, tmp_path):
+        # K_{4,4} at target 5 is decided within the trial walk's cap, and
+        # the manifest's digest takes CPython's own sha256
+        code = (
+            "import sys\n"
+            "from monocomp.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in ('_hashlib', 'concurrent.futures.process')"
+            " if m in sys.modules), file=sys.stderr)\n"
+        )
+        argv = ["--manifest", str(tmp_path / "manifest.json"), "search", "--mode", "below",
+                "--host", "gen:complete:m=4,n=4", "--target", "5", "--workers", "2"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        res = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+        )
+        assert res.stderr == "1 []\n"
+        assert json.loads((tmp_path / "manifest.json").read_text())["input_digest"]
 
     def test_cli_import_leaves_dataclasses_out(self):
         # the result classes are plain: ``dataclasses`` would load ``inspect``
@@ -694,3 +770,20 @@ class TestManifest:
         assert manifest["input_digest"].startswith("sha256:")
         b = run_cli(args, tmp_path)
         assert a.stdout == b.stdout
+
+    @pytest.mark.parametrize("source", ["gen", "file", "gen-without-builtin-sha"])
+    def test_input_digest_is_sha256_of_the_canonical_input(self, tmp_path, monkeypatch, source):
+        # the digest takes CPython's own sha256, or hashlib's on a Python without it
+        if source.endswith("without-builtin-sha"):
+            for name in ("_sha2", "_sha256"):
+                monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+        host, col = lower_bound_construction(2, 1, 1)
+        canonical = dumps_canonical(graph_json(host, col))
+        spec = "gen:lower-bound:r=2,t1=1,t2=1"
+        if source == "file":
+            spec = tmp_path / "lb.json"
+            spec.write_text(json.dumps(graph_json(host, col), indent=2))  # not canonical bytes
+        manifest = tmp_path / "manifest.json"
+        assert main(["--manifest", str(manifest), "analyze", str(spec), "--check", "r2"]) == 0
+        want = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+        assert json.loads(manifest.read_text())["input_digest"] == want

@@ -80,10 +80,17 @@ def twin_rich_host(rng):
     return from_edge_list(len(rows), len(cols), edges) if edges else None
 
 
+def no_trial(monkeypatch):
+    """Skip the in-process trial walk, so every split probe runs its split
+    walk (and starts its pool) however few nodes it takes."""
+    monkeypatch.setattr(search, "_TRIAL_NODES", 0)
+
+
 def force_depth(monkeypatch, depth):
     """Split every below walk at ``depth``, or at the last edge when the
-    host has fewer, whatever the worker count; with one worker the tasks
-    run in order in this process."""
+    host has fewer, whatever the worker count, with no trial walk first;
+    with one worker the tasks run in order in this process."""
+    no_trial(monkeypatch)
     monkeypatch.setattr(search, "_prefix_depth", lambda num_edges, *_: min(depth, num_edges))
 
 
@@ -278,6 +285,7 @@ class TestBelowSearch:
     def test_pool_capped_at_cpu_count(self, monkeypatch, pool_sizes, cpus, pools):
         host = complete_minus_circulant(4, 4, 1)
         serial = exists_coloring_below(host, 2, 4)
+        no_trial(monkeypatch)
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
         out = exists_coloring_below(host, 2, 4, workers=100000)
         assert pool_sizes == pools
@@ -289,6 +297,66 @@ class TestBelowSearch:
         assert search._prefix_depth(36, 1, 2) == 0
         assert search._prefix_depth(36, 2, 1) == 0
         assert search._prefix_depth(3, 2, 2) == 3
+
+
+class TestTrialWalk:
+    """A split probe first walks serially in this process, capped at
+    ``_TRIAL_NODES``: a walk decided there starts no pool, and one that
+    goes past it starts one pool per search and walks again from scratch,
+    so every outcome is the serial walk's."""
+
+    # circ(7,7,2) at 2 colors: t8 AllSatisfy in 6,592 nodes, t9 a
+    # Counterexample in 1,343, min-max 8,456; all pass the cap of 1,024
+    WIDE = complete_minus_circulant(7, 7, 2)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda w: exists_coloring_below(complete(4, 4), 2, 5, workers=w),
+            lambda w: exists_coloring_below(complete(4, 4), 2, 4, workers=w),
+            lambda w: exhaustive_verify(complete(4, 4), 2, workers=w),
+            lambda w: exhaustive_verify(complete(3, 3), 2, checker=THEOREMS["additive"], workers=w),
+            lambda w: min_max_mono_component(complete(4, 4), 2, workers=w),
+            lambda w: min_max_mono_component(complete(3, 3), 3, workers=w),
+        ],
+        ids=["below-k44-t5", "below-k44-t4", "verify-k44", "verify-additive-k33",
+             "minmax-k44", "minmax-k33r3"],
+    )
+    def test_decided_within_the_cap_starts_no_pool(self, monkeypatch, pool_sizes, run):
+        serial = run(1)
+        assert serial.examined <= search._TRIAL_NODES
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        assert run(2) == serial
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda w: exists_coloring_below(TestTrialWalk.WIDE, 2, 8, workers=w),
+            lambda w: exists_coloring_below(TestTrialWalk.WIDE, 2, 9, workers=w),
+            lambda w: min_max_mono_component(TestTrialWalk.WIDE, 2, workers=w),
+        ],
+        ids=["below-t8", "below-t9", "minmax"],
+    )
+    def test_past_the_cap_one_pool_per_search(self, monkeypatch, pool_sizes, run):
+        serial = run(1)
+        assert serial.examined > search._TRIAL_NODES
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        assert run(2) == serial  # kind, value, witness and examined
+        assert pool_sizes == [2]
+
+    def test_budgets_around_the_cap(self, monkeypatch, pool_sizes):
+        # t8 takes 6,592 nodes: every budget here stops the walk, at
+        # budget + 1, and only a budget past the cap starts the pool
+        cap = search._TRIAL_NODES
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+        for budget in (cap - 1, cap, cap + 1, 2 * cap):
+            cfg = SearchConfig(budget=budget)
+            serial = exists_coloring_below(self.WIDE, 2, 8, cfg)
+            assert (serial.kind, serial.examined) == ("BudgetExhausted", budget + 1)
+            del pool_sizes[:]
+            assert exists_coloring_below(self.WIDE, 2, 8, cfg, workers=2) == serial, budget
+            assert pool_sizes == ([2] if budget > cap else []), budget
 
 
 def _padded(host, m, n):
@@ -660,6 +728,7 @@ class TestAutomorphisms:
     def test_worker_invariance(self, monkeypatch):
         # the prefix replay rebuilds each task's lex-leader state, so two
         # workers examine exactly the serial count
+        no_trial(monkeypatch)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
         for d, r in ((2, 2), (1, 3)):
             host = complete_minus_circulant(6, 6, d)
@@ -783,6 +852,7 @@ class TestMinMax:
         # the binary search's probes share the pool its search opened
         host = complete(4, 4)
         serial = min_max_mono_component(host, 2)
+        no_trial(monkeypatch)
         monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
         out = min_max_mono_component(host, 2, workers=2)
         assert pool_sizes == [2]
